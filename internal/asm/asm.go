@@ -172,7 +172,7 @@ func Parse(name, src string) (*Unit, error) {
 // test fixtures): a parse failure there is a programmer error, so it panics.
 // Generated or user-influenced source — monitor.LibrarySource output, check
 // sequences from patch.CheckText — must go through Parse with the error
-// propagated; see patch.Apply and elim.Apply for the pattern.
+// propagated; see patch.Library and patch.NewCheck for the pattern.
 func MustParse(name, src string) *Unit {
 	u, err := Parse(name, src)
 	if err != nil {

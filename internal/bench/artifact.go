@@ -309,4 +309,3 @@ func descElim(mode elim.Mode, mc monitor.Config) string {
 	}
 	return fmt.Sprintf("elim|mode=%d|%s", mode, descMonitor(mc))
 }
-

@@ -30,9 +30,16 @@ import (
 
 // ChurnRegion is the region the per-session debugger goroutines add and
 // remove while the program runs. Like FarRegion it is far from anything the
-// workloads touch, so installing and removing it is count-neutral: the
-// service stays enabled (FarRegion persists), and the monitor words it
-// flips are never read by the patched code.
+// workloads touch, so churning it never produces a hit. Beside FarRegion
+// alone it is also count-neutral: the service stays enabled (FarRegion
+// persists), and the monitor words it flips are never read by the patched
+// code. Beside a watched region it is not: its bitmap segment is allocated
+// next to the watched region's, and when both share a 32-byte D-cache line,
+// as with HitRegion, each region request's machine.WriteWord of bitmap
+// words invalidates the simulated line the check code reads on every
+// watched store, so the session runs 8 to 32 cycles over an unchurned one,
+// depending on when the requests land. The address stays as it is: moving
+// it would change simulated counts that benchmark references pin.
 const ChurnRegion uint32 = 0x7900_0000
 
 // StressConfig parameterizes a Stress run.

@@ -134,8 +134,8 @@ type Service struct {
 	callback HitFunc
 	patcher  Patcher
 	regions  map[Region]Kind
-	storable int // regions whose kind includes KindStore
-	loadable int // regions whose kind includes KindLoad
+	storable int               // regions whose kind includes KindStore
+	loadable int               // regions whose kind includes KindLoad
 	symbols  map[string]Region // PreMonitor'd symbol -> its region
 	stats    Stats
 }

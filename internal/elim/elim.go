@@ -123,6 +123,21 @@ type rewriter struct {
 	err error
 }
 
+// check resolves the standard check sequence (the reserved-register
+// inline bitmap lookup) for an access the rewriter keeps checked or can
+// re-insert, recording (not panicking on) failure; a failed check places
+// no items.
+func (rw *rewriter) check(in sparc.Instr) patch.Check {
+	c, err := patch.NewCheck(patch.Options{
+		Strategy: patch.BitmapInlineRegisters,
+		Monitor:  rw.opts.Monitor,
+	}, in, patch.WriteHeap)
+	if err != nil && rw.err == nil {
+		rw.err = fmt.Errorf("elim: generated check sequence does not parse: %w", err)
+	}
+	return c
+}
+
 // parseGen parses generated assembly, recording (not panicking on) failure.
 func (rw *rewriter) parseGen(src string) *asm.Unit {
 	u, err := asm.Parse("__gen", src)
@@ -159,19 +174,15 @@ func Apply(opts Options, units ...*asm.Unit) (*Result, error) {
 		rw.res.Units = append(rw.res.Units, nu)
 	}
 	if len(rw.patch) > 0 {
-		pu := &asm.Unit{Name: "__mrs_patch_area"}
+		pu := &asm.Unit{Name: "__mrs_patch_area", Items: make([]asm.Item, 0, 1+len(rw.patch))}
 		pu.Items = append(pu.Items,
 			asm.Item{Kind: asm.ItemInstr, Instr: sparc.Instr{Op: sparc.Unimp}, Section: "text"})
 		pu.Items = append(pu.Items, rw.patch...)
 		rw.res.Units = append(rw.res.Units, pu)
 	}
-	libSrc, err := monitor.LibrarySource(opts.Monitor)
+	lib, err := patch.Library(opts.Monitor)
 	if err != nil {
 		return nil, err
-	}
-	lib, err := asm.Parse("__mrslib", libSrc)
-	if err != nil {
-		return nil, fmt.Errorf("elim: generated monitor library does not parse: %w", err)
 	}
 	rw.res.Units = append(rw.res.Units, lib)
 	if rw.err != nil {
@@ -283,21 +294,18 @@ func (rw *rewriter) rewriteUnit(u *asm.Unit) (*asm.Unit, error) {
 				} else {
 					it.CountName = patch.CounterWrites
 				}
-				check := patch.CheckText(patch.Options{
-					Strategy: patch.BitmapInlineRegisters,
-					Monitor:  rw.opts.Monitor,
-				}, in, patch.WriteHeap, rw.nextID())
+				c := rw.check(in)
 				// A load that clobbers its own address register must be
 				// checked before it executes (see patch.LoadClobbersAddress).
 				if patch.LoadClobbersAddress(in) {
-					emitSrc(it.Section, check)
+					nu.Items = c.AppendTo(nu.Items, rw.nextID(), it.Section)
 					nu.Items = append(nu.Items, it)
 				} else {
 					nu.Items = append(nu.Items, it)
-					emitSrc(it.Section, check)
+					nu.Items = c.AppendTo(nu.Items, rw.nextID(), it.Section)
 				}
 			} else {
-				rw.emitSite(nu, emitSrc, it, d)
+				rw.emitSite(nu, it, d)
 			}
 		case in.Op == sparc.Save, in.Op == sparc.Restore:
 			nu.Items = append(nu.Items, it)
@@ -309,6 +317,8 @@ func (rw *rewriter) rewriteUnit(u *asm.Unit) (*asm.Unit, error) {
 			nu.Items = append(nu.Items, it)
 		}
 	}
+	// Results keep their units live, so store the items at exact size.
+	nu.Items = append(make([]asm.Item, 0, len(nu.Items)), nu.Items...)
 	return nu, nil
 }
 
@@ -325,7 +335,7 @@ func (rw *rewriter) newSite(kind SiteKind, fn string) *Site {
 
 // emitSite emits an eliminated store: a labelled bare store plus a patch
 // block holding the re-insertable checked version.
-func (rw *rewriter) emitSite(nu *asm.Unit, emitSrc func(string, string), it asm.Item, d *decision) {
+func (rw *rewriter) emitSite(nu *asm.Unit, it asm.Item, d *decision) {
 	id := d.site.ID
 	counter := CounterElimSym
 	switch d.kind {
@@ -344,18 +354,12 @@ func (rw *rewriter) emitSite(nu *asm.Unit, emitSrc func(string, string), it asm.
 	rw.patch = append(rw.patch, asm.Item{Kind: asm.ItemLabel, Label: sitePatchLabel(id), Section: "text"})
 	st := it
 	st.CountName = counter
-	gu := rw.parseGen(patch.CheckText(patch.Options{
-		Strategy: patch.BitmapInlineRegisters,
-		Monitor:  rw.opts.Monitor,
-	}, it.Instr, patch.WriteHeap, rw.nextID()))
+	c := rw.check(it.Instr)
 	before := patch.LoadClobbersAddress(it.Instr)
 	if !before {
 		rw.patch = append(rw.patch, st)
 	}
-	for _, pit := range gu.Items {
-		pit.Section = "text"
-		rw.patch = append(rw.patch, pit)
-	}
+	rw.patch = c.AppendTo(rw.patch, rw.nextID(), "text")
 	if before {
 		rw.patch = append(rw.patch, st)
 	}

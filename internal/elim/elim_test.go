@@ -440,3 +440,20 @@ int main() {
 		t.Fatalf("hits on a[5] = %d, want 2 (%+v)", hits, w.svc.Hits)
 	}
 }
+
+// TestResultUnitsExactSize checks that every unit an elimination result
+// keeps live — the rewritten program, the patch area and the library — is
+// stored without append slack.
+func TestResultUnitsExactSize(t *testing.T) {
+	for _, mode := range []Mode{SymOnly, Full} {
+		w := build(t, mode, loopProg)
+		if len(w.res.Units) < 3 {
+			t.Fatalf("%v: %d units, want program, patch area and library", mode, len(w.res.Units))
+		}
+		for _, u := range w.res.Units {
+			if cap(u.Items) != len(u.Items) {
+				t.Errorf("%v: unit %s has %d items in capacity %d", mode, u.Name, len(u.Items), cap(u.Items))
+			}
+		}
+	}
+}

@@ -10,12 +10,17 @@
 package machine_test
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"databreak/internal/asm"
+	"databreak/internal/bench"
 	"databreak/internal/cache"
 	"databreak/internal/machine"
 	"databreak/internal/minic"
+	"databreak/internal/monitor"
+	"databreak/internal/patch"
 	"databreak/internal/sparc"
 	"databreak/internal/workload"
 )
@@ -117,16 +122,44 @@ func BenchmarkLoadText(b *testing.B) {
 
 // BenchmarkBuildImage measures the one-time cost of predecoding text into a
 // shareable Image — the amount of work the artifact cache amortizes over
-// every subsequent LoadImage.
+// every subsequent LoadImage. Trace compilation dominates it, one trace per
+// block head. eqntott is the unpatched baseline; fpppp patched with
+// BitmapInlineRegisters, the paper's recommended strategy, is among the
+// largest table builds, its check sequences multiplying the block heads.
 func BenchmarkBuildImage(b *testing.B) {
-	prog := compiledWorkload(b, "eqntott")
+	fpppp, _ := workload.ByName("fpppp", 1)
+	u, err := bench.Compile(fpppp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prog *asm.Program
+	}{
+		{"eqntott", compiledWorkload(b, "eqntott")},
+		{"fpppp-BitmapInlineRegisters", buildTable(b, fpppp, u, tableBuild{
+			name: "BitmapInlineRegisters", popts: checked(patch.BitmapInlineRegisters)})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				img := machine.BuildImage(c.prog.Text, c.prog.Entry)
+				if img.Len() != len(c.prog.Text) {
+					b.Fatalf("image len = %d, want %d", img.Len(), len(c.prog.Text))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArtifactSetup builds all 130 Table 1/2 artifacts cold from
+// source per op, on one goroutine: minic compile, parse, patch or
+// elimination, assemble, and image. It is the set-up the perfbench tables
+// workload times; run with -benchmem for its allocation.
+func BenchmarkArtifactSetup(b *testing.B) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img := machine.BuildImage(prog.Text, prog.Entry)
-		if img.Len() != len(prog.Text) {
-			b.Fatalf("image len = %d, want %d", img.Len(), len(prog.Text))
-		}
+		buildTables(b)
 	}
 }
 
@@ -158,6 +191,84 @@ func BenchmarkPatchInstrCOW(b *testing.B) {
 		m.LoadImage(img)
 		if err := m.PatchInstr(0, prog.Text[0]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnginesAllWorkloads times the four engines on every workload's
+// baseline build and its BitmapInlineRegisters build, the latter run as its
+// Table 1 cell runs it: a monitor service with FarRegion watched. Each
+// build is a sub-benchmark whose op is one round that runs every engine
+// once on a fresh machine attached to the build's shared image, with the
+// engine order rotating from round to round, so host drift lands on all
+// engines alike. It reports each engine's median run time and the
+// trace/closure and block/closure ratios of the medians; simulated counts
+// must agree across engines and rounds. The whole set takes minutes, so
+// the CI bench job leaves it out; run it as
+//
+//	go test ./internal/machine -run '^$' -bench EnginesAllWorkloads -benchtime 15x
+func BenchmarkEnginesAllWorkloads(b *testing.B) {
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineTrace, machine.EngineClosure}
+	for _, p := range workload.All(1) {
+		u, err := bench.Compile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bd := range []tableBuild{tableBuilds[0], tableBuilds[3]} {
+			prog := buildTable(b, p, u, bd)
+			b.Run(p.Name+"-"+bd.name, func(b *testing.B) {
+				var cycles, instrs int64
+				run := func(e machine.Engine) time.Duration {
+					start := time.Now()
+					m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
+					m.SetEngine(e)
+					prog.LoadShared(m)
+					if bd.popts != nil {
+						svc, err := monitor.NewService(monitor.DefaultConfig, m)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := svc.CreateRegion(bench.FarRegion, 4); err != nil {
+							b.Fatal(err)
+						}
+						svc.Reinstall()
+					}
+					if _, err := m.Run(); err != nil {
+						b.Fatalf("%v: %v", e, err)
+					}
+					d := time.Since(start)
+					if cycles == 0 {
+						cycles, instrs = m.Cycles(), m.Instrs()
+					} else if m.Cycles() != cycles || m.Instrs() != instrs {
+						b.Fatalf("%v: cycles/instrs %d/%d, want %d/%d", e, m.Cycles(), m.Instrs(), cycles, instrs)
+					}
+					return d
+				}
+				// One untimed run per engine first: the closure tier threads
+				// an image's traces on its first closure-engine attach, a
+				// set-up cost, not a run cost.
+				for _, e := range engines {
+					run(e)
+				}
+				times := make([][]time.Duration, len(engines))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := range engines {
+						j := (i + k) % len(engines)
+						times[j] = append(times[j], run(engines[j]))
+					}
+				}
+				b.StopTimer()
+				ms := make([]float64, len(engines))
+				for j, e := range engines {
+					ds := times[j]
+					slices.Sort(ds)
+					ms[j] = float64(ds[(len(ds)-1)/2]+ds[len(ds)/2]) / 2 / 1e6
+					b.ReportMetric(ms[j], e.String()+"-ms")
+				}
+				b.ReportMetric(ms[2]/ms[3], "trace/closure")
+				b.ReportMetric(ms[1]/ms[3], "block/closure")
+			})
 		}
 	}
 }

@@ -206,11 +206,13 @@ func itemIdx(items []ritem, it *ritem) int {
 	return int((uintptr(unsafe.Pointer(it)) - uintptr(unsafe.Pointer(&items[0]))) / unsafe.Sizeof(ritem{}))
 }
 
-// ClosureBytes reports the host memory held by this machine's compiled
-// closure tier (item streams, cold arrays, headers). Closures are always
-// per-machine — never shared through an Image — so this is the per-machine
-// half of the footprint split that Image.TraceBytes reports for the shared
-// trace tier.
+// ClosureBytes reports the host memory held by the closure tier this
+// machine executes (item streams, cold arrays, headers). On a shared image
+// that tier is the image's, shared by every machine attached with the same
+// cost model (Image.sharedClosures), so machines sharing it each report
+// the same bytes; private text threads its own. Image.SizeBytes leaves it
+// out either way, so retained-bytes accounting does not depend on which
+// engine has run.
 func (m *Machine) ClosureBytes() int {
 	n := len(m.cls) * int(unsafe.Sizeof((*closProg)(nil)))
 	for _, cp := range m.cls {

@@ -230,6 +230,11 @@ type Machine struct {
 
 	// Counters holds event counts; sized on demand by SetCounterCount.
 	Counters Counters
+
+	// tb is the scratch noteHot compiles private-text traces with, reused
+	// across compiles (trace.go). Last, so the interpreter's hot fields keep
+	// their offsets.
+	tb traceBuilder
 }
 
 // New returns a machine with the given cache geometry and cost model.

@@ -42,8 +42,10 @@
 package machine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"databreak/internal/cache"
@@ -313,9 +315,9 @@ type top struct {
 	iaddr uint32
 }
 
-// traceProg is one compiled trace. Immutable after compileTrace returns, so
-// traces may be shared across machines (Image) and read while another
-// machine invalidates its own slice entries.
+// traceProg is one compiled trace. Immutable once built, so traces may be
+// shared across machines (Image) and read while another machine invalidates
+// its own slice entries.
 type traceProg struct {
 	entry      int32  // head text index the trace is registered under
 	exitPC     int32  // pc installed when a pass runs off the tail
@@ -390,7 +392,7 @@ func (m *Machine) noteHot(pc int32) {
 	switch {
 	case h >= m.hotThreshold: // hotNever: compilation declined, don't retry
 	case h+1 >= m.hotThreshold:
-		if tr := compileTrace(m.text, m.uops, pc, m.brProf, m.brProfMin, m.cache.LineShift()); tr != nil {
+		if tr := m.tb.compile(m.text, m.uops, pc, m.brProf, m.brProfMin, m.cache.LineShift()); tr != nil {
 			m.traces[pc] = tr
 			m.hot[pc] = 0
 		} else {
@@ -545,8 +547,8 @@ func fuseTriple(a, b, c *sparc.Instr) topOp {
 
 // fuseAt decides how many instructions starting at text[i] fuse into one
 // trace-op inside the straight-line window [i, stop), mirroring exactly what
-// compileTrace emits: (op, 3) for a fused triple, (op, 2) for a fused pair or
-// sethi+or constant, (0, 1) when text[i] compiles as a single op. The
+// the trace builder emits: (op, 3) for a fused triple, (op, 2) for a fused
+// pair or sethi+or constant, (0, 1) when text[i] compiles as a single op. The
 // decision lives here — separate from emission — so FusionPlan reports
 // coverage with the compiler's own rules and can never drift from them.
 func fuseAt(text []sparc.Instr, i, stop int32) (topOp, int32) {
@@ -585,8 +587,8 @@ func fuseAt(text []sparc.Instr, i, stop int32) (topOp, int32) {
 }
 
 // isTraceTerminator reports whether op ends a straight-line interior run in
-// the trace builder's walk (compileTrace cases these individually; FusionPlan
-// uses it to bound the fusion window inside a dynamic run).
+// the trace builder's walk (traceBuilder.compile cases these individually;
+// FusionPlan uses it to bound the fusion window inside a dynamic run).
 func isTraceTerminator(op sparc.Op) bool {
 	switch op {
 	case sparc.Br, sparc.Call, sparc.Jmpl, sparc.Save, sparc.Restore,
@@ -599,7 +601,7 @@ func isTraceTerminator(op sparc.Op) bool {
 // FusionPlan applies the trace builder's fusion rules to one dynamically
 // consecutive instruction run and returns the width in instructions (1, 2, or
 // 3) of each dispatch item the trace and closure tiers would retire for it.
-// Interior fusion windows are bounded at terminators exactly as compileTrace
+// Interior fusion windows are bounded at terminators exactly as the builder
 // bounds them at block ends, and a conditional branch fuses with an
 // immediately preceding uncounted subcc (tCmpBr*). The mrsbench -trace-stats
 // report is built on this, so its coverage numbers are the compiler's own.
@@ -679,8 +681,77 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 	return false
 }
 
-// compileTrace builds a superblock trace starting at the block head entry,
-// or returns nil when the result would be too trivial to pay for. The walk
+// traceBuilder is the trace builder's reusable scratch. BuildImage compiles
+// one trace per block head, so a consumed set allocated and scanned per
+// trace would cost heads × len(text); instead stamp[i] == gen marks text
+// index i consumed by the trace under construction, and bumping gen empties
+// the set in O(1). seen lists the consumed indices as [lo,hi) runs in visit
+// order, so a trace's spans cost its own length, not the text's; ops is the
+// op stream's growth buffer. A finished trace copies both out at exact
+// size, since traces live as long as their image. BuildImage uses one
+// builder for all its heads; each machine keeps one for its lazy noteHot
+// compiles.
+type traceBuilder struct {
+	stamp []uint32
+	gen   uint32
+	seen  [][2]int32
+	ops   []top
+}
+
+// reset empties the scratch for a trace over text of n instructions.
+func (b *traceBuilder) reset(n int) {
+	if len(b.stamp) < n {
+		b.stamp = make([]uint32, n)
+		b.gen = 0
+	}
+	b.gen++
+	if b.gen == 0 {
+		// Wrapped: a stamp left by an earlier trace could now read as
+		// consumed.
+		clear(b.stamp)
+		b.gen = 1
+	}
+	b.seen = b.seen[:0]
+	b.ops = b.ops[:0]
+}
+
+// consume marks text index i as part of the trace under construction.
+func (b *traceBuilder) consume(i int32) {
+	if b.stamp[i] == b.gen {
+		return
+	}
+	b.stamp[i] = b.gen
+	if n := len(b.seen); n > 0 && b.seen[n-1][1] == i {
+		b.seen[n-1][1] = i + 1
+	} else {
+		b.seen = append(b.seen, [2]int32{i, i + 1})
+	}
+}
+
+// consumed reports whether text index i is already part of the trace.
+func (b *traceBuilder) consumed(i int32) bool { return b.stamp[i] == b.gen }
+
+// spans merges the consumed runs into the sorted, disjoint [lo,hi) ranges
+// PatchInstr's coverage test walks, at exact size. The runs are disjoint
+// (consume records each index once), so sorting them by start and joining
+// the ones that abut yields the maximal ranges.
+func (b *traceBuilder) spans() [][2]int32 {
+	slices.SortFunc(b.seen, func(x, y [2]int32) int { return cmp.Compare(x[0], y[0]) })
+	merged := b.seen[:0]
+	for _, r := range b.seen {
+		if n := len(merged); n > 0 && merged[n-1][1] == r[0] {
+			merged[n-1][1] = r[1]
+		} else {
+			merged = append(merged, r)
+		}
+	}
+	spans := make([][2]int32, len(merged))
+	copy(spans, merged)
+	return spans
+}
+
+// compile builds a superblock trace starting at the block head entry, or
+// returns nil when the result would be too trivial to pay for. The walk
 // consumes straight-line runs, fuses sethi+or and subcc+branch pairs, and
 // stitches across the predicted edge of each terminator — including
 // predicted-taken BACKWARD branches, the superblock tail-duplication case —
@@ -688,12 +759,13 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 // (jmpl/save/restore/ta/unimp), or hits the maxBlockLen instruction bound —
 // the same bound that caps block runs and PatchInstr's backward repair, so
 // a single patch never invalidates more than a bounded neighborhood.
-// prof is the per-site edge profile (predictBranch) with its noise floor
-// profMin, nil for image text.
+// Operands come from the predecoded uops, which PatchInstr keeps coherent
+// with text. prof is the per-site edge profile (predictBranch) with its
+// noise floor profMin, nil for image text.
 // shift is the I-line shift the nl bits are computed under; a machine may
 // only execute traces whose shift matches its own cache geometry
 // (syncTraceState enforces this).
-func compileTrace(text []sparc.Instr, uops []uop, entry int32, prof []uint32, profMin, shift uint32) *traceProg {
+func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, prof []uint32, profMin, shift uint32) *traceProg {
 	if uint32(entry) >= uint32(len(uops)) {
 		return nil
 	}
@@ -709,14 +781,14 @@ func compileTrace(text []sparc.Instr, uops []uop, entry int32, prof []uint32, pr
 			return nil
 		}
 	}
+	b.reset(len(text))
 	var (
-		ops      []top
-		consumed = make([]bool, len(text))
-		ni       = 0
-		loop     = false
-		dyn      = false
-		pc       = entry
-		exitPC   = entry
+		ops    = b.ops
+		ni     = 0
+		loop   = false
+		dyn    = false
+		pc     = entry
+		exitPC = entry
 	)
 
 scan:
@@ -725,7 +797,7 @@ scan:
 			exitPC = pc // budget or end of text: dispatcher takes over
 			break
 		}
-		if consumed[pc] {
+		if b.consumed(pc) {
 			exitPC = pc // trace rejoins itself: end here
 			break
 		}
@@ -737,11 +809,11 @@ scan:
 			stop := pc + int32(run)
 			i := pc
 			for i < stop {
-				consumed[i] = true
+				b.consume(i)
 				in := &text[i]
 				if f, w := fuseAt(text, i, stop); w > 1 {
 					for k := int32(1); k < w; k++ {
-						consumed[i+k] = true
+						b.consume(i + k)
 					}
 					t := top{op: f, ni: uint16(ni), iaddr: TextBase + uint32(i)*4}
 					switch f {
@@ -753,17 +825,16 @@ scan:
 					case tSet2Ld, tSet2St:
 						// Slots A+B are the synthesized constant (rd, imm);
 						// the memop rides in the pair's second-slot fields.
-						u3, _ := decodeUop(&text[i+2])
+						u3 := &uops[i+2]
 						t.rd = uint8(in.Rd)
 						t.imm = in.Imm<<10 | text[i+1].Imm
 						t.rd2, t.rs1b, t.s2rb, t.imm2 = u3.rd, u3.rs1, u3.s2r, u3.s2i
 					default:
-						u1, _ := decodeUop(in)
-						u2, _ := decodeUop(&text[i+1])
+						u1, u2 := &uops[i], &uops[i+1]
 						t.rd, t.rs1, t.s2r, t.imm = u1.rd, u1.rs1, u1.s2r, u1.s2i
 						t.rd2, t.rs1b, t.s2rb, t.imm2 = u2.rd, u2.rs1, u2.s2r, u2.s2i
 						if w == 3 {
-							u3, _ := decodeUop(&text[i+2])
+							u3 := &uops[i+2]
 							t.rd3, t.rs1c, t.s2rc = u3.rd, u3.rs1, u3.s2r
 							t.tgt = u3.s2i // imm3: tgt is free on interior ops
 						}
@@ -773,7 +844,7 @@ scan:
 					i += w
 					continue
 				}
-				u, _ := decodeUop(in)
+				u := &uops[i]
 				t := top{
 					rd: u.rd, rs1: u.rs1, s2r: u.s2r, imm: u.s2i,
 					cnt:   uint16(u.cnt),
@@ -817,7 +888,7 @@ scan:
 		ta := TextBase + uint32(pc)*4
 		switch term.Op {
 		case sparc.Br:
-			consumed[pc] = true
+			b.consume(pc)
 			cond := uint8(term.Cond & 15)
 			tgt := term.Target
 			// Fuse with an immediately preceding uncounted subcc.
@@ -887,7 +958,7 @@ scan:
 			}
 
 		case sparc.Call:
-			consumed[pc] = true
+			b.consume(pc)
 			t := top{op: tCall, tgt: term.Target,
 				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
 			if t.cnt != 0 {
@@ -900,7 +971,7 @@ scan:
 		case sparc.Save, sparc.Restore:
 			// Interior window shuffle: operand 2 unified like every other
 			// op, %g0 destinations discarded via the scratch register.
-			consumed[pc] = true
+			b.consume(pc)
 			t := top{rd: uint8(term.Rd), rs1: uint8(term.Rs1),
 				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
 			if term.UseImm {
@@ -929,8 +1000,8 @@ scan:
 			// handed to trace linking. exitPC doubles as the replay point
 			// when the target turns out to be invalid (Step raises the
 			// fault with the exact semantics, including the rd write).
-			consumed[pc] = true
-			ju, _ := decodeUop(term)
+			b.consume(pc)
+			ju := &uops[pc]
 			t := top{op: tJmpl, rd: ju.rd, rs1: ju.rs1, s2r: ju.s2r, imm: ju.s2i,
 				cnt: uint16(ju.cnt), ni: uint16(ni), iaddr: ta}
 			if t.cnt != 0 {
@@ -949,6 +1020,7 @@ scan:
 			break scan
 		}
 	}
+	b.ops = ops // keep the grown buffer for the next trace
 
 	if !loop && !dyn && ni < minTraceInstrs {
 		return nil
@@ -976,14 +1048,16 @@ scan:
 			}
 		}
 	}
-	ops = append(ops, top{op: tEnd})
+	exact := make([]top, len(ops)+1)
+	copy(exact, ops)
+	exact[len(ops)] = top{op: tEnd}
 	return &traceProg{
 		entry:      entry,
 		exitPC:     exitPC,
 		shift:      shift,
 		passInstrs: int64(ni),
-		ops:        ops,
-		spans:      spansOf(consumed),
+		ops:        exact,
+		spans:      b.spans(),
 	}
 }
 
@@ -1001,24 +1075,6 @@ func topWidth(op topOp) int32 {
 		return 3
 	}
 	return 1
-}
-
-// spansOf collapses the consumed index set into sorted disjoint [lo,hi)
-// ranges for PatchInstr's coverage test.
-func spansOf(consumed []bool) [][2]int32 {
-	var spans [][2]int32
-	for i := 0; i < len(consumed); i++ {
-		if !consumed[i] {
-			continue
-		}
-		j := i
-		for j < len(consumed) && consumed[j] {
-			j++
-		}
-		spans = append(spans, [2]int32{int32(i), int32(j)})
-		i = j
-	}
-	return spans
 }
 
 // buildTraces eagerly compiles a trace for every block head of text: the
@@ -1049,9 +1105,10 @@ func buildTraces(text []sparc.Instr, uops []uop, entry int32, shift uint32) []*t
 		}
 	}
 	traces := make([]*traceProg, len(text))
+	var b traceBuilder
 	for i, h := range heads {
 		if h {
-			traces[i] = compileTrace(text, uops, int32(i), nil, brProfMin, shift)
+			traces[i] = b.compile(text, uops, int32(i), nil, brProfMin, shift)
 		}
 	}
 	return traces

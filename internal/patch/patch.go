@@ -27,7 +27,9 @@ package patch
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"databreak/internal/asm"
 	"databreak/internal/monitor"
@@ -181,16 +183,10 @@ var reservedRegs = map[sparc.Reg]bool{
 }
 
 type patcher struct {
-	opts     Options
-	segShift uint32
-	wmask    uint32
-	nextID   int
-	out      []asm.Item
-	res      *Result
-	// err records the first failure while emitting generated source; a
-	// malformed check sequence is reported as an error from Apply, not a
-	// panic (the geometry that shapes the sequence is user input).
-	err error
+	opts   Options
+	nextID int
+	out    []asm.Item
+	res    *Result
 }
 
 // Apply rewrites the given program units with the selected strategy and
@@ -207,10 +203,8 @@ func Apply(opts Options, units ...*asm.Unit) (*Result, error) {
 		opts.Monitor.Flags = true
 	}
 	p := &patcher{
-		opts:     opts,
-		segShift: opts.Monitor.SegShift(),
-		wmask:    opts.Monitor.SegWords - 1,
-		res:      &Result{TypeCounts: make(map[WriteType]int)},
+		opts: opts,
+		res:  &Result{TypeCounts: make(map[WriteType]int)},
 	}
 	for _, u := range units {
 		nu, err := p.patchUnit(u)
@@ -219,87 +213,98 @@ func Apply(opts Options, units ...*asm.Unit) (*Result, error) {
 		}
 		p.res.Units = append(p.res.Units, nu)
 	}
-	if opts.Strategy != None && opts.Strategy != Nops {
-		libSrc, err := monitor.LibrarySource(opts.Monitor)
+	if p.checks() {
+		lib, err := Library(opts.Monitor)
 		if err != nil {
 			return nil, err
-		}
-		lib, err := asm.Parse("__mrslib", libSrc)
-		if err != nil {
-			return nil, fmt.Errorf("patch: generated monitor library does not parse: %w", err)
 		}
 		p.res.Units = append(p.res.Units, lib)
 	}
 	return p.res, nil
 }
 
+// checks reports whether the strategy places check sequences (None and
+// Nops only count and pad writes).
+func (p *patcher) checks() bool {
+	return p.opts.Strategy != None && p.opts.Strategy != Nops
+}
+
+// checkedRead reports whether it is a load the options instrument.
+func (p *patcher) checkedRead(it *asm.Item) bool {
+	return it.Kind == asm.ItemInstr && it.Instr.Op.IsLoad() && p.opts.CheckReads && p.checks()
+}
+
+func isWrite(it *asm.Item) bool {
+	return it.Kind == asm.ItemInstr && it.Instr.Op.IsStore()
+}
+
 func (p *patcher) patchUnit(u *asm.Unit) (*asm.Unit, error) {
-	nu := &asm.Unit{Name: u.Name + "+mrs"}
-	p.out = nu.Items
+	// Resolve every instrumented access's check sequence first, so the
+	// rewritten unit is allocated once, at its exact size: the original
+	// items plus each access's nops or check.
+	n := len(u.Items)
+	var seqs []Check
+	for i := range u.Items {
+		it := &u.Items[i]
+		if !p.checkedRead(it) && !isWrite(it) {
+			continue
+		}
+		if err := checkReserved(it); err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", u.Name, it.Line, err)
+		}
+		if p.opts.Strategy == Nops {
+			n += p.opts.Nops
+		}
+		if !p.checks() {
+			continue
+		}
+		c, err := NewCheck(p.opts, it.Instr, classifyWrite(u.Items, i))
+		if err != nil {
+			return nil, fmt.Errorf("patch: generated check sequence does not parse: %w", err)
+		}
+		seqs = append(seqs, c)
+		n += c.Len()
+	}
+	p.out = make([]asm.Item, 0, n)
 	for i := range u.Items {
 		it := u.Items[i]
-		if it.Kind == asm.ItemInstr && it.Instr.Op.IsLoad() && p.opts.CheckReads &&
-			p.opts.Strategy != None && p.opts.Strategy != Nops {
-			if err := checkReserved(&it); err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", u.Name, it.Line, err)
-			}
+		if p.checkedRead(&it) {
 			p.res.StaticReads++
-			wt := classifyWrite(u.Items, i)
 			it.CountName = CounterReads
 			if LoadClobbersAddress(it.Instr) {
-				p.emitCheck(&it, wt)
+				p.emitCheck(seqs[0], it.Section)
 				p.emit(it)
 			} else {
 				p.emit(it)
-				p.emitCheck(&it, wt)
+				p.emitCheck(seqs[0], it.Section)
 			}
+			seqs = seqs[1:]
 			continue
 		}
-		if it.Kind != asm.ItemInstr || !it.Instr.Op.IsStore() {
+		if !isWrite(&it) {
 			p.emit(it)
 			continue
 		}
-		if err := checkReserved(&it); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", u.Name, it.Line, err)
-		}
 		p.res.StaticWrites++
-		wt := classifyWrite(u.Items, i)
-		p.res.TypeCounts[wt]++
+		p.res.TypeCounts[classifyWrite(u.Items, i)]++
 
 		if p.opts.Strategy == Nops {
-			for n := 0; n < p.opts.Nops; n++ {
+			for k := 0; k < p.opts.Nops; k++ {
 				p.emit(instrItem(sparc.MakeNop(), it.Section))
 			}
 		}
 		// Count the write itself (cost free).
 		it.CountName = CounterWrites
 		p.emit(it)
-		if p.opts.Strategy != None && p.opts.Strategy != Nops {
-			p.emitCheck(&it, wt)
+		if p.checks() {
+			p.emitCheck(seqs[0], it.Section)
+			seqs = seqs[1:]
 		}
 	}
-	nu.Items = p.out
-	if p.err != nil {
-		return nil, p.err
-	}
-	return nu, nil
+	return &asm.Unit{Name: u.Name + "+mrs", Items: p.out}, nil
 }
 
 func (p *patcher) emit(it asm.Item) { p.out = append(p.out, it) }
-
-func (p *patcher) emitSrc(section, src string) {
-	u, err := asm.Parse("__gen", src)
-	if err != nil {
-		if p.err == nil {
-			p.err = fmt.Errorf("patch: generated check sequence does not parse: %w", err)
-		}
-		return
-	}
-	for _, it := range u.Items {
-		it.Section = section
-		p.out = append(p.out, it)
-	}
-}
 
 func instrItem(in sparc.Instr, section string) asm.Item {
 	return asm.Item{Kind: asm.ItemInstr, Instr: in, Section: section}
@@ -407,11 +412,10 @@ func bssVarOrHeap(items []asm.Item, idx int, base sparc.Reg) WriteType {
 	return WriteHeap
 }
 
-// emitCheck appends the check sequence for the store in it.
-func (p *patcher) emitCheck(it *asm.Item, wt WriteType) {
-	id := p.nextID
+// emitCheck places an access's check sequence under the next check id.
+func (p *patcher) emitCheck(c Check, section string) {
+	p.out = c.AppendTo(p.out, p.nextID, section)
 	p.nextID++
-	p.emitSrc(it.Section, CheckText(p.opts, it.Instr, wt, id))
 }
 
 // LoadClobbersAddress reports whether the load's destination register
@@ -591,4 +595,163 @@ func CheckText(opts Options, st sparc.Instr, wt WriteType, id int) string {
 
 	pr("%s:", skip)
 	return b.String()
+}
+
+// libraries memoizes the parsed monitor library per configuration
+// (monitor.Config -> *asm.Unit). Generating and parsing the library is a
+// pure function of the configuration, so sharing the parse across calls
+// and goroutines changes no result; only valid configurations are stored,
+// which bounds the map.
+var libraries sync.Map
+
+// Library returns the monitor library for cfg as a parsed unit the caller
+// may rewrite. The library is generated and parsed once per configuration;
+// each call returns a clone.
+func Library(cfg monitor.Config) (*asm.Unit, error) {
+	v, ok := libraries.Load(cfg)
+	if !ok {
+		src, err := monitor.LibrarySource(cfg)
+		if err != nil {
+			return nil, err
+		}
+		u, err := asm.Parse("__mrslib", src)
+		if err != nil {
+			return nil, fmt.Errorf("patch: generated monitor library does not parse: %w", err)
+		}
+		v, _ = libraries.LoadOrStore(cfg, u)
+	}
+	return v.(*asm.Unit).Clone(), nil
+}
+
+// Check is one access's check sequence, parsed and ready to place: the
+// items asm.Parse(CheckText(opts, st, wt, id)) yields, for any id.
+type Check struct {
+	shape *checkShape
+	imm   int32 // the access's address immediate (st.Imm)
+}
+
+// checkShape is a check sequence parsed once for every access that renders
+// the same text up to its address immediate and label id: CheckText's
+// items rendered with id 0.
+type checkShape struct {
+	items  []asm.Item
+	immAt  int        // the address add, taking the access's immediate; -1 if none
+	labels []labelRef // the items naming a __ck<id>_ label
+}
+
+// labelRef is a shape item naming a per-access label, either the label
+// itself or a branch to it, by the name's suffix after the id.
+type labelRef struct {
+	at     int
+	suffix string
+}
+
+// checkKey is everything CheckText reads except the address immediate and
+// the label id. Fields CheckText ignores for the key's strategy or operand
+// form are left zero, so that accesses rendering the same text share one
+// shape.
+type checkKey struct {
+	strategy     Strategy
+	skipDisabled bool
+	flags        bool
+	segWords     uint32
+	double, read bool
+	useImm       bool
+	rs1, rs2     sparc.Reg
+	wt           WriteType
+}
+
+// checkShapes memoizes parsed shapes (checkKey -> *checkShape). A shape is
+// a pure function of its key, so sharing it across calls and goroutines
+// changes no result; keys range over valid monitor configurations,
+// strategies, access forms and registers, which bounds the map.
+var checkShapes sync.Map
+
+// NewCheck resolves the check sequence CheckText renders for access st.
+// Each distinct shape is rendered and parsed once per process; every use
+// then fills in its own address immediate and labels. An invalid
+// opts.Monitor is an error; any other error is the one asm.Parse reports
+// for the access's check text.
+func NewCheck(opts Options, st sparc.Instr, wt WriteType) (Check, error) {
+	if err := opts.Monitor.Validate(); err != nil {
+		return Check{}, err
+	}
+	k := checkKey{
+		strategy:     opts.Strategy,
+		skipDisabled: opts.SkipDisabledBranch,
+		flags:        opts.Monitor.Flags,
+		segWords:     opts.Monitor.SegWords,
+		double:       st.Op == sparc.Std || st.Op == sparc.Ldd,
+		read:         st.Op.IsLoad(),
+		useImm:       st.UseImm,
+		rs1:          st.Rs1,
+	}
+	if !st.UseImm {
+		k.rs2 = st.Rs2
+	}
+	if opts.Strategy == Cache || opts.Strategy == CacheInline {
+		k.wt = wt
+	}
+	fits := !st.UseImm || (st.Imm >= -4096 && st.Imm <= 4095)
+	if v, ok := checkShapes.Load(k); ok && fits {
+		return Check{shape: v.(*checkShape), imm: st.Imm}, nil
+	}
+	// Parse the access's own text. An immediate the address add cannot
+	// encode fails here, so every stored shape takes any immediate that
+	// fits.
+	u, err := asm.Parse("__gen", CheckText(opts, st, wt, 0))
+	if err != nil {
+		return Check{}, err
+	}
+	sh := &checkShape{items: u.Items, immAt: -1}
+	for i := range sh.items {
+		it := &sh.items[i]
+		if st.UseImm && sh.immAt < 0 && it.Kind == asm.ItemInstr &&
+			it.Instr.Op == sparc.Add && it.Instr.Rd == sparc.G5 {
+			sh.immAt = i
+		}
+		for _, name := range []string{it.Label, it.TargetSym} {
+			if suffix, ok := strings.CutPrefix(name, "__ck0_"); ok {
+				sh.labels = append(sh.labels, labelRef{at: i, suffix: suffix})
+			}
+		}
+	}
+	v, _ := checkShapes.LoadOrStore(k, sh)
+	return Check{shape: v.(*checkShape), imm: st.Imm}, nil
+}
+
+// Len is the number of items the check sequence places; the zero Check
+// places none.
+func (c Check) Len() int {
+	if c.shape == nil {
+		return 0
+	}
+	return len(c.shape.items)
+}
+
+// AppendTo appends the check sequence to dst under check id, every item in
+// the given section.
+func (c Check) AppendTo(dst []asm.Item, id int, section string) []asm.Item {
+	if c.shape == nil {
+		return dst
+	}
+	n := len(dst)
+	dst = append(dst, c.shape.items...)
+	seq := dst[n:]
+	for i := range seq {
+		seq[i].Section = section
+	}
+	if c.shape.immAt >= 0 {
+		seq[c.shape.immAt].Instr.Imm = c.imm
+	}
+	prefix := "__ck" + strconv.Itoa(id) + "_"
+	for _, l := range c.shape.labels {
+		it := &seq[l.at]
+		if it.Kind == asm.ItemLabel {
+			it.Label = prefix + l.suffix
+		} else {
+			it.TargetSym = prefix + l.suffix
+		}
+	}
+	return dst
 }

@@ -583,11 +583,11 @@ func TestLoadClobbersAddress(t *testing.T) {
 		in   sparc.Instr
 		want bool
 	}{
-		{ld(sparc.O1, 0, sparc.O1, true), true},            // ld [%o1], %o1
-		{ld(sparc.O1, 0, sparc.O2, true), false},           // ld [%o1], %o2
-		{ld(sparc.O1, sparc.O3, sparc.O3, false), true},    // ld [%o1+%o3], %o3
-		{ld(sparc.O1, sparc.O3, sparc.O4, false), false},   // ld [%o1+%o3], %o4
-		{ld(sparc.O1, 0, sparc.G0, true), false},           // ld [%o1], %g0
+		{ld(sparc.O1, 0, sparc.O1, true), true},                                        // ld [%o1], %o1
+		{ld(sparc.O1, 0, sparc.O2, true), false},                                       // ld [%o1], %o2
+		{ld(sparc.O1, sparc.O3, sparc.O3, false), true},                                // ld [%o1+%o3], %o3
+		{ld(sparc.O1, sparc.O3, sparc.O4, false), false},                               // ld [%o1+%o3], %o4
+		{ld(sparc.O1, 0, sparc.G0, true), false},                                       // ld [%o1], %g0
 		{sparc.Instr{Op: sparc.Ldd, Rs1: sparc.O3, Rd: sparc.O2, UseImm: true}, true},  // ldd writes %o2,%o3
 		{sparc.Instr{Op: sparc.Ldd, Rs1: sparc.O1, Rd: sparc.O4, UseImm: true}, false}, // ldd writes %o4,%o5
 		{sparc.Instr{Op: sparc.St, Rs1: sparc.O1, Rd: sparc.O1, UseImm: true}, false},  // stores never clobber
