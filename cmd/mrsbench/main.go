@@ -57,7 +57,7 @@ func main() {
 func run() error {
 	table := flag.String("table", "all", "which table to regenerate: 1, 2, fig3, strategies, breakeven, ablation, kinds, all")
 	engine := flag.String("engine", "trace", "execution engine for every run: step, block, trace, or closure (counts are engine-independent)")
-	hotThreshold := flag.Int("hot-threshold", 0, "dispatches before a block head compiles a trace (0 = machine default 64)")
+	hotThreshold := flag.Int("hot-threshold", 0, "dispatches before a private-text block head compiles a trace (0 = machine default 64); shared-image heads compile on first entry regardless")
 	brProfMin := flag.Int("brprof-min", 0, "branch-site executions before the edge profile beats static prediction (0 = machine default 8)")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	only := flag.String("program", "", "run a single benchmark by name")

@@ -44,7 +44,7 @@ func run() error {
 	flush := flag.Duration("flush", 0, "hit batch flush deadline (0 = 500µs)")
 	reconcile := flag.Duration("reconcile-timeout", 0, "bound on draining a run's hits to the client before the run response (0 = 5s)")
 	engine := flag.String("engine", "trace", "execution engine: step, block, trace, or closure (counts are engine-independent)")
-	hotThreshold := flag.Int("hot-threshold", 0, "dispatches before a block head compiles a trace (0 = machine default 64)")
+	hotThreshold := flag.Int("hot-threshold", 0, "dispatches before a private-text block head compiles a trace (0 = machine default 64); shared-image heads compile on first entry regardless")
 	brProfMin := flag.Int("brprof-min", 0, "branch-site executions before the edge profile beats static prediction (0 = machine default 8)")
 	cacheCap := flag.Int64("artifact-cache-cap", 128<<20, "artifact cache size bound in bytes (0 = unbounded)")
 	verbose := flag.Bool("v", false, "log session lifecycle events")

@@ -231,9 +231,10 @@ func (p *Program) Load(m *machine.Machine) {
 }
 
 // Image returns the program's predecoded machine image, building it on
-// first call and reusing it afterwards. The image is immutable and safe to
-// attach to any number of machines concurrently (machine.LoadImage's
-// copy-on-write patching keeps per-machine patches private).
+// first call and reusing it afterwards. The image is safe to attach to any
+// number of machines concurrently: its code is immutable
+// (machine.LoadImage's copy-on-write patching keeps per-machine patches
+// private), and its trace tier fills in as the machines first enter heads.
 func (p *Program) Image() *machine.Image {
 	p.imgOnce.Do(func() {
 		p.img = machine.BuildImage(p.Text, p.Entry)
@@ -292,7 +293,8 @@ func (p *Program) LoadShared(m *machine.Machine) {
 }
 
 // SizeBytes estimates the host memory a cached Program retains: the shared
-// image plus the data snapshot. Used for artifact-cache accounting.
+// image plus the data snapshot. Used for artifact-cache accounting; it
+// grows as machines running the program first enter the image's heads.
 func (p *Program) SizeBytes() int {
 	return p.Image().SizeBytes() + len(p.dataSnapshot())
 }
@@ -300,6 +302,7 @@ func (p *Program) SizeBytes() int {
 // TraceBytes is the portion of SizeBytes held by the image's compiled trace
 // tier, reported separately (ArtifactStats.TraceBytes) so the cache's
 // retained-bytes number distinguishes program code from trace footprint.
+// It is zero until a machine runs the program.
 func (p *Program) TraceBytes() int {
 	return p.Image().TraceBytes()
 }

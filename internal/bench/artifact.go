@@ -25,8 +25,9 @@ import (
 // once, then shared. A cached Program carries its predecoded machine.Image
 // and data-segment snapshot (asm.LoadShared), so "running a cached artifact"
 // is: attach the shared image, memcpy the data snapshot, execute. Machines
-// never mutate shared state — machine.PatchInstr privatizes on first write —
-// so any number of concurrent workers and sessions may run one artifact.
+// never mutate a shared program's code — machine.PatchInstr privatizes on
+// first write — and publish each trace they compile into its image once, so
+// any number of concurrent workers and sessions may run one artifact.
 //
 // The cache also memoizes EXECUTIONS. The simulated machine is
 // bit-deterministic — the differential suite pins that a given (program,
@@ -60,7 +61,7 @@ type artifactEntry struct {
 
 	// Eviction bookkeeping, all guarded by the cache mutex. key lets a
 	// post-build accounting pass verify the entry is still resident; bytes is
-	// the accounted size; elem is the entry's LRU position (nil until the
+	// the size last measured; elem is the entry's LRU position (nil until the
 	// build completes, and again after eviction). Only Prog-bearing entries
 	// join the LRU — units are small and shared by every downstream build.
 	key   [sha256.Size]byte
@@ -88,15 +89,14 @@ type ArtifactCache struct {
 	runMisses uint64
 
 	// Size bounding. capBytes <= 0 means unbounded. lru orders Prog-bearing
-	// entries most-recently-used first; progBytes is their accounted total.
-	// When a completed build pushes progBytes past the cap, least-recently-
-	// used programs are dropped (never the one just touched) so a long-lived
-	// daemon serving many distinct workloads cannot grow without limit.
+	// entries most-recently-used first. When their total size exceeds the
+	// cap, least-recently-used programs are dropped (never the one just
+	// touched) so a long-lived daemon serving many distinct workloads cannot
+	// grow without limit.
 	// Evicted entries simply leave the map — holders of the returned
 	// Artifact keep a valid immutable value; the next request rebuilds.
 	capBytes  int64
 	lru       *list.List
-	progBytes int64
 	evictions uint64
 }
 
@@ -119,20 +119,29 @@ func (c *ArtifactCache) SetCapBytes(n int64) {
 	c.evict()
 }
 
-// evict drops least-recently-used programs until the accounted total fits
-// the cap. The MRU entry always survives, so a single program larger than
-// the cap still caches (the alternative is rebuilding it on every request).
-// Callers must hold c.mu.
+// evict re-measures the resident programs, then drops least-recently-used
+// ones until the total fits the cap. Re-measuring keeps the bound honest: a
+// program's image keeps growing after admission as machines first enter its
+// heads (machine.Image.SizeBytes), so a size charged once would under-count.
+// It costs O(entries), since SizeBytes is O(1). The MRU entry always
+// survives, so a single program larger than the cap still caches (the
+// alternative is rebuilding it on every request). Callers must hold c.mu.
 func (c *ArtifactCache) evict() {
 	if c.capBytes <= 0 {
 		return
 	}
-	for c.progBytes > c.capBytes && c.lru.Len() > 1 {
+	var total int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*artifactEntry)
+		e.bytes = int64(e.art.Prog.SizeBytes())
+		total += e.bytes
+	}
+	for total > c.capBytes && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		e := back.Value.(*artifactEntry)
 		c.lru.Remove(back)
 		e.elem = nil
-		c.progBytes -= e.bytes
+		total -= e.bytes
 		delete(c.entries, e.key)
 		c.evictions++
 	}
@@ -144,9 +153,7 @@ func (c *ArtifactCache) account(e *artifactEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.elem == nil && c.entries[e.key] == e {
-		e.bytes = int64(e.art.Prog.SizeBytes())
 		e.elem = c.lru.PushFront(e)
-		c.progBytes += e.bytes
 	}
 	c.evict()
 }
@@ -164,10 +171,11 @@ type ArtifactStats struct {
 	Runs      int    `json:"runs"`
 	// Bytes estimates host memory retained by cached programs (shared
 	// images + data snapshots); TraceBytes is the portion of Bytes held by
-	// compiled trace streams — the part that scales with hot text rather
-	// than program size, broken out so a cap tuned against real footprint
-	// can see what the trace tier costs. CapBytes is the configured bound
-	// (0 = unbounded) and Evictions counts programs dropped to enforce it.
+	// compiled trace streams — the part that scales with the text machines
+	// have actually entered rather than program size, broken out so a cap
+	// tuned against real footprint can see what the trace tier costs. Both
+	// grow as cached programs run. CapBytes is the configured bound (0 =
+	// unbounded) and Evictions counts programs dropped to enforce it.
 	Bytes      int64  `json:"bytes"`
 	TraceBytes int64  `json:"trace_bytes"`
 	CapBytes   int64  `json:"cap_bytes,omitempty"`

@@ -148,3 +148,58 @@ func TestArtifactCacheUnboundedByDefault(t *testing.T) {
 		t.Fatalf("unbounded cache evicted: %+v", st)
 	}
 }
+
+// TestArtifactCacheAccountsImageGrowth runs a cached program, whose image
+// publishes traces as the run first enters heads, and checks that the cache
+// follows: Stats().Bytes grows, and the next admission evicts against the
+// grown total, not the size charged when the program was admitted.
+func TestArtifactCacheAccountsImageGrowth(t *testing.T) {
+	ran, idle := smallProgram(t), smallProgram(t)
+	size := int64(ran.SizeBytes())
+	if int64(idle.SizeBytes()) != size {
+		t.Fatal("two builds of one program differ in size")
+	}
+
+	c := NewArtifactCache()
+	c.SetCapBytes(3 * size) // room for exactly three programs as admitted
+	admit := func(key string, prog *asm.Program) {
+		t.Helper()
+		if _, err := c.do(artifactKey(key, "d"), func() (Artifact, error) {
+			return Artifact{Prog: prog}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admit("ran", ran)
+	admit("idle", idle)
+	before := c.Stats()
+	if before.TraceBytes != 0 || before.Bytes != 2*size {
+		t.Fatalf("before any run: %+v, want 0 trace bytes of %d", before, 2*size)
+	}
+
+	if _, err := DefaultConfig().execute(ran, monitor.DefaultConfig, [][2]uint32{{FarRegion, 4}}, false); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if after.TraceBytes == 0 || after.Bytes <= before.Bytes {
+		t.Fatalf("after a run: %+v, want Bytes and TraceBytes grown from %+v", after, before)
+	}
+
+	// A third program of the admitted size fits the cap only if the run's
+	// growth goes unseen: the grown total must evict the LRU program.
+	admit("third", idle)
+	st := c.Stats()
+	if st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("after the third admission: %+v, want one eviction", st)
+	}
+	rebuilt := false
+	if _, err := c.do(artifactKey("ran", "d"), func() (Artifact, error) {
+		rebuilt = true
+		return Artifact{Prog: ran}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !rebuilt {
+		t.Fatal("the least recently used program survived the eviction")
+	}
+}

@@ -122,10 +122,11 @@ func BenchmarkLoadText(b *testing.B) {
 
 // BenchmarkBuildImage measures the one-time cost of predecoding text into a
 // shareable Image — the amount of work the artifact cache amortizes over
-// every subsequent LoadImage. Trace compilation dominates it, one trace per
-// block head. eqntott is the unpatched baseline; fpppp patched with
-// BitmapInlineRegisters, the paper's recommended strategy, is among the
-// largest table builds, its check sequences multiplying the block heads.
+// every subsequent LoadImage: the decode, the block index and the head
+// marks (traces compile later, on first entry). eqntott is the unpatched
+// baseline; fpppp patched with BitmapInlineRegisters, the paper's
+// recommended strategy, is among the largest table builds, its check
+// sequences multiplying the block heads.
 func BenchmarkBuildImage(b *testing.B) {
 	fpppp, _ := workload.ByName("fpppp", 1)
 	u, err := bench.Compile(fpppp)
@@ -244,8 +245,8 @@ func BenchmarkEnginesAllWorkloads(b *testing.B) {
 					}
 					return d
 				}
-				// One untimed run per engine first: the closure tier threads
-				// an image's traces on its first closure-engine attach, a
+				// One untimed run per engine first: the image compiles (and
+				// the closure tier threads) each trace on its first entry, a
 				// set-up cost, not a run cost.
 				for _, e := range engines {
 					run(e)

@@ -347,16 +347,16 @@ dispatch:
 		// EngineBlock. A compiled trace is entered only when a full pass fits
 		// in the remaining budget — otherwise the block path below clamps the
 		// tail bit-exactly. Heads without a trace bump their hotness counter
-		// (private text only; image traces were compiled eagerly).
+		// (private text), or, at a marked image head, compile on this first
+		// entry and re-dispatch to enter it.
 		if ts := m.traces; ts != nil {
-			if tr := ts[pc]; tr != nil {
+			if tr := ts[pc].Load(); tr != nil {
 				if cs := m.cls; cs != nil {
 					// Closure tier (closure.go): thread the trace on first
-					// dispatch, then run the threaded form.
-					cp := cs[pc]
+					// entry, then run the threaded form.
+					cp := cs[pc].Load()
 					if cp == nil {
-						cp = m.compileClosures(tr)
-						cs[pc] = cp
+						cp = m.closureAt(pc, tr)
 					}
 					if m.MaxInstrs-m.instrs >= cp.passInstrs {
 						var err error
@@ -376,6 +376,9 @@ dispatch:
 				}
 			} else if m.hot != nil {
 				m.noteHot(pc)
+			} else if m.img.heads.has(pc) {
+				m.img.compileHead(&m.tb, pc)
+				continue
 			}
 		}
 		// Clamp to the MaxInstrs budget; the instrs check above guarantees

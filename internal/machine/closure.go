@@ -78,6 +78,7 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 	"unsafe"
 
 	"databreak/internal/cache"
@@ -113,7 +114,7 @@ type closProg struct {
 // commits, and exits.
 type cst struct {
 	m     *Machine
-	cls   []*closProg
+	cls   []atomic.Pointer[closProg]
 	imask uint32
 	gen   uint32 // textGen at entry; a mismatch after a hooked store exits
 	drh   uint64 // batched known-hit data reads
@@ -207,16 +208,16 @@ func itemIdx(items []ritem, it *ritem) int {
 }
 
 // ClosureBytes reports the host memory held by the closure tier this
-// machine executes (item streams, cold arrays, headers). On a shared image
-// that tier is the image's, shared by every machine attached with the same
-// cost model (Image.sharedClosures), so machines sharing it each report
-// the same bytes; private text threads its own. Image.SizeBytes leaves it
-// out either way, so retained-bytes accounting does not depend on which
-// engine has run.
+// machine executes (slots, item streams, cold arrays, headers). On a shared
+// image that tier is the image's, shared by every machine attached with the
+// same cost model (Image.sharedClosures), so machines sharing it each report
+// the same bytes, which grow as any of them first enters a head; private
+// text threads its own. Image.SizeBytes leaves it out either way, so
+// retained-bytes accounting does not depend on which engine has run.
 func (m *Machine) ClosureBytes() int {
-	n := len(m.cls) * int(unsafe.Sizeof((*closProg)(nil)))
-	for _, cp := range m.cls {
-		if cp != nil {
+	n := len(m.cls) * int(unsafe.Sizeof(atomic.Pointer[closProg]{}))
+	for i := range m.cls {
+		if cp := m.cls[i].Load(); cp != nil {
 			n += int(unsafe.Sizeof(closProg{})) +
 				len(cp.items)*int(unsafe.Sizeof(ritem{})) +
 				len(cp.cold)*int(unsafe.Sizeof(rcold{}))
@@ -364,9 +365,10 @@ func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, n
 }
 
 // exitNext is the cold tail of a trace side exit: commit n instructions and
-// resolve the next-closure pointer registered at npc (threading it on demand)
-// when a full pass fits the remaining budget. The caller hops to the returned
-// trace in-function — the whole point of the closure tier: a linked exit is a
+// resolve the next-closure pointer registered at npc (threading it, and at a
+// marked image head compiling its trace, on first entry) when a full pass
+// fits the remaining budget. The caller hops to the returned trace
+// in-function — the whole point of the closure tier: a linked exit is a
 // pointer swap and a branch, never a call-frame round-trip. A nil return
 // hands control back to the dispatcher at npc.
 //
@@ -376,11 +378,15 @@ func (s *cst) exitNext(cyc, n int64, npc int32) *closProg {
 	s.cycs += cyc + s.base*n
 	s.rem -= n
 	if uint32(npc) < uint32(len(s.cls)) {
-		next := s.cls[npc]
+		next := s.cls[npc].Load()
 		if next == nil {
-			if tr := s.m.traces[npc]; tr != nil {
-				next = s.m.compileClosures(tr)
-				s.cls[npc] = next
+			m := s.m
+			tr := m.traces[npc].Load()
+			if tr == nil && m.hot == nil && m.img.heads.has(npc) {
+				tr = m.img.compileHead(&m.tb, npc)
+			}
+			if tr != nil {
+				next = m.closureAt(npc, tr)
 			}
 		}
 		if next != nil && s.rem >= next.passInstrs {
@@ -2454,4 +2460,18 @@ func (cp *closProg) runOutlinedDW(m *Machine, items []ritem, it *ritem, curIL, c
 		m.storeWord(ea+4, m.regs[it.rd+1])
 	}
 	return nil, curIL, curDL, ihits, ccb, cyc, false
+}
+
+// closureAt threads tr, the trace registered at head pc, into m.cls on its
+// first entry. Like image traces, a slot is published once: a machine that
+// loses the race on a shared slice adopts the winner's closure, which is
+// identical (it bakes in only tr and the cost model the slice is keyed by).
+//
+//go:noinline
+func (m *Machine) closureAt(pc int32, tr *traceProg) *closProg {
+	cp := m.compileClosures(tr)
+	if !m.cls[pc].CompareAndSwap(nil, cp) {
+		return m.cls[pc].Load()
+	}
+	return cp
 }

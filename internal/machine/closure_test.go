@@ -131,7 +131,7 @@ func TestDifferentialPatchInClosure(t *testing.T) {
 	if b.imgShared {
 		t.Fatal("patching machine still marked shared after PatchInstr")
 	}
-	if b.cls != nil && b.cls[1] != nil {
+	if b.cls != nil && b.cls[1].Load() != nil {
 		t.Fatal("patcher kept a compiled closure for the invalidated trace")
 	}
 	if got := b.Reg(sparc.O1); got < 100 || got > 102 {
@@ -177,9 +177,11 @@ func TestDifferentialPatchInFusedStoreClosure(t *testing.T) {
 }
 
 // TestImageClosuresSurviveSiblingPatch: two closure-engine machines share an
-// Image; one patches (COW-privatizing itself and dropping only its own
-// compiled closures), the sibling keeps executing its chains against the
-// shared traces. Counts must match Step references on both texts.
+// Image; the sibling's first run publishes the loop head's trace and
+// closure, then the other patches (COW-privatizing itself and dropping only
+// its own view of the closure slots), and the sibling keeps executing its
+// chains against the published traces and closures. Counts must match Step
+// references on both texts.
 func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
 	text := countLoop()
 	img := BuildImage(text, 0)
@@ -191,24 +193,25 @@ func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
 	m1.LoadImage(img)
 	m2.LoadImage(img)
 
-	// Warm the sibling's closure cache on the shared trace.
+	// The sibling's first run publishes the loop head's trace and closure.
 	if _, _, err := m2.RunFor(50); err != nil {
 		t.Fatalf("warm m2: %v", err)
 	}
-	if m2.cls == nil || m2.cls[1] == nil {
-		t.Fatal("closure engine sibling compiled no closure for the loop head")
+	loopTr, loopCl := img.traces[1].Load(), m2.cls[1].Load()
+	if loopTr == nil || loopCl == nil {
+		t.Fatal("the closure-engine sibling's first run did not publish the loop head")
 	}
 
 	// m1 patches before running: privatized, its (empty) closure slice is
-	// rebuilt; the image keeps its traces and the sibling its closures.
+	// rebuilt; the published trace and closure stay exactly in place.
 	if err := m1.PatchInstr(2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1)); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
-	if img.traces[1] == nil {
-		t.Fatal("image lost its compiled trace after a sibling patched")
+	if img.traces[1].Load() != loopTr {
+		t.Fatal("a sibling's patch replaced the published trace")
 	}
-	if m2.cls == nil || m2.cls[1] == nil {
-		t.Fatal("sibling lost its compiled closures to another machine's patch")
+	if m2.cls[1].Load() != loopCl {
+		t.Fatal("a sibling's patch replaced the published closure")
 	}
 
 	// The sibling finishes on the original text and matches a Step reference.

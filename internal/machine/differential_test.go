@@ -296,8 +296,9 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 
 // TestDifferentialPatchInTrace is TestDifferentialPatchMidRun against the
 // trace tier: both machines attach to a shared Image, so the store executes
-// inside an eagerly compiled superblock when the hook patches an instruction
-// the trace has already consumed. The trace must commit exactly the store,
+// inside an image superblock, published on the run's first entry of the
+// loop head, when the hook patches an instruction the trace has already
+// consumed. The trace must commit exactly the store,
 // exit to the dispatcher, and re-dispatch against the privatized text.
 func TestDifferentialPatchInTrace(t *testing.T) {
 	text := []sparc.Instr{
@@ -334,8 +335,10 @@ func TestDifferentialPatchInTrace(t *testing.T) {
 	if b.imgShared {
 		t.Fatal("patching machine still marked shared after PatchInstr")
 	}
-	if img.traces[1] == nil {
-		t.Fatal("image lost its compiled trace after a sibling patched")
+	// The run published the loop head before its hook patched; the patch
+	// privatized the machine and must leave the published trace in place.
+	if img.traces[1].Load() == nil {
+		t.Fatal("image lost the loop trace the run published before patching")
 	}
 	if got := b.Reg(sparc.O1); got < 100 || got > 102 {
 		t.Fatalf("final %%o1 = %d, want the patched +3 stride past 100", got)
@@ -384,7 +387,8 @@ func TestDifferentialPatchInFusedStore(t *testing.T) {
 // TestDifferentialWindowedCallTrace loops through a call -> save -> restore
 // -> jmpl ring — the shape that exercises the trace tier's interior window
 // ops, the dynamic jmpl terminator, and trace linking across the return —
-// under both lazy (LoadText, hotness-compiled) and eager (Image) tiers.
+// under both compilation policies: hotness over private text (LoadText) and
+// first entry over a shared image.
 func TestDifferentialWindowedCallTrace(t *testing.T) {
 	text := []sparc.Instr{
 		sparc.RI(sparc.Or, sparc.G0, 0, sparc.O0),
@@ -399,7 +403,7 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 	}
 	diffRun(t, "windowed call loop", text)
 
-	// Eager tier: same program from a shared image.
+	// First-entry tier: same program from a shared image.
 	img := BuildImage(text, 0)
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)

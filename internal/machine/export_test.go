@@ -3,7 +3,42 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
+	"sync/atomic"
 )
+
+// CompileImageHeads publishes the trace of every still-marked, uncompiled
+// head of img through the first-entry path machines take, as if each head
+// had been entered once.
+func CompileImageHeads(img *Image) {
+	var b traceBuilder
+	for i := range img.traces {
+		if pc := int32(i); img.traces[i].Load() == nil && img.heads.has(pc) {
+			img.compileHead(&b, pc)
+		}
+	}
+}
+
+// ImageTraceCount reports how many traces img has published.
+func ImageTraceCount(img *Image) int { return traceCount(img.traces) }
+
+// ImageTraceMismatch compares every trace img has published against a fresh
+// compile of its head with a fresh builder and the arguments image traces
+// are compiled with, and describes the first difference ("" when all
+// match).
+func ImageTraceMismatch(img *Image) string {
+	for i := range img.traces {
+		tr := img.traces[i].Load()
+		if tr == nil {
+			continue
+		}
+		var b traceBuilder
+		if want := b.compile(img.text, img.uops, int32(i), nil, brProfMin, img.traceShift); !reflect.DeepEqual(tr, want) {
+			return fmt.Sprintf("published trace at %d differs from a fresh compile", i)
+		}
+	}
+	return ""
+}
 
 // AppendImageTraces appends a fixed binary encoding of every compiled trace
 // of img, in text-index order, to dst: the head index, entry, exitPC,
@@ -12,7 +47,8 @@ import (
 // identically.
 func AppendImageTraces(dst []byte, img *Image) []byte {
 	le := binary.LittleEndian
-	for i, tr := range img.traces {
+	for i := range img.traces {
+		tr := img.traces[i].Load()
 		if tr == nil {
 			continue
 		}
@@ -51,18 +87,21 @@ func ImageTraceSlack(img *Image) string { return traceSlack(img.traces) }
 func MachineTraceSlack(m *Machine) string { return traceSlack(m.traces) }
 
 // MachineTraceCount reports how many traces a machine currently holds.
-func MachineTraceCount(m *Machine) int {
+func MachineTraceCount(m *Machine) int { return traceCount(m.traces) }
+
+func traceCount(traces []atomic.Pointer[traceProg]) int {
 	n := 0
-	for _, tr := range m.traces {
-		if tr != nil {
+	for i := range traces {
+		if traces[i].Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-func traceSlack(traces []*traceProg) string {
-	for i, tr := range traces {
+func traceSlack(traces []atomic.Pointer[traceProg]) string {
+	for i := range traces {
+		tr := traces[i].Load()
 		if tr == nil {
 			continue
 		}

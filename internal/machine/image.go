@@ -1,16 +1,18 @@
 // Compile-once, run-many program images.
 //
-// An Image is the immutable, shareable form of a loaded program's text: the
-// decoded sparc.Instr slice plus the predecoded µop/block index from
-// blocks.go, built once by BuildImage and attached to any number of Machines
-// with LoadImage. Sharing is safe because every execution path only READS
-// text and uops; the one mutation path, PatchInstr, privatizes both arrays
-// on first write (copy-on-write), so a Kessler-style runtime patch in one
-// machine — the PreMonitor/PostMonitor flow, elim.Runtime arming a site —
-// can never leak into a sibling sharing the same image. This is the
-// self-modifying-code hazard of "Instrumenting self-modifying code"
-// (PAPERS.md) resolved in the direction the paper's design wants: the shared
-// artifact stays pristine, the patching debuggee pays a one-time copy.
+// An Image is the shareable form of a loaded program's text: the decoded
+// sparc.Instr slice plus the predecoded µop/block index from blocks.go,
+// built once by BuildImage and attached to any number of Machines with
+// LoadImage. Sharing is safe because every execution path only READS text
+// and uops (the compiled tiers' slots fill in once each, by compare-and-
+// swap, and are never rewritten); the one mutation path, PatchInstr,
+// privatizes both arrays on first write (copy-on-write), so a Kessler-style
+// runtime patch in one machine — the PreMonitor/PostMonitor flow,
+// elim.Runtime arming a site — can never leak into a sibling sharing the
+// same image. This is the self-modifying-code hazard of "Instrumenting
+// self-modifying code" (PAPERS.md) resolved in the direction the paper's
+// design wants: the shared artifact stays pristine, the patching debuggee
+// pays a one-time copy.
 //
 // Simulated cycle and instruction counts are bit-identical between LoadText
 // and LoadImage by construction: both install the same decoded text and the
@@ -20,47 +22,57 @@ package machine
 
 import (
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"databreak/internal/sparc"
 )
 
-// Image is an immutable predecoded program text. Build with BuildImage;
-// attach with Machine.LoadImage. A single Image may back any number of
-// Machines on any number of goroutines concurrently — it is never written
-// after BuildImage returns.
+// Image is a predecoded program text. Build with BuildImage; attach with
+// Machine.LoadImage. A single Image may back any number of Machines on any
+// number of goroutines concurrently. Its text, block index and head marks
+// are never written after BuildImage returns; only the trace and closure
+// slots below fill in, each at most once, as attached machines first reach
+// the heads.
 type Image struct {
 	text  []sparc.Instr
 	uops  []uop
 	entry int32
-	// traces holds the eagerly compiled trace tier (trace.go), one slot per
-	// text index, non-nil at compiled block heads. Like text and uops it is
-	// immutable after BuildImage: machines enter traces read-only, and a
-	// patching machine privatizes away from the whole image first.
-	// traceShift is the I-line shift the traces were compiled for (the
+	// heads marks the block heads a trace may be compiled at (blockHeads):
+	// the entry point, every branch/call target, and every fall-through
+	// successor of a terminator. A head whose trace the builder declines
+	// loses its mark, so no machine retries it.
+	heads headSet
+	// traces holds the image's trace tier (trace.go), one slot per text
+	// index. A slot stays nil until the first attached machine reaches its
+	// marked head, by dispatch or by a trace link; that machine compiles
+	// the trace (compileHead) and publishes it with a compare-and-swap, and
+	// the trace is immutable from then on: machines enter it read-only, and
+	// a patching machine privatizes away from the whole image first.
+	// traceShift is the I-line shift the traces are compiled for (the
 	// default cache geometry); machines with a different geometry compile
-	// their own traces instead (syncTraceState).
-	traces     []*traceProg
+	// their own traces instead (syncTraceState). traceBytes is the running
+	// total of TraceBytes, added by each publishing machine.
+	traces     []atomic.Pointer[traceProg]
 	traceShift uint32
-	// cls caches the closure tier's shared threaded form of the traces
-	// above, keyed by the cost model the item streams bake in. BuildImage
-	// cannot compile it (there is no machine, hence no cost model, at build
-	// time), so the first closure-engine attach per cost model pays the
-	// threading cost and every later attach reuses the published slice.
-	// Published slices and their closProgs are immutable, exactly like
-	// traces: the lazy-compile paths in exitNext and the block dispatcher
-	// only fill nil slots, and a shared slice has a non-nil slot wherever
-	// traces does, so those paths never write to it. Deliberately NOT part
-	// of SizeBytes: retained-bytes accounting must not depend on which
-	// engine has run (the benchmark reports diff it across engines).
+	traceBytes atomic.Int64
+	// cls holds the closure tier's shared threaded form of the traces
+	// above, one slot slice per cost model the item streams bake in.
+	// sharedClosures allocates a model's slice on the first closure-engine
+	// attach with it; each slot then fills on first entry with the same
+	// publish-once rule as traces (closureAt), and a published closProg is
+	// immutable. Deliberately NOT part of SizeBytes: retained-bytes
+	// accounting must not depend on which engine has run (the benchmark
+	// reports diff it across engines).
 	clsMu sync.Mutex
-	cls   map[Costs][]*closProg
+	cls   map[Costs][]atomic.Pointer[closProg]
 }
 
 // BuildImage decodes text into a shareable image with the given entry point
 // (a text index). The input slice is copied, so the caller may reuse it.
-// Trace compilation happens here too — eagerly, for every block head — so
-// the cost is paid once per image, not per attached machine.
+// It decodes and marks block heads only: each head's trace is compiled by
+// the first machine that enters it, so an image holds the traces its
+// machines actually run.
 func BuildImage(text []sparc.Instr, entry int32) *Image {
 	img := &Image{
 		text:  make([]sparc.Instr, len(text)),
@@ -68,8 +80,9 @@ func BuildImage(text []sparc.Instr, entry int32) *Image {
 	}
 	copy(img.text, text)
 	img.uops = buildUops(img.text, nil)
+	img.heads = blockHeads(img.text, img.uops, entry)
+	img.traces = make([]atomic.Pointer[traceProg], len(img.text))
 	img.traceShift = defaultLineShift()
-	img.traces = buildTraces(img.text, img.uops, entry, img.traceShift)
 	return img
 }
 
@@ -79,50 +92,46 @@ func (img *Image) Len() int { return len(img.text) }
 // Entry returns the image's entry point (a text index).
 func (img *Image) Entry() int32 { return img.entry }
 
-// SizeBytes reports the host memory held by the image (text + block index +
-// compiled traces), for artifact-cache accounting.
+// SizeBytes reports the host memory held by the image (text, block index,
+// head marks, trace slots and compiled traces), for artifact-cache
+// accounting. It grows as attached machines first enter heads, so callers
+// bounding memory must re-read it rather than cache it.
 func (img *Image) SizeBytes() int {
 	return len(img.text)*int(unsafe.Sizeof(sparc.Instr{})) +
 		len(img.uops)*int(unsafe.Sizeof(uop{})) +
-		len(img.traces)*int(unsafe.Sizeof((*traceProg)(nil))) +
+		len(img.heads)*int(unsafe.Sizeof(atomic.Uint64{})) +
+		len(img.traces)*int(unsafe.Sizeof(atomic.Pointer[traceProg]{})) +
 		img.TraceBytes()
 }
 
 // TraceBytes reports the portion of SizeBytes held by the compiled trace
-// tier alone (trace headers, op streams, invalidation spans) — the part
-// that scales with how much of the text went hot, reported separately so
-// cache accounting can distinguish code from trace footprint.
-func (img *Image) TraceBytes() int {
-	n := 0
-	for _, tr := range img.traces {
-		if tr != nil {
-			n += int(unsafe.Sizeof(traceProg{})) +
-				len(tr.ops)*int(unsafe.Sizeof(top{})) +
-				len(tr.spans)*8
-		}
-	}
-	return n
+// tier alone (trace headers, op streams, invalidation spans), reported
+// separately so cache accounting can distinguish code from trace
+// footprint. It starts at zero and grows as heads are first entered: it
+// measures the code that has actually run.
+func (img *Image) TraceBytes() int { return int(img.traceBytes.Load()) }
+
+// traceSize is one trace's contribution to TraceBytes.
+func traceSize(tr *traceProg) int {
+	return int(unsafe.Sizeof(traceProg{})) +
+		len(tr.ops)*int(unsafe.Sizeof(top{})) +
+		len(tr.spans)*8
 }
 
-// sharedClosures returns the image's shared closure tier for m's cost
-// model, threading every compiled trace eagerly on the first request per
-// model (the per-model map stays tiny: one entry per distinct Costs that
-// ever attaches a closure-engine machine to this image).
-func (img *Image) sharedClosures(m *Machine) []*closProg {
+// sharedClosures returns the image's shared closure slots for cost model c,
+// allocating them empty on the first request per model (the per-model map
+// stays tiny: one entry per distinct Costs that ever attaches a
+// closure-engine machine to this image). The slots fill on first entry.
+func (img *Image) sharedClosures(c Costs) []atomic.Pointer[closProg] {
 	img.clsMu.Lock()
 	defer img.clsMu.Unlock()
-	cls, ok := img.cls[m.costs]
+	cls, ok := img.cls[c]
 	if !ok {
-		cls = make([]*closProg, len(img.text))
-		for i, tr := range img.traces {
-			if tr != nil {
-				cls[i] = m.compileClosures(tr)
-			}
-		}
+		cls = make([]atomic.Pointer[closProg], len(img.text))
 		if img.cls == nil {
-			img.cls = make(map[Costs][]*closProg, 1)
+			img.cls = make(map[Costs][]atomic.Pointer[closProg], 1)
 		}
-		img.cls[m.costs] = cls
+		img.cls[c] = cls
 	}
 	return cls
 }
@@ -171,10 +180,11 @@ func (m *Machine) LoadImage(img *Image) {
 // privatize gives the machine its own copy of the text and block index. It
 // is the copy-on-write half of LoadImage: called by PatchInstr before the
 // first mutation, it guarantees no write ever lands in a shared image. The
-// image's compiled traces are dropped for THIS machine only — they were
-// built against text this machine is about to diverge from — while siblings
-// sharing the image keep executing them untouched; the patching machine's
-// hot heads recompile privately via the hotness counters.
+// image's trace and closure slots are dropped for THIS machine only — they
+// hold code built against text this machine is about to diverge from, and
+// it must never publish into them again — while siblings sharing the image
+// keep executing, and first-entering, them untouched; the patching
+// machine's hot heads recompile privately via the hotness counters.
 func (m *Machine) privatize() {
 	if !m.imgShared {
 		return

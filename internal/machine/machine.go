@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"databreak/internal/cache"
 	"databreak/internal/sparc"
@@ -123,18 +124,20 @@ type Machine struct {
 	// engine selects the Run/RunFor execution strategy; the trace-tier state
 	// below is maintained by syncTraceState (trace.go). traces[i], when
 	// non-nil, is the compiled trace registered at head i — the image's
-	// immutable traces when imgShared, a private lazily-filled slice
-	// otherwise. hot holds the per-head hotness counters driving lazy
-	// compilation of private text; nil on shared images (compiled eagerly)
-	// and under non-trace engines.
+	// shared slots when imgShared, which any attached machine may fill on
+	// first entry of a marked head (hence atomic), a private lazily-filled
+	// slice otherwise. hot holds the per-head hotness counters driving lazy
+	// compilation of private text; nil on shared images (whose marked heads
+	// compile on first entry) and under non-trace engines.
 	engine Engine
-	traces []*traceProg
+	traces []atomic.Pointer[traceProg]
 	// cls is the closure tier (closure.go): cls[i], when non-nil, is the
-	// threaded-closure compilation of traces[i]. Always per machine — the
-	// closures capture this machine's register file and per-site page
-	// memos — and non-nil exactly when EngineClosure is active over
-	// non-empty text. Filled lazily on first dispatch of a traced head.
-	cls []*closProg
+	// threaded-closure compilation of traces[i]. On a shared image it is the
+	// image's slot slice for this machine's cost model (closures bake in
+	// only the trace and the cost model); private text threads its own.
+	// Non-nil exactly when EngineClosure is active over non-empty text, and
+	// filled lazily on first entry of a traced head.
+	cls []atomic.Pointer[closProg]
 	// cstate is execClosures' reusable spill area (closure.go): dispatching
 	// a compiled closure chain must not allocate, and the pointer handed to
 	// the closures would otherwise force a fresh heap cst per dispatch.
@@ -231,9 +234,9 @@ type Machine struct {
 	// Counters holds event counts; sized on demand by SetCounterCount.
 	Counters Counters
 
-	// tb is the scratch noteHot compiles private-text traces with, reused
-	// across compiles (trace.go). Last, so the interpreter's hot fields keep
-	// their offsets.
+	// tb is the scratch this machine compiles traces with, reused across
+	// compiles: noteHot's private-text traces and Image.compileHead's image
+	// traces (trace.go). Last, so the interpreter's hot fields keep their offsets.
 	tb traceBuilder
 }
 

@@ -122,11 +122,15 @@ const (
 
 // TestTablesTraceDigest pins every image trace of the 130 table builds:
 // head, entry, exit pc, line shift, pass length, every op field, and every
-// invalidation span.
+// invalidation span. Every marked head is compiled through the first-entry
+// path machines take; the digest was pinned when BuildImage still compiled
+// every head eagerly, so it proves the lazily published traces
+// byte-identical to the eager ones.
 func TestTablesTraceDigest(t *testing.T) {
 	h := sha256.New()
 	var buf []byte
 	for _, prog := range sharedTables(t) {
+		machine.CompileImageHeads(prog.Image())
 		buf = machine.AppendImageTraces(buf[:0], prog.Image())
 		h.Write(buf)
 	}
@@ -163,14 +167,38 @@ func TestTablesTextDigest(t *testing.T) {
 }
 
 // TestTracesStoredAtExactSize checks that no retained trace carries append
-// slack: every image trace of the 130 table builds, and the traces a
-// machine compiles lazily over private text.
+// slack: every image trace of the 130 table builds, the image traces
+// machines publish on first entry, and the traces a machine compiles lazily
+// over private text.
 func TestTracesStoredAtExactSize(t *testing.T) {
 	for i, prog := range sharedTables(t) {
+		machine.CompileImageHeads(prog.Image())
 		if s := machine.ImageTraceSlack(prog.Image()); s != "" {
 			t.Fatalf("artifact %d (%s): %s", i, tableBuilds[i%len(tableBuilds)].name, s)
 		}
 	}
+
+	// A fresh image of one build, whose traces only running machines publish.
+	p := workload.All(1)[0]
+	u, err := bench.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := buildTable(t, p, u, tableBuilds[3])
+	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineClosure} {
+		m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
+		m.SetEngine(e)
+		if _, err := runMonitored(fresh, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if machine.ImageTraceCount(fresh.Image()) == 0 {
+		t.Fatal("shared-image runs published no traces")
+	}
+	if s := machine.ImageTraceSlack(fresh.Image()); s != "" {
+		t.Fatalf("published image trace: %s", s)
+	}
+
 	prog := sharedTables(t)[0] // the first program's baseline
 	m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
 	m.SetEngine(machine.EngineTrace)

@@ -25,20 +25,22 @@
 // executed and returns to the dispatcher.
 //
 // Compilation points:
-//   - BuildImage compiles traces for every block head eagerly; they live in
-//     the immutable Image and are shared by every attached machine.
+//   - BuildImage marks the image's block heads; the first attached machine
+//     to reach a marked head — by dispatching to it or by linking to it from
+//     a trace exit — compiles its trace and publishes it in the Image, where
+//     every attached machine shares it (Image.compileHead).
 //   - LoadText installs per-head hotness counters instead; a head that
 //     dispatches hotThreshold times is compiled on the machine's own dime.
 //
 // Patch safety (the self-modifying-code hazard, DESIGN.md §9): PatchInstr
 // nils every private trace whose consumed-index spans cover the patched
 // index; on a shared image it privatizes first, which drops the image's
-// traces for the patching machine only (siblings keep executing the immutable
-// image traces). A patch landing while a trace is executing — only possible
-// from a StoreHook or LoadHook — is caught by the textGen generation check
-// after the access, exactly as in execBlocks, and the trace exits cleanly
-// after the hooked instruction so the dispatcher re-enters against fresh
-// state.
+// traces for the patching machine only (siblings keep executing and
+// first-entering the image traces). A patch landing while a trace is
+// executing — only possible from a StoreHook or LoadHook — is caught by the
+// textGen generation check after the access, exactly as in execBlocks, and
+// the trace exits cleanly after the hooked instruction so the dispatcher
+// re-enters against fresh state.
 package machine
 
 import (
@@ -46,6 +48,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"databreak/internal/cache"
@@ -113,16 +116,17 @@ func (m *Machine) Engine() Engine { return m.engine }
 
 // hotThreshold is the default for how many times a block head must dispatch
 // before LoadText text compiles a trace for it. Image text skips the counter
-// entirely (BuildImage compiles eagerly). 64 is low enough that every loop
-// that matters compiles within noise, high enough that straight-through
-// startup code never pays compilation. Tunable per machine via
-// SetHotThreshold (the EXPERIMENTS.md sweep confirms 64 as the default).
+// entirely (a marked image head compiles on its first entry). 64 is low
+// enough that every loop that matters compiles within noise, high enough
+// that straight-through startup code never pays compilation. Tunable per
+// machine via SetHotThreshold (the EXPERIMENTS.md sweep confirms 64 as the
+// default).
 const hotThreshold = 64
 
 // SetHotThreshold overrides the per-head dispatch count that triggers lazy
 // trace compilation of private text (default 64). Clamped to [1, 65534];
 // values already counted keep their progress. Image text is unaffected
-// (compiled eagerly at BuildImage).
+// (its marked heads compile on first entry, with no counter).
 func (m *Machine) SetHotThreshold(n int) {
 	if n < 1 {
 		n = 1
@@ -342,10 +346,14 @@ func (tr *traceProg) covers(idx int32) bool {
 
 // syncTraceState (re)establishes the engine-dependent trace state after any
 // event that changes what the dispatcher may execute: engine selection, text
-// installation, or COW privatization. Invariant: m.traces is non-nil exactly
-// when the trace (or closure) engine is active over non-empty text, so
-// execBlocks gates the whole tier on one nil check; m.cls is non-nil exactly
-// when the closure engine is active over non-empty text.
+// installation, or COW privatization. Invariants: m.traces is non-nil
+// exactly when the trace (or closure) engine is active over non-empty text,
+// so execBlocks gates the whole tier on one nil check; m.cls is non-nil
+// exactly when the closure engine is active over non-empty text; and while
+// m.traces is non-nil, m.hot is nil exactly when m.traces are m.img's
+// shared slots, so a nil slot at pc with m.hot == nil and pc still marked
+// in m.img.heads means "not compiled yet" (Image.compileHead) rather than
+// "no trace".
 func (m *Machine) syncTraceState() {
 	traced := m.engine == EngineTrace || m.engine == EngineClosure
 	if !traced || len(m.text) == 0 {
@@ -354,30 +362,30 @@ func (m *Machine) syncTraceState() {
 	}
 	shared := m.imgShared && m.img.traceShift == m.cache.LineShift()
 	if shared {
-		// Shared image with matching cache geometry: the immutable, eagerly
-		// compiled traces. No hotness counters or edge profile — there is
-		// nothing left to compile.
+		// Shared image with matching cache geometry: the image's trace
+		// slots, filled on first entry of each marked head. No hotness
+		// counters or edge profile — image traces never use them.
 		m.traces = m.img.traces
 		m.hot, m.brProf = nil, nil
 	} else {
-		// Private text — or a shared image whose traces were compiled for a
+		// Private text — or a shared image whose traces are compiled for a
 		// different I-line geometry, which this machine cannot execute (the nl
 		// bits would mis-batch fetch accounting): compile privately, driven by
 		// the hotness counters. The shared text itself is still borrowed.
-		m.traces = make([]*traceProg, len(m.text))
+		m.traces = make([]atomic.Pointer[traceProg], len(m.text))
 		m.hot = make([]uint16, len(m.text))
 		m.brProf = make([]uint32, len(m.text))
 	}
 	if m.engine == EngineClosure {
 		// The threaded form is machine-independent data — items bake in only
 		// the trace stream and the cost model — so machines attached to a
-		// shared image share one compiled closure tier per cost model
-		// (image.go). Private text threads its own, lazily, as traces
-		// appear.
+		// shared image share one closure tier per cost model (image.go),
+		// filled on first entry like the traces. Private text threads its
+		// own, lazily, as traces appear.
 		if shared {
-			m.cls = m.img.sharedClosures(m)
+			m.cls = m.img.sharedClosures(m.costs)
 		} else {
-			m.cls = make([]*closProg, len(m.text))
+			m.cls = make([]atomic.Pointer[closProg], len(m.text))
 		}
 	} else {
 		m.cls = nil
@@ -393,7 +401,7 @@ func (m *Machine) noteHot(pc int32) {
 	case h >= m.hotThreshold: // hotNever: compilation declined, don't retry
 	case h+1 >= m.hotThreshold:
 		if tr := m.tb.compile(m.text, m.uops, pc, m.brProf, m.brProfMin, m.cache.LineShift()); tr != nil {
-			m.traces[pc] = tr
+			m.traces[pc].Store(tr)
 			m.hot[pc] = 0
 		} else {
 			m.hot[pc] = hotNever
@@ -408,13 +416,13 @@ func (m *Machine) noteHot(pc int32) {
 // formerly shared image m.traces is a fresh private slice (all nil) and this
 // is a no-op; the image's own traces are immutable and untouched.
 func (m *Machine) invalidateTraces(idx int32) {
-	for i, tr := range m.traces {
-		if tr != nil && tr.covers(idx) {
-			m.traces[i] = nil
+	for i := range m.traces {
+		if tr := m.traces[i].Load(); tr != nil && tr.covers(idx) {
+			m.traces[i].Store(nil)
 			if m.cls != nil {
 				// The closure tier compiles FROM traces, so a dropped trace
 				// drops its threaded form too (closure.go).
-				m.cls[i] = nil
+				m.cls[i].Store(nil)
 			}
 		}
 	}
@@ -681,16 +689,16 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 	return false
 }
 
-// traceBuilder is the trace builder's reusable scratch. BuildImage compiles
-// one trace per block head, so a consumed set allocated and scanned per
-// trace would cost heads × len(text); instead stamp[i] == gen marks text
+// traceBuilder is the trace builder's reusable scratch. A machine compiles
+// many traces over one text, so a consumed set allocated and scanned per
+// trace would cost traces × len(text); instead stamp[i] == gen marks text
 // index i consumed by the trace under construction, and bumping gen empties
 // the set in O(1). seen lists the consumed indices as [lo,hi) runs in visit
 // order, so a trace's spans cost its own length, not the text's; ops is the
 // op stream's growth buffer. A finished trace copies both out at exact
-// size, since traces live as long as their image. BuildImage uses one
-// builder for all its heads; each machine keeps one for its lazy noteHot
-// compiles.
+// size, since traces live as long as their image. Each machine keeps one
+// builder for its lazy compiles: noteHot over private text, compileHead
+// over a shared image.
 type traceBuilder struct {
 	stamp []uint32
 	gen   uint32
@@ -761,7 +769,7 @@ func (b *traceBuilder) spans() [][2]int32 {
 // a single patch never invalidates more than a bounded neighborhood.
 // Operands come from the predecoded uops, which PatchInstr keeps coherent
 // with text. prof is the per-site edge profile (predictBranch) with its
-// noise floor profMin, nil for image text.
+// noise floor profMin, nil for image text (Image.compileHead).
 // shift is the I-line shift the nl bits are computed under; a machine may
 // only execute traces whose shift matches its own cache geometry
 // (syncTraceState enforces this).
@@ -1075,43 +1083,6 @@ func topWidth(op topOp) int32 {
 		return 3
 	}
 	return 1
-}
-
-// buildTraces eagerly compiles a trace for every block head of text: the
-// entry point, every branch/call target, and every fall-through successor of
-// a terminator. Used by BuildImage; LoadText text compiles lazily instead
-// (noteHot). Image traces are compiled for the default cache geometry's
-// I-line shift; a machine with a different geometry compiles its own
-// (syncTraceState).
-func buildTraces(text []sparc.Instr, uops []uop, entry int32, shift uint32) []*traceProg {
-	if len(text) == 0 {
-		return nil
-	}
-	heads := make([]bool, len(text))
-	mark := func(i int32) {
-		if uint32(i) < uint32(len(heads)) {
-			heads[i] = true
-		}
-	}
-	mark(entry)
-	mark(0)
-	for i := range text {
-		switch text[i].Op {
-		case sparc.Br, sparc.Call:
-			mark(text[i].Target)
-		}
-		if uops[i].bl == 0 {
-			mark(int32(i) + 1) // fall-through and jmpl-return successors
-		}
-	}
-	traces := make([]*traceProg, len(text))
-	var b traceBuilder
-	for i, h := range heads {
-		if h {
-			traces[i] = b.compile(text, uops, int32(i), nil, brProfMin, shift)
-		}
-	}
-	return traces
 }
 
 // traceFault commits the accounting for a fault at trace-op u — the faulting
@@ -2667,11 +2638,18 @@ chain:
 		// budget for a full pass, jump straight into it — no dispatcher
 		// round-trip, no call overhead. This is what turns a side-exit-heavy
 		// program (predictions are static) back into straight-line execution.
+		// A marked image head links on its first entry too: compile it, then
+		// retry the link.
 		if uint32(npc) < uint32(len(ts)) {
-			if next := ts[npc]; next != nil && m.MaxInstrs-m.instrs >= next.passInstrs {
-				cyc = 0
-				tr = next
-				continue chain
+			if next := ts[npc].Load(); next != nil {
+				if m.MaxInstrs-m.instrs >= next.passInstrs {
+					cyc = 0
+					tr = next
+					continue chain
+				}
+			} else if m.hot == nil && m.img.heads.has(npc) {
+				m.img.compileHead(&m.tb, npc)
+				goto link
 			}
 		}
 		m.pc = npc
@@ -2687,4 +2665,71 @@ func defaultLineShift() uint32 {
 		s++
 	}
 	return s
+}
+
+// headSet is a bitset over text indices, safe for concurrent readers and
+// clearers.
+type headSet []atomic.Uint64
+
+func (h headSet) has(i int32) bool { return h[i>>6].Load()>>(i&63)&1 != 0 }
+
+// clear drops i from the set; concurrent clears of other bits in the same
+// word survive.
+func (h headSet) clear(i int32) {
+	w := &h[i>>6]
+	for {
+		old := w.Load()
+		if w.CompareAndSwap(old, old&^(1<<(i&63))) {
+			return
+		}
+	}
+}
+
+// blockHeads marks every block head of text an image compiles a trace at
+// on first entry: the entry point, every branch/call target, and every
+// fall-through successor of a terminator. LoadText text compiles lazily by
+// hotness instead (noteHot).
+func blockHeads(text []sparc.Instr, uops []uop, entry int32) headSet {
+	heads := make(headSet, (len(text)+63)/64)
+	mark := func(i int32) {
+		if uint32(i) < uint32(len(text)) {
+			w := &heads[i>>6]
+			w.Store(w.Load() | 1<<(i&63)) // not shared yet
+		}
+	}
+	mark(entry)
+	mark(0)
+	for i := range text {
+		switch text[i].Op {
+		case sparc.Br, sparc.Call:
+			mark(text[i].Target)
+		}
+		if uops[i].bl == 0 {
+			mark(int32(i) + 1) // fall-through and jmpl-return successors
+		}
+	}
+	return heads
+}
+
+// compileHead compiles the trace at marked head pc on its first entry by
+// any attached machine, with the arguments every image trace is compiled
+// with (no edge profile, the default brProfMin, the image's line shift) and
+// the caller's builder scratch, and publishes it once: a caller that loses
+// the race adopts the winner's trace. A declined head loses its mark, so it
+// is never retried. Returns the published trace, or nil when the head was
+// declined. Kept out of line so the dispatcher and the trace-link paths
+// gain only an untaken branch.
+//
+//go:noinline
+func (img *Image) compileHead(b *traceBuilder, pc int32) *traceProg {
+	tr := b.compile(img.text, img.uops, pc, nil, brProfMin, img.traceShift)
+	if tr == nil {
+		img.heads.clear(pc)
+		return nil
+	}
+	if !img.traces[pc].CompareAndSwap(nil, tr) {
+		return img.traces[pc].Load()
+	}
+	img.traceBytes.Add(int64(traceSize(tr)))
+	return tr
 }

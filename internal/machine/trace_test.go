@@ -22,16 +22,21 @@ func countLoop() []sparc.Instr {
 	}
 }
 
-// TestImageTracesSurviveSiblingPatch pins the COW invariant for the trace
-// tier: a machine that patches text on a shared image drops the IMAGE's
-// compiled traces for itself only — its sibling keeps executing the
-// immutable image traces, slice-identical to the image's own, and still
-// produces counts bit-identical to a fresh Step reference.
+// TestImageTracesSurviveSiblingPatch pins the first-entry and COW contract
+// of the trace tier: BuildImage publishes no trace, a sibling's first run
+// publishes the loop head into the image, and a machine that patches text
+// on the shared image drops the image's traces for itself only — the
+// published trace stays in place, identical to a fresh compile of the
+// original text, and the sibling keeps executing it with counts
+// bit-identical to a fresh Step reference.
 func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	text := countLoop()
 	img := BuildImage(text, 0)
-	if img.traces[1] == nil {
-		t.Fatal("BuildImage did not compile the loop head")
+	if n := traceCount(img.traces); n != 0 {
+		t.Fatalf("BuildImage published %d traces, want none", n)
+	}
+	if !img.heads.has(1) {
+		t.Fatal("BuildImage did not mark the loop head")
 	}
 
 	m1 := New(cache.DefaultConfig, DefaultCosts)
@@ -39,7 +44,16 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	m1.LoadImage(img)
 	m2.LoadImage(img)
 	if reflect.ValueOf(m2.traces).Pointer() != reflect.ValueOf(img.traces).Pointer() {
-		t.Fatal("shared machine does not execute the image's traces")
+		t.Fatal("shared machine does not execute the image's trace slots")
+	}
+
+	// The sibling's first run reaches the loop head and publishes it.
+	if _, _, err := m2.RunFor(50); err != nil {
+		t.Fatalf("first run of m2: %v", err)
+	}
+	loop := img.traces[1].Load()
+	if loop == nil {
+		t.Fatal("the sibling's first run did not publish the loop head")
 	}
 
 	// m1 patches before running: +3 stride instead of +1.
@@ -50,15 +64,13 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 		t.Fatal("patching machine still shared")
 	}
 	if reflect.ValueOf(m1.traces).Pointer() == reflect.ValueOf(img.traces).Pointer() {
-		t.Fatal("patching machine still holds the image's trace slice")
+		t.Fatal("patching machine still holds the image's trace slots")
 	}
-	for i, tr := range m1.traces {
-		if tr != nil {
-			t.Fatalf("private trace slice has a stale compiled entry at %d", i)
-		}
+	if n := traceCount(m1.traces); n != 0 {
+		t.Fatalf("private trace slice has %d stale compiled entries", n)
 	}
 
-	// The sibling is untouched: same trace slice, and its run matches a
+	// The sibling is untouched: same trace slots, and its run matches a
 	// fresh Step-only reference on the ORIGINAL text.
 	if reflect.ValueOf(m2.traces).Pointer() != reflect.ValueOf(img.traces).Pointer() {
 		t.Fatal("sibling lost the image's traces after the patch")
@@ -77,6 +89,16 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	errRef2 := stepAll(ref2)
 	_, err1 := m1.Run()
 	diffStates(t, "patcher after COW patch", ref2, m1, errRef2, err1)
+
+	// Neither the patch nor the patcher's private compiles reached the
+	// image: the published loop trace is the same object, and every
+	// published trace is still a compile of the original text.
+	if img.traces[1].Load() != loop {
+		t.Fatal("the published loop trace was replaced")
+	}
+	if s := ImageTraceMismatch(img); s != "" {
+		t.Fatal(s)
+	}
 }
 
 // TestEngineSelection pins the engine flag surface: parsing, String, and
