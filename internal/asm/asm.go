@@ -24,6 +24,17 @@
 // .count. Synthetic instructions: set mov cmp tst clr inc dec neg not nop
 // ret retl jmp b<cond> call. %hi(sym) and %lo(sym) are supported where an
 // immediate may appear.
+//
+// Memory. Item lists are the largest thing a build keeps, so an Item is
+// packed to 128 bytes: one-byte kind, section and immediate selector, an
+// int32 line, and the payloads only .stabs and .ascii items use kept out of
+// line behind one pointer (Item.Sym, Item.Bytes). Units are read-only once
+// built: the rewriters and Assemble read their input units and build new
+// ones, so a parsed unit, the monitor library parse and the startup stub
+// are each shared by every build that uses them. A Program keeps none of
+// its units; it retains its resolved text, data initializers, symbols and
+// counter names, plus the machine image and data snapshot it builds on
+// first shared load.
 package asm
 
 import (
@@ -98,51 +109,101 @@ const (
 	ImmLo                 // low 10 bits
 )
 
-// Item is one statement in a parsed unit. Instructions may carry symbolic
-// references that the assembler resolves: TargetSym for branches and calls,
-// ImmSym (+ImmSel) for immediates naming data labels.
-type Item struct {
-	Kind ItemKind
+// Section is the assembler section an item belongs to. The zero value is
+// SectionText, the section a source starts in.
+type Section uint8
 
-	// ItemInstr
-	Instr     sparc.Instr
-	TargetSym string // branch/call target label
-	ImmSym    string // symbolic immediate (data or text label)
-	ImmSel    ImmSel
-	CountName string // event counter attached to this instruction
+const (
+	SectionText Section = iota
+	SectionData
+	SectionBSS
+)
 
-	// ItemLabel
-	Label string
-
-	// ItemWord
-	Word int32
-	// .word may also name a label whose address becomes the value.
-	WordSym string
-
-	// ItemSpace / ItemAlign
-	N int32
-
-	// ItemAscii
-	Bytes []byte
-
-	// ItemSymRec
-	Sym Sym
-
-	// Section this item was parsed in ("text", "data", "bss").
-	Section string
-
-	// Line number in the source, for diagnostics.
-	Line int
+func (s Section) String() string {
+	switch s {
+	case SectionText:
+		return "text"
+	case SectionData:
+		return "data"
+	case SectionBSS:
+		return "bss"
+	}
+	return "section?"
 }
 
-// Unit is a parsed assembly file: an ordered list of items.
+// Item is one statement in a parsed unit. Instructions may carry symbolic
+// references that the assembler resolves: TargetSym for branches and calls,
+// ImmSym (+ImmSel) for immediates naming data labels. The layout is packed
+// to 128 bytes (TestItemSize): the small fields share the first word, and
+// the .stabs record and .ascii bytes sit behind one pointer, read through
+// Sym and Bytes and shared by copies of the item.
+type Item struct {
+	Kind    ItemKind
+	Section Section // section the item was parsed in
+	ImmSel  ImmSel  // ItemInstr: how ImmSym folds into Instr.Imm
+	Line    int32   // line number in the source, for diagnostics
+
+	Instr sparc.Instr // ItemInstr
+	Word  int32       // ItemWord: the initialized value, when WordSym is empty
+	N     int32       // ItemSpace / ItemAlign: byte count or alignment
+
+	TargetSym string // ItemInstr: branch/call target label
+	ImmSym    string // ItemInstr: symbolic immediate (data or text label)
+	CountName string // ItemInstr: event counter attached to the instruction
+	Label     string // ItemLabel
+	WordSym   string // ItemWord: a label whose address becomes the value
+
+	rare *rarePayload // ItemSymRec, ItemAscii; nil for every other kind
+}
+
+// rarePayload holds what an ItemSymRec or ItemAscii item carries.
+type rarePayload struct {
+	sym   Sym
+	bytes []byte
+}
+
+// SymRecItem returns a .stabs item holding s.
+func SymRecItem(s Sym) Item {
+	return Item{Kind: ItemSymRec, rare: &rarePayload{sym: s}}
+}
+
+// AsciiItem returns an .ascii item holding b. The item keeps b; neither the
+// caller nor any reader may modify it afterwards.
+func AsciiItem(b []byte) Item {
+	return Item{Kind: ItemAscii, rare: &rarePayload{bytes: b}}
+}
+
+// Sym returns an ItemSymRec item's record, or the zero Sym for any other
+// kind.
+func (it *Item) Sym() Sym {
+	if it.rare == nil {
+		return Sym{}
+	}
+	return it.rare.sym
+}
+
+// Bytes returns an ItemAscii item's bytes, or nil for any other kind. The
+// slice is shared by every copy of the item and must not be modified.
+func (it *Item) Bytes() []byte {
+	if it.rare == nil {
+		return nil
+	}
+	return it.rare.bytes
+}
+
+// Unit is a parsed assembly file: an ordered list of items. Units are
+// read-only once built: patch.Apply, elim.Apply and Assemble read their
+// input units and build new ones, so one unit may feed any number of builds
+// on any number of goroutines, and results may share units (every patch and
+// elim result ends with the one parse of its monitor library).
 type Unit struct {
 	Name  string
 	Items []Item
 }
 
-// Clone returns a deep-enough copy of u for independent rewriting (Items are
-// copied; byte slices are shared since rewriters never mutate them).
+// Clone returns a copy of u for a caller that wants to rewrite items in
+// place. Items are copied at exact size; their out-of-line payloads are
+// shared, since they are immutable.
 func (u *Unit) Clone() *Unit {
 	nu := &Unit{Name: u.Name, Items: make([]Item, len(u.Items))}
 	copy(nu.Items, u.Items)
@@ -151,16 +212,16 @@ func (u *Unit) Clone() *Unit {
 
 type parser struct {
 	unit         *Unit
-	sect         string
-	line         int
+	sect         Section
+	line         int32
 	pendingCount string // set by .count, consumed by the next instruction
 }
 
 // Parse parses one assembly source file into a Unit.
 func Parse(name, src string) (*Unit, error) {
-	p := &parser{unit: &Unit{Name: name}, sect: "text"}
+	p := &parser{unit: &Unit{Name: name}}
 	for i, raw := range strings.Split(src, "\n") {
-		p.line = i + 1
+		p.line = int32(i + 1)
 		if err := p.parseLine(raw); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, p.line, err)
 		}
@@ -266,8 +327,12 @@ func (p *parser) parseDirective(s string) error {
 	rest = strings.TrimSpace(rest)
 	ops := splitOperands(rest)
 	switch name {
-	case ".text", ".data", ".bss":
-		p.sect = name[1:]
+	case ".text":
+		p.sect = SectionText
+	case ".data":
+		p.sect = SectionData
+	case ".bss":
+		p.sect = SectionBSS
 	case ".global":
 		// Visibility is not modelled; accepted for compatibility.
 	case ".word":
@@ -306,7 +371,7 @@ func (p *parser) parseDirective(s string) error {
 		if err != nil {
 			return fmt.Errorf("bad .ascii literal: %v", err)
 		}
-		p.emit(Item{Kind: ItemAscii, Bytes: []byte(lit)})
+		p.emit(AsciiItem([]byte(lit)))
 	case ".stabs":
 		return p.parseStabs(ops)
 	case ".count":
@@ -376,7 +441,7 @@ func (p *parser) parseStabs(ops []string) error {
 		}
 		sym.Func = fn
 	}
-	p.emit(Item{Kind: ItemSymRec, Sym: sym})
+	p.emit(SymRecItem(sym))
 	return nil
 }
 

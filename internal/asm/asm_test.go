@@ -1,8 +1,10 @@
 package asm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"databreak/internal/cache"
 	"databreak/internal/machine"
@@ -398,5 +400,86 @@ func TestUnitClone(t *testing.T) {
 	c.Items[1].Instr.Op = sparc.Unimp
 	if u.Items[1].Instr.Op == sparc.Unimp {
 		t.Fatal("Clone must not share item storage")
+	}
+}
+
+// TestItemSize pins the item layout: units are the largest thing a build
+// keeps, so an item must stay within 128 bytes.
+func TestItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(Item{}); n > 128 {
+		t.Fatalf("unsafe.Sizeof(Item{}) = %d, want <= 128", n)
+	}
+}
+
+// TestRarePayloads checks the out-of-line payloads: .stabs and .ascii items
+// carry their record and bytes, every other kind reads as empty, and a
+// clone reads the same.
+func TestRarePayloads(t *testing.T) {
+	u := MustParse("t.s", "main:\n nop\n .stabs \"x\", local, %fp-8, 4, \"main\"\n .data\nmsg: .ascii \"hi\"\n")
+	want := Sym{Name: "x", Kind: SymLocal, FpOff: -8, Size: 4, Func: "main"}
+	var sawSym, sawAscii bool
+	for i := range u.Items {
+		it := &u.Items[i]
+		switch it.Kind {
+		case ItemSymRec:
+			sawSym = true
+			if it.Sym() != want {
+				t.Errorf("Sym() = %+v, want %+v", it.Sym(), want)
+			}
+		case ItemAscii:
+			sawAscii = true
+			if string(it.Bytes()) != "hi" || it.Section != SectionData {
+				t.Errorf("ascii item = %q in %v, want \"hi\" in data", it.Bytes(), it.Section)
+			}
+		default:
+			if it.Sym() != (Sym{}) || it.Bytes() != nil {
+				t.Errorf("%v item carries a payload", it.Kind)
+			}
+		}
+	}
+	if !sawSym || !sawAscii {
+		t.Fatalf("parse lost a payload item: %+v", u.Items)
+	}
+	if c := u.Clone(); !reflect.DeepEqual(c, u) {
+		t.Fatal("Clone differs from its unit")
+	}
+}
+
+// TestAssembleLeavesUnitsUnchanged assembles a unit using every directive
+// and checks it is deep-equal, payload bytes included, to a copy taken
+// before: Assemble only reads its units, so one unit may feed any number of
+// builds.
+func TestAssembleLeavesUnitsUnchanged(t *testing.T) {
+	src := `
+main:
+	set table, %o0
+	st %g0, [%o0]
+	.count "c"
+	ld [%o0+4], %o1
+	retl
+	.stabs "main", func, main, 0
+	.stabs "table", global, table, 32
+	.data
+table:	.space 32
+msg:	.ascii "round\ttrip\n"
+	.align 8
+ptr:	.word table
+	.bss
+val:	.word -17
+`
+	u := MustParse("t.s", src)
+	want := MustParse("t.s", src)
+	if !reflect.DeepEqual(u, want) {
+		t.Fatal("two parses of one source differ")
+	}
+	p, err := Assemble(Options{AddStartup: true}, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(u, want) {
+		t.Fatal("Assemble changed its input unit")
+	}
+	if s, ok := p.LookupSym("table", ""); !ok || s.Addr != p.DataLabels["table"] {
+		t.Fatalf("table symbol = %+v, %v; want address %#x", s, ok, p.DataLabels["table"])
 	}
 }

@@ -12,10 +12,12 @@ import (
 // the tests verify. Tools (cmd/mrspatch) use it to emit patched assembly.
 func Format(u *Unit) string {
 	var b strings.Builder
-	sect := ""
-	for _, it := range u.Items {
-		if it.Section != sect && it.Kind != ItemSymRec {
-			sect = it.Section
+	var sect Section
+	started := false
+	for i := range u.Items {
+		it := &u.Items[i]
+		if (!started || it.Section != sect) && it.Kind != ItemSymRec {
+			sect, started = it.Section, true
 			fmt.Fprintf(&b, "\t.%s\n", sect)
 		}
 		switch it.Kind {
@@ -25,7 +27,7 @@ func Format(u *Unit) string {
 			if it.CountName != "" {
 				fmt.Fprintf(&b, "\t.count %q\n", it.CountName)
 			}
-			fmt.Fprintf(&b, "\t%s\n", FormatInstr(it))
+			fmt.Fprintf(&b, "\t%s\n", FormatInstr(*it))
 		case ItemWord:
 			if it.WordSym != "" {
 				fmt.Fprintf(&b, "\t.word %s\n", it.WordSym)
@@ -35,11 +37,11 @@ func Format(u *Unit) string {
 		case ItemSpace:
 			fmt.Fprintf(&b, "\t.space %d\n", it.N)
 		case ItemAscii:
-			fmt.Fprintf(&b, "\t.ascii %q\n", string(it.Bytes))
+			fmt.Fprintf(&b, "\t.ascii %q\n", string(it.Bytes()))
 		case ItemAlign:
 			fmt.Fprintf(&b, "\t.align %d\n", it.N)
 		case ItemSymRec:
-			s := it.Sym
+			s := it.Sym()
 			switch s.Kind {
 			case SymGlobal, SymFunc:
 				fmt.Fprintf(&b, "\t.stabs %q, %s, %s, %d\n", s.Name, s.Kind, s.Label, s.Size)

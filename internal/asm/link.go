@@ -42,12 +42,13 @@ type initWord struct {
 	isByte bool
 }
 
-// startupSrc calls main and exits with its return value.
-const startupSrc = `
+// startupUnit calls main and exits with its return value. Assemble only
+// reads it, so every program shares the one parse.
+var startupUnit = MustParse("__startup", `
 __start:
 	call main
 	ta 0
-`
+`)
 
 // Options controls assembly.
 type Options struct {
@@ -56,11 +57,11 @@ type Options struct {
 }
 
 // Assemble resolves one or more units into a Program. Units are concatenated
-// in order; labels are a single global namespace.
+// in order; labels are a single global namespace. The units are only read.
 func Assemble(opts Options, units ...*Unit) (*Program, error) {
 	all := units
 	if opts.AddStartup {
-		all = append([]*Unit{MustParse("__startup", startupSrc)}, units...)
+		all = append([]*Unit{startupUnit}, units...)
 	}
 
 	p := &Program{
@@ -77,7 +78,7 @@ func Assemble(opts Options, units ...*Unit) (*Program, error) {
 			it := &u.Items[i]
 			switch it.Kind {
 			case ItemLabel:
-				if it.Section == "text" {
+				if it.Section == SectionText {
 					if _, dup := p.TextLabels[it.Label]; dup {
 						return nil, fmt.Errorf("%s:%d: duplicate label %q", u.Name, it.Line, it.Label)
 					}
@@ -89,7 +90,7 @@ func Assemble(opts Options, units ...*Unit) (*Program, error) {
 					p.DataLabels[it.Label] = machine.DataBase + dataOff
 				}
 			case ItemInstr:
-				if it.Section != "text" {
+				if it.Section != SectionText {
 					return nil, fmt.Errorf("%s:%d: instruction outside .text", u.Name, it.Line)
 				}
 				textIdx++
@@ -98,7 +99,7 @@ func Assemble(opts Options, units ...*Unit) (*Program, error) {
 			case ItemSpace:
 				dataOff += uint32(it.N)
 			case ItemAscii:
-				dataOff += uint32(len(it.Bytes))
+				dataOff += uint32(len(it.Bytes()))
 			case ItemAlign:
 				n := uint32(it.N)
 				dataOff = (dataOff + n - 1) &^ (n - 1)
@@ -176,15 +177,16 @@ func Assemble(opts Options, units ...*Unit) (*Program, error) {
 			case ItemSpace:
 				dataOff += uint32(it.N)
 			case ItemAscii:
-				for j, b := range it.Bytes {
+				lit := it.Bytes()
+				for j, b := range lit {
 					p.dataInit = append(p.dataInit, initWord{addr: machine.DataBase + dataOff + uint32(j), val: int32(b), isByte: true})
 				}
-				dataOff += uint32(len(it.Bytes))
+				dataOff += uint32(len(lit))
 			case ItemAlign:
 				n := uint32(it.N)
 				dataOff = (dataOff + n - 1) &^ (n - 1)
 			case ItemSymRec:
-				sym := it.Sym
+				sym := it.Sym()
 				if sym.Kind == SymGlobal || sym.Kind == SymFunc {
 					addr, ok := resolve(sym.Label)
 					if !ok {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"databreak/internal/asm"
 	"databreak/internal/elim"
@@ -47,11 +48,39 @@ import (
 // Artifact is one cached build product. Exactly one pointer class is set
 // per entry kind: Unit for compiled workloads, Prog (plus Elim for
 // elimination rewrites) for assembled programs. All fields are immutable
-// once built; consumers must Clone units before rewriting them.
+// once built, units included (see asm.Unit).
 type Artifact struct {
 	Unit *asm.Unit
 	Prog *asm.Program
 	Elim *elim.Result
+}
+
+// sizeBytes is what the cache charges an artifact against its cap: a
+// compiled unit's items, a program's shared image and data snapshot
+// (which grow as machines first enter the image's heads), and an
+// elimination result's own units. The result's last unit, the monitor
+// library, is the one parse patch.SharedLibrary keeps for every result of
+// its configuration whether or not this entry stays, so it is not charged.
+func (a Artifact) sizeBytes() int64 {
+	var n int64
+	if a.Unit != nil {
+		n += unitBytes(a.Unit)
+	}
+	if a.Prog != nil {
+		n += int64(a.Prog.SizeBytes())
+	}
+	if a.Elim != nil && len(a.Elim.Units) > 0 {
+		for _, u := range a.Elim.Units[:len(a.Elim.Units)-1] {
+			n += unitBytes(u)
+		}
+	}
+	return n
+}
+
+// unitBytes is the size of u's item array, the part of a unit that scales
+// with the program.
+func unitBytes(u *asm.Unit) int64 {
+	return int64(len(u.Items)) * int64(unsafe.Sizeof(asm.Item{}))
 }
 
 type artifactEntry struct {
@@ -62,8 +91,8 @@ type artifactEntry struct {
 	// Eviction bookkeeping, all guarded by the cache mutex. key lets a
 	// post-build accounting pass verify the entry is still resident; bytes is
 	// the size last measured; elem is the entry's LRU position (nil until the
-	// build completes, and again after eviction). Only Prog-bearing entries
-	// join the LRU — units are small and shared by every downstream build.
+	// build completes, and again after eviction). Every successful build
+	// joins the LRU, compiled units included.
 	key   [sha256.Size]byte
 	bytes int64
 	elem  *list.Element
@@ -88,11 +117,11 @@ type ArtifactCache struct {
 	runHits   uint64
 	runMisses uint64
 
-	// Size bounding. capBytes <= 0 means unbounded. lru orders Prog-bearing
+	// Size bounding. capBytes <= 0 means unbounded. lru orders the built
 	// entries most-recently-used first. When their total size exceeds the
-	// cap, least-recently-used programs are dropped (never the one just
-	// touched) so a long-lived daemon serving many distinct workloads cannot
-	// grow without limit.
+	// cap, least-recently-used entries are dropped (never the one just
+	// touched) so a long-lived daemon serving many distinct workloads, or
+	// one workload at many scales, cannot grow without limit.
 	// Evicted entries simply leave the map — holders of the returned
 	// Artifact keep a valid immutable value; the next request rebuilds.
 	capBytes  int64
@@ -109,8 +138,8 @@ func NewArtifactCache() *ArtifactCache {
 	}
 }
 
-// SetCapBytes bounds the bytes retained by cached programs (shared images
-// plus data snapshots); n <= 0 removes the bound. Lowering the cap evicts
+// SetCapBytes bounds the bytes retained by cached artifacts (see
+// Artifact.sizeBytes); n <= 0 removes the bound. Lowering the cap evicts
 // immediately.
 func (c *ArtifactCache) SetCapBytes(n int64) {
 	c.mu.Lock()
@@ -119,12 +148,12 @@ func (c *ArtifactCache) SetCapBytes(n int64) {
 	c.evict()
 }
 
-// evict re-measures the resident programs, then drops least-recently-used
+// evict re-measures the resident entries, then drops least-recently-used
 // ones until the total fits the cap. Re-measuring keeps the bound honest: a
 // program's image keeps growing after admission as machines first enter its
 // heads (machine.Image.SizeBytes), so a size charged once would under-count.
 // It costs O(entries), since SizeBytes is O(1). The MRU entry always
-// survives, so a single program larger than the cap still caches (the
+// survives, so a single artifact larger than the cap still caches (the
 // alternative is rebuilding it on every request). Callers must hold c.mu.
 func (c *ArtifactCache) evict() {
 	if c.capBytes <= 0 {
@@ -133,7 +162,7 @@ func (c *ArtifactCache) evict() {
 	var total int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*artifactEntry)
-		e.bytes = int64(e.art.Prog.SizeBytes())
+		e.bytes = e.art.sizeBytes()
 		total += e.bytes
 	}
 	for total > c.capBytes && c.lru.Len() > 1 {
@@ -147,7 +176,7 @@ func (c *ArtifactCache) evict() {
 	}
 }
 
-// account enters a completed Prog build into the LRU (idempotent; a racing
+// account enters a completed build into the LRU (idempotent; a racing
 // eviction wins) and enforces the cap.
 func (c *ArtifactCache) account(e *artifactEntry) {
 	c.mu.Lock()
@@ -169,13 +198,15 @@ type ArtifactStats struct {
 	RunHits   uint64 `json:"run_hits"`
 	RunMisses uint64 `json:"run_misses"`
 	Runs      int    `json:"runs"`
-	// Bytes estimates host memory retained by cached programs (shared
-	// images + data snapshots); TraceBytes is the portion of Bytes held by
-	// compiled trace streams — the part that scales with the text machines
-	// have actually entered rather than program size, broken out so a cap
-	// tuned against real footprint can see what the trace tier costs. Both
-	// grow as cached programs run. CapBytes is the configured bound (0 =
-	// unbounded) and Evictions counts programs dropped to enforce it.
+	// Bytes estimates host memory retained by the cached artifacts: the
+	// item arrays of compiled units and of elimination results' own units,
+	// plus each program's shared image and data snapshot. TraceBytes is
+	// the portion of Bytes held by compiled trace streams — the part that
+	// scales with the text machines have actually entered rather than
+	// program size, broken out so a cap tuned against real footprint can
+	// see what the trace tier costs. Both grow as cached programs run.
+	// CapBytes is the configured bound (0 = unbounded) and Evictions counts
+	// entries dropped to enforce it.
 	Bytes      int64  `json:"bytes"`
 	TraceBytes int64  `json:"trace_bytes"`
 	CapBytes   int64  `json:"cap_bytes,omitempty"`
@@ -191,11 +222,12 @@ func (c *ArtifactCache) Stats() ArtifactStats {
 		RunHits: c.runHits, RunMisses: c.runMisses, Runs: len(c.runs),
 		CapBytes: c.capBytes, Evictions: c.evictions,
 	}
-	for _, e := range c.entries {
-		// Only count completed builds; entries mid-build race with their
-		// once and are counted on the next Stats call.
+	// Only builds that joined the LRU are complete; an entry mid-build is
+	// counted on the next Stats call.
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*artifactEntry)
+		st.Bytes += e.art.sizeBytes()
 		if e.art.Prog != nil {
-			st.Bytes += int64(e.art.Prog.SizeBytes())
 			st.TraceBytes += int64(e.art.Prog.TraceBytes())
 		}
 	}
@@ -220,7 +252,7 @@ func (c *ArtifactCache) do(key [sha256.Size]byte, build func() (Artifact, error)
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.art, e.err = build() })
-	if e.err == nil && e.art.Prog != nil {
+	if e.err == nil {
 		c.account(e)
 	}
 	return e.art, e.err

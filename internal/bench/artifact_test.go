@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"databreak/internal/asm"
+	"databreak/internal/elim"
 	"databreak/internal/minic"
 	"databreak/internal/monitor"
 	"databreak/internal/patch"
@@ -201,5 +203,71 @@ func TestArtifactCacheAccountsImageGrowth(t *testing.T) {
 	}
 	if !rebuilt {
 		t.Fatal("the least recently used program survived the eviction")
+	}
+}
+
+// TestArtifactCacheBoundsUnits attaches one workload at many scales through
+// ProgramSource, as an mrsd client may, under a cap smaller than any
+// artifact. Every scale compiles a new unit; the cap must evict the units
+// along with the programs built from them, so at most the newest program
+// and its unit stay resident.
+func TestArtifactCacheBoundsUnits(t *testing.T) {
+	c := NewArtifactCache()
+	c.SetCapBytes(1)
+	cfg := DefaultConfig()
+	cfg.Artifacts = c
+	source := cfg.ProgramSource()
+	const scales = 40
+	for scale := 1; scale <= scales; scale++ {
+		if _, err := source("eqntott", scale, patch.BitmapInlineRegisters); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Entries > 2 {
+			t.Fatalf("after scale %d: %d resident entries, want at most 2 (%+v)", scale, st.Entries, st)
+		}
+	}
+	if st := c.Stats(); st.Evictions < 2*scales-2 {
+		t.Fatalf("%d evictions after %d scales, want every older unit and program evicted", st.Evictions, scales)
+	}
+}
+
+// TestArtifactCacheCountsUnits checks what Stats().Bytes charges the
+// entries that hold units: a compiled unit its item array, and an
+// elimination build its program plus the rewritten units and patch area,
+// but not the monitor library every result of its configuration shares.
+func TestArtifactCacheCountsUnits(t *testing.T) {
+	itemSize := int64(unsafe.Sizeof(asm.Item{}))
+	p, ok := workload.ByName("eqntott", 1)
+	if !ok {
+		t.Fatal("eqntott workload missing")
+	}
+	cfg := DefaultConfig()
+	cfg.Artifacts = NewArtifactCache()
+	u, err := cfg.unitFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfg.Artifacts.Stats().Bytes, int64(len(u.Items))*itemSize; got != want {
+		t.Fatalf("a compiled unit is charged %d bytes, want %d", got, want)
+	}
+	prog, res, err := cfg.elimProgram(p.Source, u, elim.Full, monitor.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := patch.SharedLibrary(monitor.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(u.Items))*itemSize + int64(prog.SizeBytes())
+	for _, eu := range res.Units {
+		if eu != lib {
+			want += int64(len(eu.Items)) * itemSize
+		}
+	}
+	if len(res.Units) < 3 || res.Units[len(res.Units)-1] != lib {
+		t.Fatalf("elimination result does not end with the shared library: %d units", len(res.Units))
+	}
+	if got := cfg.Artifacts.Stats().Bytes; got != want {
+		t.Fatalf("unit plus elimination build charged %d bytes, want %d", got, want)
 	}
 }

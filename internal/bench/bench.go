@@ -115,8 +115,9 @@ func Compile(p workload.Program) (*asm.Unit, error) {
 }
 
 // unitFor is the cached form of Compile. The returned unit may be shared
-// with other cells and sessions: treat it as read-only and Clone before
-// rewriting.
+// with other cells and sessions; like every unit it is read-only, and the
+// builds below pass it straight to patch.Apply, elim.Apply and
+// asm.Assemble, which only read their inputs.
 func (c Config) unitFor(p workload.Program) (*asm.Unit, error) {
 	art, err := c.artifact(p.Source, "unit", func() (Artifact, error) {
 		u, err := Compile(p)
@@ -128,7 +129,7 @@ func (c Config) unitFor(p workload.Program) (*asm.Unit, error) {
 // baselineProgram assembles the unpatched unit, once per distinct source.
 func (c Config) baselineProgram(src string, u *asm.Unit) (*asm.Program, error) {
 	art, err := c.artifact(src, "baseline", func() (Artifact, error) {
-		prog, err := asm.Assemble(asm.Options{AddStartup: true}, u.Clone())
+		prog, err := asm.Assemble(asm.Options{AddStartup: true}, u)
 		return Artifact{Prog: prog}, err
 	})
 	return art.Prog, err
@@ -140,7 +141,7 @@ func (c Config) baselineProgram(src string, u *asm.Unit) (*asm.Program, error) {
 // share one artifact because only their run configuration differs.
 func (c Config) patchedProgram(src string, u *asm.Unit, popts patch.Options) (*asm.Program, error) {
 	art, err := c.artifact(src, descPatch(popts), func() (Artifact, error) {
-		res, err := patch.Apply(popts, u.Clone())
+		res, err := patch.Apply(popts, u)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -157,7 +158,7 @@ func (c Config) patchedProgram(src string, u *asm.Unit, popts patch.Options) (*a
 // the shared image first.
 func (c Config) elimProgram(src string, u *asm.Unit, mode elim.Mode, mcfg monitor.Config) (*asm.Program, *elim.Result, error) {
 	art, err := c.artifact(src, descElim(mode, mcfg), func() (Artifact, error) {
-		res, err := elim.Apply(elim.Options{Mode: mode, Monitor: mcfg}, u.Clone())
+		res, err := elim.Apply(elim.Options{Mode: mode, Monitor: mcfg}, u)
 		if err != nil {
 			return Artifact{}, err
 		}

@@ -118,8 +118,7 @@ feed:
 
 // prepped is a workload ready for the variant cells: compiled once, with its
 // baseline run (the denominator of every overhead column) measured once. The
-// unit may come from the shared artifact cache — cells must Clone it before
-// rewriting.
+// unit may come from the shared artifact cache and is read-only.
 type prepped struct {
 	prog workload.Program
 	unit *asm.Unit
@@ -148,8 +147,8 @@ func (c Config) prepare(programs []workload.Program, what string, needBase bool)
 
 // matrix fans fn over every (program, variant) cell — the benchmark grid —
 // and returns results as rows[program][variant]. Cells are independent:
-// each clones the prepped unit before rewriting, so any interleaving
-// produces the same grid.
+// each builds new units from the read-only prepped one, so any
+// interleaving produces the same grid.
 func matrix[T any](cfg Config, preps []prepped, nVar int, fn func(p prepped, v int) (T, error)) ([][]T, error) {
 	flat, err := parallelMap(cfg, len(preps)*nVar, func(k int) (T, error) {
 		return fn(preps[k/nVar], k%nVar)

@@ -27,7 +27,7 @@ func analyze(t *testing.T, csrc, fn string) (*ir.Info, *cfg.Func, []*LoopInfo) {
 	var syms []asm.Sym
 	for _, it := range u.Items {
 		if it.Kind == asm.ItemSymRec {
-			syms = append(syms, it.Sym)
+			syms = append(syms, it.Sym())
 		}
 	}
 	for _, f := range fns {

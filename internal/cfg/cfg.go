@@ -64,8 +64,8 @@ func (l *Loop) Contains(b int) bool { return l.Blocks[b] }
 func SplitFunctions(u *asm.Unit) ([]*Func, error) {
 	// Collect function names and label positions.
 	labelPos := make(map[string]int)
-	for i, it := range u.Items {
-		if it.Kind == asm.ItemLabel {
+	for i := range u.Items {
+		if it := &u.Items[i]; it.Kind == asm.ItemLabel {
 			labelPos[it.Label] = i
 		}
 	}
@@ -74,13 +74,17 @@ func SplitFunctions(u *asm.Unit) ([]*Func, error) {
 		pos  int
 	}
 	var fns []fn
-	for _, it := range u.Items {
-		if it.Kind == asm.ItemSymRec && it.Sym.Kind == asm.SymFunc {
-			pos, ok := labelPos[it.Sym.Label]
-			if !ok {
-				return nil, fmt.Errorf("cfg: func record %q names unknown label", it.Sym.Name)
+	for i := range u.Items {
+		if it := &u.Items[i]; it.Kind == asm.ItemSymRec {
+			sym := it.Sym()
+			if sym.Kind != asm.SymFunc {
+				continue
 			}
-			fns = append(fns, fn{it.Sym.Name, pos})
+			pos, ok := labelPos[sym.Label]
+			if !ok {
+				return nil, fmt.Errorf("cfg: func record %q names unknown label", sym.Name)
+			}
+			fns = append(fns, fn{sym.Name, pos})
 		}
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].pos < fns[j].pos })

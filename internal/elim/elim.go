@@ -97,7 +97,11 @@ type Options struct {
 	CheckReads bool
 }
 
-// Result is the rewritten program plus the site registry.
+// Result is the rewritten program plus the site registry. Units holds the
+// rewritten program units, the patch area (when any site was eliminated)
+// and the monitor library, in assembly order; the library unit is the one
+// parse patch.SharedLibrary keeps for the configuration, shared with every
+// other result, and like every unit it is read-only.
 type Result struct {
 	Units       []*asm.Unit
 	Sites       []Site
@@ -176,11 +180,11 @@ func Apply(opts Options, units ...*asm.Unit) (*Result, error) {
 	if len(rw.patch) > 0 {
 		pu := &asm.Unit{Name: "__mrs_patch_area", Items: make([]asm.Item, 0, 1+len(rw.patch))}
 		pu.Items = append(pu.Items,
-			asm.Item{Kind: asm.ItemInstr, Instr: sparc.Instr{Op: sparc.Unimp}, Section: "text"})
+			asm.Item{Kind: asm.ItemInstr, Instr: sparc.Instr{Op: sparc.Unimp}, Section: asm.SectionText})
 		pu.Items = append(pu.Items, rw.patch...)
 		rw.res.Units = append(rw.res.Units, pu)
 	}
-	lib, err := patch.Library(opts.Monitor)
+	lib, err := patch.SharedLibrary(opts.Monitor)
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +207,9 @@ type decision struct {
 
 func (rw *rewriter) rewriteUnit(u *asm.Unit) (*asm.Unit, error) {
 	var syms []asm.Sym
-	for _, it := range u.Items {
-		if it.Kind == asm.ItemSymRec {
-			syms = append(syms, it.Sym)
+	for i := range u.Items {
+		if it := &u.Items[i]; it.Kind == asm.ItemSymRec {
+			syms = append(syms, it.Sym())
 		}
 	}
 	fns, err := cfg.SplitFunctions(u)
@@ -264,7 +268,7 @@ func (rw *rewriter) rewriteUnit(u *asm.Unit) (*asm.Unit, error) {
 
 	// Emit the rewritten unit.
 	nu := &asm.Unit{Name: u.Name + "+elim"}
-	emitSrc := func(section, src string) {
+	emitSrc := func(section asm.Section, src string) {
 		gu := rw.parseGen(src)
 		for _, it := range gu.Items {
 			it.Section = section
@@ -351,7 +355,7 @@ func (rw *rewriter) emitSite(nu *asm.Unit, it asm.Item, d *decision) {
 
 	// Patch block: the displaced store, its check, and the return branch. A
 	// clobbering load's check goes first (see patch.LoadClobbersAddress).
-	rw.patch = append(rw.patch, asm.Item{Kind: asm.ItemLabel, Label: sitePatchLabel(id), Section: "text"})
+	rw.patch = append(rw.patch, asm.Item{Kind: asm.ItemLabel, Label: sitePatchLabel(id), Section: asm.SectionText})
 	st := it
 	st.CountName = counter
 	c := rw.check(it.Instr)
@@ -359,7 +363,7 @@ func (rw *rewriter) emitSite(nu *asm.Unit, it asm.Item, d *decision) {
 	if !before {
 		rw.patch = append(rw.patch, st)
 	}
-	rw.patch = c.AppendTo(rw.patch, rw.nextID(), "text")
+	rw.patch = c.AppendTo(rw.patch, rw.nextID(), asm.SectionText)
 	if before {
 		rw.patch = append(rw.patch, st)
 	}
@@ -367,7 +371,7 @@ func (rw *rewriter) emitSite(nu *asm.Unit, it asm.Item, d *decision) {
 		Kind:      asm.ItemInstr,
 		Instr:     sparc.Instr{Op: sparc.Br, Cond: sparc.BA},
 		TargetSym: siteRetLabel(id),
-		Section:   "text",
+		Section:   asm.SectionText,
 	})
 }
 

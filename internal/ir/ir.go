@@ -765,8 +765,8 @@ func convertibleSlots(pass1 *Info, f *cfg.Func, syms []asm.Sym) []Slot {
 		}
 	}
 	// Globals whose address is materialized in static data escape too.
-	for _, it := range f.Unit.Items {
-		if it.Kind == asm.ItemWord && it.WordSym != "" {
+	for i := range f.Unit.Items {
+		if it := &f.Unit.Items[i]; it.Kind == asm.ItemWord && it.WordSym != "" {
 			globalEscaped[it.WordSym] = true
 		}
 	}

@@ -26,7 +26,7 @@ func buildFunc(t *testing.T, csrc, fn string) (*Info, *cfg.Func, *asm.Unit) {
 	var syms []asm.Sym
 	for _, it := range u.Items {
 		if it.Kind == asm.ItemSymRec {
-			syms = append(syms, it.Sym)
+			syms = append(syms, it.Sym())
 		}
 	}
 	for _, f := range fns {

@@ -40,7 +40,7 @@ func workloadAccesses(t *testing.T) []sparc.Instr {
 
 // wantCheckItems is the text path NewCheck replaces: CheckText's rendering,
 // parsed, placed in section.
-func wantCheckItems(t *testing.T, opts Options, st sparc.Instr, wt WriteType, id int, section string) []asm.Item {
+func wantCheckItems(t *testing.T, opts Options, st sparc.Instr, wt WriteType, id int, section asm.Section) []asm.Item {
 	t.Helper()
 	u, err := asm.Parse("__gen", CheckText(opts, st, wt, id))
 	if err != nil {
@@ -80,8 +80,8 @@ func TestCheckMatchesParsedText(t *testing.T) {
 							t.Fatalf("%v %+v: %v", strat, st, err)
 						}
 						for _, id := range ids {
-							want := wantCheckItems(t, opts, st, wt, id, "text")
-							got := c.AppendTo(nil, id, "text")
+							want := wantCheckItems(t, opts, st, wt, id, asm.SectionText)
+							got := c.AppendTo(nil, id, asm.SectionText)
 							if c.Len() != len(got) || !reflect.DeepEqual(got, want) {
 								t.Fatalf("%v flags=%v skip=%v %v %+v id %d:\ngot  %+v\nwant %+v",
 									strat, flags, skip, wt, st, id, got, want)
@@ -106,17 +106,17 @@ func TestCheckAppendsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := []asm.Item{{Kind: asm.ItemLabel, Label: "before", Section: "data"}}
-	got := c.AppendTo(head[:1:1], 3, "data")
-	want := append([]asm.Item{head[0]}, wantCheckItems(t, opts, st, WriteHeap, 3, "data")...)
+	head := []asm.Item{{Kind: asm.ItemLabel, Label: "before", Section: asm.SectionData}}
+	got := c.AppendTo(head[:1:1], 3, asm.SectionData)
+	want := append([]asm.Item{head[0]}, wantCheckItems(t, opts, st, WriteHeap, 3, asm.SectionData)...)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got  %+v\nwant %+v", got, want)
 	}
-	again := c.AppendTo(nil, 4, "text")
-	if !reflect.DeepEqual(again, wantCheckItems(t, opts, st, WriteHeap, 4, "text")) {
+	again := c.AppendTo(nil, 4, asm.SectionText)
+	if !reflect.DeepEqual(again, wantCheckItems(t, opts, st, WriteHeap, 4, asm.SectionText)) {
 		t.Fatal("a placed sequence changed the shared shape")
 	}
-	if (Check{}).Len() != 0 || len((Check{}).AppendTo(nil, 1, "text")) != 0 {
+	if (Check{}).Len() != 0 || len((Check{}).AppendTo(nil, 1, asm.SectionText)) != 0 {
 		t.Fatal("the zero Check places items")
 	}
 }

@@ -164,7 +164,9 @@ type Options struct {
 // Result is the outcome of patching.
 type Result struct {
 	// Units holds the rewritten program units followed by the monitor
-	// library; assemble them in this order.
+	// library; assemble them in this order. The library unit is the one
+	// parse SharedLibrary keeps for the configuration, shared with every
+	// other result: like every unit, it is read-only.
 	Units []*asm.Unit
 	// StaticWrites is the number of write instructions patched.
 	StaticWrites int
@@ -214,7 +216,7 @@ func Apply(opts Options, units ...*asm.Unit) (*Result, error) {
 		p.res.Units = append(p.res.Units, nu)
 	}
 	if p.checks() {
-		lib, err := Library(opts.Monitor)
+		lib, err := SharedLibrary(opts.Monitor)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +308,7 @@ func (p *patcher) patchUnit(u *asm.Unit) (*asm.Unit, error) {
 
 func (p *patcher) emit(it asm.Item) { p.out = append(p.out, it) }
 
-func instrItem(in sparc.Instr, section string) asm.Item {
+func instrItem(in sparc.Instr, section asm.Section) asm.Item {
 	return asm.Item{Kind: asm.ItemInstr, Instr: in, Section: section}
 }
 
@@ -413,7 +415,7 @@ func bssVarOrHeap(items []asm.Item, idx int, base sparc.Reg) WriteType {
 }
 
 // emitCheck places an access's check sequence under the next check id.
-func (p *patcher) emitCheck(c Check, section string) {
+func (p *patcher) emitCheck(c Check, section asm.Section) {
 	p.out = c.AppendTo(p.out, p.nextID, section)
 	p.nextID++
 }
@@ -604,23 +606,34 @@ func CheckText(opts Options, st sparc.Instr, wt WriteType, id int) string {
 // which bounds the map.
 var libraries sync.Map
 
-// Library returns the monitor library for cfg as a parsed unit the caller
-// may rewrite. The library is generated and parsed once per configuration;
-// each call returns a clone.
-func Library(cfg monitor.Config) (*asm.Unit, error) {
-	v, ok := libraries.Load(cfg)
-	if !ok {
-		src, err := monitor.LibrarySource(cfg)
-		if err != nil {
-			return nil, err
-		}
-		u, err := asm.Parse("__mrslib", src)
-		if err != nil {
-			return nil, fmt.Errorf("patch: generated monitor library does not parse: %w", err)
-		}
-		v, _ = libraries.LoadOrStore(cfg, u)
+// SharedLibrary returns the monitor library for cfg, generated and parsed
+// once per configuration and stored at exact size. Every call, and every
+// Apply result for cfg, returns the same unit: it is read-only. A caller
+// that rewrites the library uses Library.
+func SharedLibrary(cfg monitor.Config) (*asm.Unit, error) {
+	if v, ok := libraries.Load(cfg); ok {
+		return v.(*asm.Unit), nil
 	}
-	return v.(*asm.Unit).Clone(), nil
+	src, err := monitor.LibrarySource(cfg)
+	if err != nil {
+		return nil, err
+	}
+	u, err := asm.Parse("__mrslib", src)
+	if err != nil {
+		return nil, fmt.Errorf("patch: generated monitor library does not parse: %w", err)
+	}
+	v, _ := libraries.LoadOrStore(cfg, u.Clone())
+	return v.(*asm.Unit), nil
+}
+
+// Library returns the monitor library for cfg as a parsed unit the caller
+// may rewrite: a clone of the SharedLibrary unit.
+func Library(cfg monitor.Config) (*asm.Unit, error) {
+	u, err := SharedLibrary(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return u.Clone(), nil
 }
 
 // Check is one access's check sequence, parsed and ready to place: the
@@ -703,7 +716,8 @@ func NewCheck(opts Options, st sparc.Instr, wt WriteType) (Check, error) {
 	if err != nil {
 		return Check{}, err
 	}
-	sh := &checkShape{items: u.Items, immAt: -1}
+	// Shapes live as long as the process, so store the items at exact size.
+	sh := &checkShape{items: u.Clone().Items, immAt: -1}
 	for i := range sh.items {
 		it := &sh.items[i]
 		if st.UseImm && sh.immAt < 0 && it.Kind == asm.ItemInstr &&
@@ -731,7 +745,7 @@ func (c Check) Len() int {
 
 // AppendTo appends the check sequence to dst under check id, every item in
 // the given section.
-func (c Check) AppendTo(dst []asm.Item, id int, section string) []asm.Item {
+func (c Check) AppendTo(dst []asm.Item, id int, section asm.Section) []asm.Item {
 	if c.shape == nil {
 		return dst
 	}

@@ -26,7 +26,7 @@ func matchesFor(t *testing.T, csrc, fn string) (map[int]Match, *cfg.Func) {
 	var syms []asm.Sym
 	for _, it := range u.Items {
 		if it.Kind == asm.ItemSymRec {
-			syms = append(syms, it.Sym)
+			syms = append(syms, it.Sym())
 		}
 	}
 	for _, f := range fns {
@@ -135,7 +135,7 @@ pad: .word 0
 	var syms []asm.Sym
 	for _, it := range u.Items {
 		if it.Kind == asm.ItemSymRec {
-			syms = append(syms, it.Sym)
+			syms = append(syms, it.Sym())
 		}
 	}
 	ms := MatchStores(ir.Build(fns[0], syms), syms)
