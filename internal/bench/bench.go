@@ -34,15 +34,6 @@ type Config struct {
 	// creates (mrsbench -engine). The zero value is machine.EngineTrace;
 	// simulated counts are engine-independent, so this only moves host time.
 	Engine machine.Engine
-	// HotThreshold and BrProfMin override the trace/closure tier's tuning
-	// knobs on every machine the harness creates (mrsbench/mrsd
-	// -hot-threshold / -brprof-min): the per-head dispatch count that
-	// triggers lazy trace compilation of private text, and the branch-site
-	// execution count below which the edge profile defers to static
-	// prediction. <= 0 keeps the machine defaults (64 / 8). Like Engine,
-	// simulated counts are independent of either setting.
-	HotThreshold int
-	BrProfMin    int
 	// Workers is the number of benchmark cells executed concurrently; <= 0
 	// means runtime.GOMAXPROCS(0). Results are independent of the setting:
 	// every table driver collects cells in deterministic input order.
@@ -92,12 +83,6 @@ type Run struct {
 func (c Config) newMachine() *machine.Machine {
 	m := machine.New(c.Cache, c.Costs)
 	m.SetEngine(c.Engine)
-	if c.HotThreshold > 0 {
-		m.SetHotThreshold(c.HotThreshold)
-	}
-	if c.BrProfMin > 0 {
-		m.SetBrProfMin(c.BrProfMin)
-	}
 	return m
 }
 

@@ -65,12 +65,6 @@ func HostPerf(cfg Config, runs int) ([]HostPerfRow, error) {
 			start := time.Now()
 			m := machine.New(cfg.Cache, cfg.Costs)
 			m.SetEngine(e)
-			if cfg.HotThreshold > 0 {
-				m.SetHotThreshold(cfg.HotThreshold)
-			}
-			if cfg.BrProfMin > 0 {
-				m.SetBrProfMin(cfg.BrProfMin)
-			}
 			prog.LoadShared(m)
 			if _, err := m.Run(); err != nil {
 				return nil, fmt.Errorf("hostperf %s: %w", e, err)

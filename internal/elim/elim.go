@@ -143,6 +143,8 @@ func (rw *rewriter) check(in sparc.Instr) patch.Check {
 }
 
 // parseGen parses generated assembly, recording (not panicking on) failure.
+// The items' strings are cloned: as substrings of src, they would keep the
+// whole generated text alive as long as the result keeps its units.
 func (rw *rewriter) parseGen(src string) *asm.Unit {
 	u, err := asm.Parse("__gen", src)
 	if err != nil {
@@ -150,6 +152,14 @@ func (rw *rewriter) parseGen(src string) *asm.Unit {
 			rw.err = fmt.Errorf("elim: generated check sequence does not parse: %w", err)
 		}
 		return &asm.Unit{Name: "__gen"}
+	}
+	for i := range u.Items {
+		it := &u.Items[i]
+		it.TargetSym = strings.Clone(it.TargetSym)
+		it.ImmSym = strings.Clone(it.ImmSym)
+		it.CountName = strings.Clone(it.CountName)
+		it.Label = strings.Clone(it.Label)
+		it.WordSym = strings.Clone(it.WordSym)
 	}
 	return u
 }

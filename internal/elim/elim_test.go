@@ -2,6 +2,7 @@ package elim
 
 import (
 	"testing"
+	"unsafe"
 
 	"databreak/internal/asm"
 	"databreak/internal/cache"
@@ -9,6 +10,7 @@ import (
 	"databreak/internal/minic"
 	"databreak/internal/monitor"
 	"databreak/internal/patch"
+	"databreak/internal/sparc"
 )
 
 type world struct {
@@ -454,6 +456,37 @@ func TestResultUnitsExactSize(t *testing.T) {
 			if cap(u.Items) != len(u.Items) {
 				t.Errorf("%v: unit %s has %d items in capacity %d", mode, u.Name, len(u.Items), cap(u.Items))
 			}
+		}
+	}
+}
+
+// TestGeneratedItemsOwnTheirStrings checks that no string field of an item
+// parsed from generated check text shares bytes with that text, so a
+// retained Result does not pin the generated buffers.
+func TestGeneratedItemsOwnTheirStrings(t *testing.T) {
+	rw := &rewriter{opts: Options{Monitor: monitor.DefaultConfig}, res: &Result{}}
+	jmpl := sparc.Instr{Op: sparc.Jmpl, Rd: sparc.G0, Rs1: sparc.I7, Imm: 8, UseImm: true}
+	for _, src := range []string{rw.fpCheckText(true), rw.fpCheckText(false), rw.jmpCheckText(jmpl)} {
+		u := rw.parseGen(src)
+		if rw.err != nil {
+			t.Fatal(rw.err)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		hi := lo + uintptr(len(src))
+		fields := 0
+		for _, it := range u.Items {
+			for _, f := range []string{it.TargetSym, it.ImmSym, it.CountName, it.Label, it.WordSym} {
+				if f == "" {
+					continue
+				}
+				fields++
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(f))); p >= lo && p < hi {
+					t.Errorf("item string %q shares bytes with its generated source", f)
+				}
+			}
+		}
+		if fields == 0 {
+			t.Fatalf("generated text %q parsed to no string fields", src)
 		}
 	}
 }

@@ -290,20 +290,6 @@ dispatch:
 					m.cycles += m.costs.TakenBranch
 					next = head.s2i
 				}
-				// Edge profile for the trace tier (trace.go): every branch
-				// the dispatcher executes before its enclosing head compiles
-				// contributes measured bias; once traces cover the hot paths
-				// this site runs cold. Saturating, so the counts never wrap.
-				if m.brProf != nil {
-					if p := m.brProf[pc]; p&0xffff != 0xffff {
-						if taken {
-							p += 1<<16 | 1
-						} else {
-							p++
-						}
-						m.brProf[pc] = p
-					}
-				}
 			case sparc.Call:
 				m.regs[sparc.O7] = int32(TextBase) + (pc+1)*4
 				m.cycles += m.costs.TakenBranch
@@ -346,9 +332,8 @@ dispatch:
 		// engine is active, so the whole tier costs one nil check under
 		// EngineBlock. A compiled trace is entered only when a full pass fits
 		// in the remaining budget — otherwise the block path below clamps the
-		// tail bit-exactly. Heads without a trace bump their hotness counter
-		// (private text), or, at a marked image head, compile on this first
-		// entry and re-dispatch to enter it.
+		// tail bit-exactly. A marked head without a trace compiles on this
+		// first entry and re-dispatches to enter it.
 		if ts := m.traces; ts != nil {
 			if tr := ts[pc].Load(); tr != nil {
 				if cs := m.cls; cs != nil {
@@ -374,10 +359,8 @@ dispatch:
 					}
 					continue
 				}
-			} else if m.hot != nil {
-				m.noteHot(pc)
-			} else if m.img.heads.has(pc) {
-				m.img.compileHead(&m.tb, pc)
+			} else if m.heads.has(pc) {
+				m.compileHead(pc)
 				continue
 			}
 		}

@@ -71,8 +71,8 @@
 // cache statistics, event counters, and fault points bit-identical to Step.
 // Patch safety reuses the trace tier's contract verbatim: spans + textGen (a
 // hooked store or load that patches text exits at the access boundary), and COW
-// privatization drops this machine's closures only (invalidateTraces nils
-// cls alongside traces; syncTraceState rebuilds both slices).
+// privatization copies the image's closures alongside its traces into this
+// machine's own slots, where invalidateTraces nils a closure with its trace.
 package machine
 
 import (
@@ -351,22 +351,9 @@ func dataSlow2V(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imas
 	return curIL, curDL, cyc, conv
 }
 
-// stop commits n instructions (cyc dynamic cycles plus the folded base) and
-// returns control to the dispatcher at npc — budget exhaustion and
-// store-boundary patch exits.
-//
-//go:noinline
-func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {
-	s.inst += n
-	s.cycs += cyc + s.base*n
-	s.rem -= n
-	s.npc = npc
-	return nil, curIL, curDL, ihits, ccb
-}
-
 // exitNext is the cold tail of a trace side exit: commit n instructions and
 // resolve the next-closure pointer registered at npc (threading it, and at a
-// marked image head compiling its trace, on first entry) when a full pass
+// marked head compiling its trace, on first entry) when a full pass
 // fits the remaining budget. The caller hops to the returned trace
 // in-function — the whole point of the closure tier: a linked exit is a
 // pointer swap and a branch, never a call-frame round-trip. A nil return
@@ -382,8 +369,8 @@ func (s *cst) exitNext(cyc, n int64, npc int32) *closProg {
 		if next == nil {
 			m := s.m
 			tr := m.traces[npc].Load()
-			if tr == nil && m.hot == nil && m.img.heads.has(npc) {
-				tr = m.img.compileHead(&m.tb, npc)
+			if tr == nil && m.heads.has(npc) {
+				tr = m.compileHead(npc)
 			}
 			if tr != nil {
 				next = m.closureAt(npc, tr)
@@ -458,6 +445,16 @@ func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp 
 	s.npc = pc
 	s.err = &Fault{PC: pc, Instr: s.m.text[pc], Reason: fmt.Sprintf(format, args...)}
 	return nil, curIL, curDL, 0, ccb
+}
+
+// jmplFault faults a settled jmpl item whose target leaves the text: the
+// jmpl has been fetched and counted, so it commits as Step does, the rd
+// write and then the fault.
+//
+//go:noinline
+func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, items []ritem, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
+	s.m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
+	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, items, it, 0, 0, badJumpFormat(dest), dest)
 }
 
 // ccAddBits/ccSubBits/ccLogicBits compute the packed condition codes the
@@ -545,14 +542,18 @@ func (m *Machine) compileClosures(tr *traceProg) *closProg {
 		memx:  m.costs.MemExtra,
 	}
 
-	items := make([]ritem, 0, len(tr.ops)+4)
-	cold := make([]rcold, 0, len(tr.ops)+4)
+	// One item per op plus one counter item per counted op, stored at exact
+	// size: closures live as long as their image.
+	n := len(tr.ops)
 	for i := range tr.ops {
-		u := &tr.ops[i]
-		items, cold = b.appendItem(items, cold, u, len(items) == 0)
-		if u.op&^topCount == tEnd {
-			break
+		if tr.ops[i].op&topCount != 0 {
+			n++
 		}
+	}
+	items := make([]ritem, 0, n)
+	cold := make([]rcold, 0, n)
+	for i := range tr.ops {
+		items, cold = b.appendItem(items, cold, &tr.ops[i], len(items) == 0)
 	}
 	b.finish(items, cold)
 	cp.items = items
@@ -1474,12 +1475,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					dest := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 					idx := int32((dest - TextBase) / 4)
 					if dest < TextBase || dest&3 != 0 || int(idx) >= len(m.uops) {
-						// Bad target: exit before the jmpl so Step replays it
-						// and raises the fault. NOT a link — the dispatcher's
-						// terminator path owns this pc.
-						n := ctlNi(it) - 1
-						return cs.stop(curIL, curDL, ihits, ccb,
-							cyc, n, it.fpc)
+						return cs.jmplFault(curIL, curDL, ihits, ccb, cyc, cp, items, it, dest)
 					}
 					m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
 					n := ctlNi(it)
@@ -1559,6 +1555,19 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 			return nil, curIL, curDL, ihits, ccb
 		}
 	}
+}
+
+// stop commits n instructions (cyc dynamic cycles plus the folded base) and
+// returns control to the dispatcher at npc — budget exhaustion and
+// store-boundary patch exits.
+//
+//go:noinline
+func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {
+	s.inst += n
+	s.cycs += cyc + s.base*n
+	s.rem -= n
+	s.npc = npc
+	return nil, curIL, curDL, ihits, ccb
 }
 
 // execClosures runs the compiled form of a trace until a side exit, a fault,

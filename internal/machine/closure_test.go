@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"databreak/internal/cache"
@@ -22,13 +23,16 @@ func diffRunClosure(t *testing.T, ctx string, text []sparc.Instr) {
 	a.SetCounterCount(4)
 	b.SetCounterCount(4)
 	b.SetEngine(EngineClosure)
-	// Compile immediately so even short-lived programs execute closures.
-	b.SetHotThreshold(1)
 	a.LoadText(text, 0)
 	b.LoadText(text, 0)
 	errA := stepAll(a)
 	_, errB := b.Run()
 	diffStates(t, ctx, a, b, errA, errB)
+	// Marked heads compile on first entry, so even short-lived programs
+	// execute closures.
+	if traceCount(b.traces) == 0 {
+		t.Fatalf("%s: the run compiled no traces", ctx)
+	}
 }
 
 // TestDifferentialClosureRandomPrograms is the randomized differential
@@ -46,8 +50,8 @@ func TestDifferentialClosureRandomPrograms(t *testing.T) {
 func TestDifferentialClosureFaults(t *testing.T) {
 	base := sparc.Instr{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true}
 	textAlign := sparc.Instr{Op: sparc.Sethi, Rd: sparc.G1, Imm: int32(TextBase >> 10), UseImm: true}
-	// Every case loops enough for the head to pass any hot threshold and the
-	// fault to fire from inside a compiled closure chain.
+	// Every case loops, so the fault fires from inside a compiled closure
+	// chain.
 	cases := []struct {
 		name string
 		text []sparc.Instr
@@ -131,8 +135,17 @@ func TestDifferentialPatchInClosure(t *testing.T) {
 	if b.imgShared {
 		t.Fatal("patching machine still marked shared after PatchInstr")
 	}
-	if b.cls != nil && b.cls[1].Load() != nil {
-		t.Fatal("patcher kept a compiled closure for the invalidated trace")
+	// The loop head's trace covered the patch: the patcher dropped its
+	// trace and closure and rebuilt both from the patched text, never
+	// touching the image's.
+	if b.traces[1].Load() == img.traces[1].Load() {
+		t.Fatal("patcher kept the image's trace over the patched index")
+	}
+	if s := traceMismatch(b.text, b.uops, b.traces, b.cache.LineShift()); s != "" {
+		t.Fatal(s)
+	}
+	if tr, cp := b.traces[1].Load(), b.cls[1].Load(); cp != nil && (tr == nil || !reflect.DeepEqual(cp.items, b.compileClosures(tr).items)) {
+		t.Fatal("patcher's closure at the loop head is not threaded from its rebuilt trace")
 	}
 	if got := b.Reg(sparc.O1); got < 100 || got > 102 {
 		t.Fatalf("final %%o1 = %d, want the patched +3 stride past 100", got)
@@ -178,8 +191,8 @@ func TestDifferentialPatchInFusedStoreClosure(t *testing.T) {
 
 // TestImageClosuresSurviveSiblingPatch: two closure-engine machines share an
 // Image; the sibling's first run publishes the loop head's trace and
-// closure, then the other patches (COW-privatizing itself and dropping only
-// its own view of the closure slots), and the sibling keeps executing its
+// closure, then the other patches (COW-privatizing itself into its own
+// copy of the slots), and the sibling keeps executing its
 // chains against the published traces and closures. Counts must match Step
 // references on both texts.
 func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
@@ -202,8 +215,9 @@ func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
 		t.Fatal("the closure-engine sibling's first run did not publish the loop head")
 	}
 
-	// m1 patches before running: privatized, its (empty) closure slice is
-	// rebuilt; the published trace and closure stay exactly in place.
+	// m1 patches before running: privatized into its own slots, which drop
+	// the covering loop trace; the published trace and closure stay exactly
+	// in place.
 	if err := m1.PatchInstr(2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1)); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
@@ -248,35 +262,19 @@ func TestClosureEngineRoundTrip(t *testing.T) {
 		m := New(cache.DefaultConfig, DefaultCosts)
 		m.SetCounterCount(4)
 		m.SetEngine(EngineClosure)
-		m.SetHotThreshold(1)
 		m.LoadText(text, 0)
 		order := []Engine{EngineClosure, EngineStep, EngineTrace, EngineBlock}
 		var errM error
+		compiled := 0
 		for i := 0; !m.Halted() && errM == nil; i++ {
 			m.SetEngine(order[i%len(order)])
 			_, _, errM = m.RunFor(17)
+			compiled += traceCount(m.traces)
 		}
 		diffStates(t, "engine round-trip", ref, m, errRef, errM)
-	}
-}
-
-// TestClosureTuningKnobs pins SetHotThreshold/SetBrProfMin: a lower
-// threshold compiles earlier, and any setting leaves simulated counts
-// unchanged.
-func TestClosureTuningKnobs(t *testing.T) {
-	text := countLoop()
-	ref := New(cache.DefaultConfig, DefaultCosts)
-	ref.LoadText(text, 0)
-	errRef := stepAll(ref)
-
-	for _, hot := range []int{1, 4, 1 << 20} {
-		m := New(cache.DefaultConfig, DefaultCosts)
-		m.SetEngine(EngineClosure)
-		m.SetHotThreshold(hot)
-		m.SetBrProfMin(2)
-		m.LoadText(text, 0)
-		_, err := m.Run()
-		diffStates(t, "hot threshold", ref, m, errRef, err)
+		if compiled == 0 {
+			t.Fatal("engine round-trip: the compiled slices compiled no traces")
+		}
 	}
 }
 

@@ -387,8 +387,7 @@ func TestDifferentialPatchInFusedStore(t *testing.T) {
 // TestDifferentialWindowedCallTrace loops through a call -> save -> restore
 // -> jmpl ring — the shape that exercises the trace tier's interior window
 // ops, the dynamic jmpl terminator, and trace linking across the return —
-// under both compilation policies: hotness over private text (LoadText) and
-// first entry over a shared image.
+// over private text (LoadText) and over a shared image.
 func TestDifferentialWindowedCallTrace(t *testing.T) {
 	text := []sparc.Instr{
 		sparc.RI(sparc.Or, sparc.G0, 0, sparc.O0),
@@ -403,7 +402,7 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 	}
 	diffRun(t, "windowed call loop", text)
 
-	// First-entry tier: same program from a shared image.
+	// Same program from a shared image.
 	img := BuildImage(text, 0)
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)

@@ -5,16 +5,20 @@ import (
 	"fmt"
 	"reflect"
 	"sync/atomic"
+
+	"databreak/internal/cache"
+	"databreak/internal/sparc"
 )
 
 // CompileImageHeads publishes the trace of every still-marked, uncompiled
-// head of img through the first-entry path machines take, as if each head
+// head of img through the first-entry compile machines run, as if each head
 // had been entered once.
 func CompileImageHeads(img *Image) {
-	var b traceBuilder
+	m := New(cache.DefaultConfig, DefaultCosts)
+	m.LoadImage(img)
 	for i := range img.traces {
 		if pc := int32(i); img.traces[i].Load() == nil && img.heads.has(pc) {
-			img.compileHead(&b, pc)
+			m.compileHead(pc)
 		}
 	}
 }
@@ -23,21 +27,93 @@ func CompileImageHeads(img *Image) {
 func ImageTraceCount(img *Image) int { return traceCount(img.traces) }
 
 // ImageTraceMismatch compares every trace img has published against a fresh
-// compile of its head with a fresh builder and the arguments image traces
-// are compiled with, and describes the first difference ("" when all
-// match).
+// compile of its head with a fresh builder and the image's line shift, and
+// describes the first difference ("" when all match).
 func ImageTraceMismatch(img *Image) string {
-	for i := range img.traces {
-		tr := img.traces[i].Load()
+	return traceMismatch(img.text, img.uops, img.traces, img.traceShift)
+}
+
+// MachineTraceMismatch is ImageTraceMismatch for the traces a machine
+// holds, against fresh compiles of its own, possibly patched, text.
+func MachineTraceMismatch(m *Machine) string {
+	return traceMismatch(m.text, m.uops, m.traces, m.cache.LineShift())
+}
+
+func traceMismatch(text []sparc.Instr, uops []uop, traces []atomic.Pointer[traceProg], shift uint32) string {
+	for i := range traces {
+		tr := traces[i].Load()
 		if tr == nil {
 			continue
 		}
 		var b traceBuilder
-		if want := b.compile(img.text, img.uops, int32(i), nil, brProfMin, img.traceShift); !reflect.DeepEqual(tr, want) {
-			return fmt.Sprintf("published trace at %d differs from a fresh compile", i)
+		if want := b.compile(text, uops, int32(i), shift); !reflect.DeepEqual(tr, want) {
+			return fmt.Sprintf("trace at %d differs from a fresh compile", i)
 		}
 	}
 	return ""
+}
+
+// ImageTraceSpan returns the first [lo,hi) span of the trace img has
+// published at head.
+func ImageTraceSpan(img *Image, head int32) (lo, hi int32) {
+	s := img.traces[head].Load().spans[0]
+	return s[0], s[1]
+}
+
+// ImageTraceHeads lists the heads at which img has published a trace, in
+// text-index order, and for each whether its spans cover text index idx.
+func ImageTraceHeads(img *Image, idx int32) (heads []int32, covers []bool) {
+	for i := range img.traces {
+		if tr := img.traces[i].Load(); tr != nil {
+			heads = append(heads, int32(i))
+			covers = append(covers, tr.covers(idx))
+		}
+	}
+	return heads, covers
+}
+
+// ImageHasClosure reports whether img holds a published closure at pc for
+// cost model c.
+func ImageHasClosure(img *Image, c Costs, pc int32) bool {
+	img.clsMu.Lock()
+	defer img.clsMu.Unlock()
+	cls := img.cls[c]
+	return cls != nil && cls[pc].Load() != nil
+}
+
+// InheritsImageTrace reports whether m's trace slot at pc holds img's own
+// published trace and, under the closure engine, its closure slot img's own
+// closure for m's cost model.
+func InheritsImageTrace(m *Machine, img *Image, pc int32) bool {
+	tr := m.traces[pc].Load()
+	if tr == nil || tr != img.traces[pc].Load() {
+		return false
+	}
+	if m.cls == nil {
+		return true
+	}
+	img.clsMu.Lock()
+	defer img.clsMu.Unlock()
+	cp := m.cls[pc].Load()
+	return cp != nil && cp == img.cls[m.costs][pc].Load()
+}
+
+// MachineHasTrace reports whether m holds a compiled trace at pc.
+func MachineHasTrace(m *Machine, pc int32) bool { return m.traces[pc].Load() != nil }
+
+// ImageSlots snapshots every trace slot of img and every closure slot for
+// cost model c, so a test can check that no slot changed.
+func ImageSlots(img *Image, c Costs) []any {
+	var s []any
+	for i := range img.traces {
+		s = append(s, img.traces[i].Load())
+	}
+	img.clsMu.Lock()
+	defer img.clsMu.Unlock()
+	for i := range img.cls[c] {
+		s = append(s, img.cls[c][i].Load())
+	}
+	return s
 }
 
 // AppendImageTraces appends a fixed binary encoding of every compiled trace
@@ -82,8 +158,30 @@ func AppendImageTraces(dst []byte, img *Image) []byte {
 // trace is stored at exact size.
 func ImageTraceSlack(img *Image) string { return traceSlack(img.traces) }
 
+// ImageClosureSlack is ImageTraceSlack for the closures img has published
+// under any cost model: it describes the first whose item stream or cold
+// array has capacity beyond its length. n counts the closures checked.
+func ImageClosureSlack(img *Image) (n int, slack string) {
+	img.clsMu.Lock()
+	defer img.clsMu.Unlock()
+	for _, cls := range img.cls {
+		for i := range cls {
+			cp := cls[i].Load()
+			if cp == nil {
+				continue
+			}
+			n++
+			if slack == "" && (cap(cp.items) != len(cp.items) || cap(cp.cold) != len(cp.cold)) {
+				slack = fmt.Sprintf("closure at %d: items len %d cap %d, cold len %d cap %d",
+					i, len(cp.items), cap(cp.items), len(cp.cold), cap(cp.cold))
+			}
+		}
+	}
+	return n, slack
+}
+
 // MachineTraceSlack is ImageTraceSlack for the traces a machine holds,
-// including the ones it compiled lazily over private text.
+// including the ones it compiled over private text.
 func MachineTraceSlack(m *Machine) string { return traceSlack(m.traces) }
 
 // MachineTraceCount reports how many traces a machine currently holds.

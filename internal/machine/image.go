@@ -21,6 +21,7 @@
 package machine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -30,10 +31,10 @@ import (
 
 // Image is a predecoded program text. Build with BuildImage; attach with
 // Machine.LoadImage. A single Image may back any number of Machines on any
-// number of goroutines concurrently. Its text, block index and head marks
-// are never written after BuildImage returns; only the trace and closure
-// slots below fill in, each at most once, as attached machines first reach
-// the heads.
+// number of goroutines concurrently. Its text and block index are never
+// written after BuildImage returns; only the trace and closure slots below
+// fill in, each at most once, as attached machines first reach the heads,
+// and a declined head loses its mark.
 type Image struct {
 	text  []sparc.Instr
 	uops  []uop
@@ -170,6 +171,7 @@ func buildUops(text []sparc.Instr, buf []uop) []uop {
 func (m *Machine) LoadImage(img *Image) {
 	m.text = img.text
 	m.uops = img.uops
+	m.heads = img.heads
 	m.imgShared = true
 	m.img = img
 	m.pc = img.entry
@@ -177,25 +179,32 @@ func (m *Machine) LoadImage(img *Image) {
 	m.syncTraceState()
 }
 
-// privatize gives the machine its own copy of the text and block index. It
-// is the copy-on-write half of LoadImage: called by PatchInstr before the
-// first mutation, it guarantees no write ever lands in a shared image. The
-// image's trace and closure slots are dropped for THIS machine only — they
-// hold code built against text this machine is about to diverge from, and
-// it must never publish into them again — while siblings sharing the image
-// keep executing, and first-entering, them untouched; the patching
-// machine's hot heads recompile privately via the hotness counters.
+// privatize gives the machine its own copy of the text, block index and
+// head marks. It is the copy-on-write half of LoadImage: called by
+// PatchInstr before the first mutation, it guarantees no write ever lands in
+// a shared image. The machine also inherits every trace published so far
+// and, under the closure engine, its threaded form; PatchInstr then drops
+// only the ones the patch covers. A closure slot is filled only where its
+// trace slot is, so invalidateTraces, which walks the trace slots, reaches
+// every inherited closure. Siblings sharing the image keep executing, and
+// first-entering, its slots untouched.
 func (m *Machine) privatize() {
 	if !m.imgShared {
 		return
 	}
-	text := make([]sparc.Instr, len(m.text))
-	copy(text, m.text)
-	uops := make([]uop, len(m.uops))
-	copy(uops, m.uops)
-	m.text = text
-	m.uops = uops
+	traces, cls := m.traces, m.cls
+	m.text = slices.Clone(m.text)
+	m.uops = slices.Clone(m.uops)
+	m.heads = m.heads.clone()
 	m.imgShared = false
 	m.img = nil
 	m.syncTraceState()
+	for i := range m.traces {
+		if tr := traces[i].Load(); tr != nil {
+			m.traces[i].Store(tr)
+			if m.cls != nil {
+				m.cls[i].Store(cls[i].Load())
+			}
+		}
+	}
 }

@@ -121,14 +121,16 @@ type Machine struct {
 	// the attached image so the trace tier can reach its compiled traces.
 	imgShared bool
 	img       *Image
+	// heads marks the block heads whose trace compiles on first entry
+	// (trace.go): the image's set while the text is shared, a private one
+	// built by LoadText or copied by privatize otherwise.
+	heads headSet
 	// engine selects the Run/RunFor execution strategy; the trace-tier state
 	// below is maintained by syncTraceState (trace.go). traces[i], when
 	// non-nil, is the compiled trace registered at head i — the image's
 	// shared slots when imgShared, which any attached machine may fill on
-	// first entry of a marked head (hence atomic), a private lazily-filled
-	// slice otherwise. hot holds the per-head hotness counters driving lazy
-	// compilation of private text; nil on shared images (whose marked heads
-	// compile on first entry) and under non-trace engines.
+	// first entry of a marked head (hence atomic), the machine's own slots
+	// otherwise, filled the same way.
 	engine Engine
 	traces []atomic.Pointer[traceProg]
 	// cls is the closure tier (closure.go): cls[i], when non-nil, is the
@@ -142,19 +144,7 @@ type Machine struct {
 	// a compiled closure chain must not allocate, and the pointer handed to
 	// the closures would otherwise force a fresh heap cst per dispatch.
 	cstate cst
-	hot    []uint16
-	// brProf is the per-branch-site edge profile driving trace compilation
-	// for private text: low 16 bits count executions, high 16 taken, both
-	// saturating (trace.go). The block dispatcher records it during the
-	// hotness warm-up, so by the time a head compiles, its branches carry
-	// measured bias instead of static guesses. nil on shared images and
-	// under non-trace engines.
-	brProf []uint32
-	// hotThreshold/brProfMin are the trace-tier tuning knobs (trace.go
-	// consts hold the defaults; SetHotThreshold/SetBrProfMin override).
-	hotThreshold uint16
-	brProfMin    uint32
-	pc           int32
+	pc     int32
 	// regs is the architecturally visible register file of the CURRENT
 	// window, flat: %g0-%g7, %o0-%o7, %l0-%l7, %i0-%i7, plus one scratch
 	// slot (index 32) that absorbs block-engine writes destined for %g0.
@@ -235,8 +225,8 @@ type Machine struct {
 	Counters Counters
 
 	// tb is the scratch this machine compiles traces with, reused across
-	// compiles: noteHot's private-text traces and Image.compileHead's image
-	// traces (trace.go). Last, so the interpreter's hot fields keep their offsets.
+	// its first-entry compiles (compileHead, trace.go). Last, so the
+	// interpreter's hot fields keep their offsets.
 	tb traceBuilder
 }
 
@@ -246,14 +236,12 @@ func New(cfg cache.Config, costs Costs) *Machine {
 		pages: make(map[uint32]*[PageBytes]byte),
 		// Pre-size the window stack so deep call chains do not reallocate
 		// it mid-run (the fault-free path stays allocation-free).
-		win:          make([]winRegs, 0, 64),
-		cache:        cache.New(cfg),
-		costs:        costs,
-		heapNext:     HeapBase,
-		freeList:     make(map[uint32][]uint32),
-		MaxInstrs:    4_000_000_000,
-		hotThreshold: hotThreshold,
-		brProfMin:    brProfMin,
+		win:       make([]winRegs, 0, 64),
+		cache:     cache.New(cfg),
+		costs:     costs,
+		heapNext:  HeapBase,
+		freeList:  make(map[uint32][]uint32),
+		MaxInstrs: 4_000_000_000,
 	}
 	for i := range m.pageCache {
 		m.pageCache[i].base = 1 // never matches a page-aligned base
@@ -287,10 +275,11 @@ func (m *Machine) Reset() {
 	}
 }
 
-// LoadText installs the program text and (re)builds the block-dispatch
-// index. PC starts at entry (a text index). After LoadText the text slice is
-// owned by the machine: all further mutation must go through PatchInstr so
-// the block index stays coherent.
+// LoadText installs the program text, (re)builds the block-dispatch index
+// and marks its block heads, whose traces compile on first entry as an
+// image's do. PC starts at entry (a text index). After LoadText the text
+// slice is owned by the machine: all further mutation must go through
+// PatchInstr so the block index stays coherent.
 func (m *Machine) LoadText(text []sparc.Instr, entry int32) {
 	if m.imgShared {
 		// Drop the shared view before rebuildBlocks reuses uops capacity:
@@ -302,6 +291,7 @@ func (m *Machine) LoadText(text []sparc.Instr, entry int32) {
 	m.img = nil
 	m.pc = entry
 	m.rebuildBlocks()
+	m.heads = blockHeads(m.text, m.uops, entry)
 	m.syncTraceState()
 }
 
@@ -322,12 +312,14 @@ func (m *Machine) InstrAt(idx int32) (in sparc.Instr, ok bool) {
 }
 
 // PatchInstr replaces the instruction at text index idx, invalidating the
-// corresponding I-cache line (as the real system's patching must) and the
-// block-dispatch index entries covering idx. It is the ONLY supported way to
-// mutate loaded text: bypassing it would leave the block engine executing
-// stale predecoded instructions. An out-of-range idx returns an error and
-// changes nothing — a bad patch address from the debugger must not crash the
-// simulator.
+// corresponding I-cache line (as the real system's patching must), the
+// block-dispatch index entries covering idx and every compiled trace whose
+// spans cover idx, and marking the block heads the new instruction creates
+// (its target, its successor when it ends a block), so they compile on
+// first entry. It is the ONLY supported way to mutate loaded text:
+// bypassing it would leave the block engine executing stale predecoded
+// instructions. An out-of-range idx returns an error and changes nothing — a
+// bad patch address from the debugger must not crash the simulator.
 //
 // When the text came from a shared Image (LoadImage), the first patch
 // privatizes the text and block-index arrays (copy-on-write), so the patch
@@ -340,11 +332,8 @@ func (m *Machine) PatchInstr(idx int32, in sparc.Instr) error {
 	m.text[idx] = in
 	m.cache.Invalidate(TextBase + uint32(idx)*4)
 	m.invalidateBlock(idx)
-	// Drop every compiled trace whose consumed spans cover idx. (After a COW
-	// privatization the private trace slice starts empty, so this is a no-op
-	// there; the shared image's traces are immutable and stay with the
-	// siblings.)
 	m.invalidateTraces(idx)
+	m.heads.markCreated(m.text, m.uops, idx)
 	return nil
 }
 
@@ -890,7 +879,7 @@ func (m *Machine) alloc(size uint32) uint32 {
 // Run executes until the program exits, faults, or exceeds MaxInstrs.
 //
 // Under the default trace engine it dispatches a block at a time (blocks.go)
-// and enters compiled traces at hot heads (trace.go); EngineBlock skips the
+// and enters compiled traces at block heads (trace.go); EngineBlock skips the
 // trace tier; EngineStep runs the reference one-instruction loop. Simulated
 // cycle and instruction counts are bit-identical across all three; only host
 // time changes.

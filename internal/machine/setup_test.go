@@ -166,10 +166,10 @@ func TestTablesTextDigest(t *testing.T) {
 	}
 }
 
-// TestTracesStoredAtExactSize checks that no retained trace carries append
-// slack: every image trace of the 130 table builds, the image traces
-// machines publish on first entry, and the traces a machine compiles lazily
-// over private text.
+// TestTracesStoredAtExactSize checks that no retained trace or closure
+// carries append slack: every image trace of the 130 table builds, the
+// image traces and closures machines publish on first entry, and the traces
+// a machine compiles over private text.
 func TestTracesStoredAtExactSize(t *testing.T) {
 	for i, prog := range sharedTables(t) {
 		machine.CompileImageHeads(prog.Image())
@@ -197,6 +197,11 @@ func TestTracesStoredAtExactSize(t *testing.T) {
 	}
 	if s := machine.ImageTraceSlack(fresh.Image()); s != "" {
 		t.Fatalf("published image trace: %s", s)
+	}
+	if n, s := machine.ImageClosureSlack(fresh.Image()); n == 0 {
+		t.Fatal("the closure-engine run published no closures")
+	} else if s != "" {
+		t.Fatalf("published image closure: %s", s)
 	}
 
 	prog := sharedTables(t)[0] // the first program's baseline

@@ -3,7 +3,7 @@
 // The block engine (blocks.go) already amortizes dispatch over straight-line
 // runs, but it still pays a switch on the generic µop encoding for every
 // instruction and a fresh dispatch at every terminator. This tier goes one
-// step further: a hot block head is compiled into a trace — a threaded-code
+// step further: a block head is compiled into a trace — a threaded-code
 // array of specialized trace-ops (top) covering the straight-line run AND the
 // statically-predicted path beyond it, stitched across unconditional
 // branches, calls, and conditional branches predicted taken (backward) or
@@ -24,18 +24,19 @@
 // branch is a side exit that commits exactly the instructions architecturally
 // executed and returns to the dispatcher.
 //
-// Compilation points:
-//   - BuildImage marks the image's block heads; the first attached machine
-//     to reach a marked head — by dispatching to it or by linking to it from
-//     a trace exit — compiles its trace and publishes it in the Image, where
-//     every attached machine shares it (Image.compileHead).
-//   - LoadText installs per-head hotness counters instead; a head that
-//     dispatches hotThreshold times is compiled on the machine's own dime.
+// One compilation rule covers every text: BuildImage and LoadText mark the
+// block heads (blockHeads), and the first time a machine reaches a marked
+// head — by dispatching to it or by linking to it from a trace exit — it
+// compiles the head's trace with static prediction and publishes it in its
+// trace slots (Machine.compileHead). On a shared image those slots are the
+// Image's, so every attached machine shares the trace.
 //
 // Patch safety (the self-modifying-code hazard, DESIGN.md §9): PatchInstr
-// nils every private trace whose consumed-index spans cover the patched
-// index; on a shared image it privatizes first, which drops the image's
-// traces for the patching machine only (siblings keep executing and
+// nils every trace whose consumed-index spans cover the patched index and
+// marks the heads the new instruction creates. On a shared image it
+// privatizes first: the patching machine copies the image's head marks and
+// the traces published so far, so only the traces covering the patch are
+// dropped, and for this machine only (siblings keep executing and
 // first-entering the image traces). A patch landing while a trace is
 // executing — only possible from a StoreHook or LoadHook — is caught by the
 // textGen generation check after the access, exactly as in execBlocks, and
@@ -61,7 +62,7 @@ import (
 type Engine uint8
 
 const (
-	// EngineTrace dispatches blocks and enters compiled traces at hot heads.
+	// EngineTrace dispatches blocks and enters compiled traces at block heads.
 	EngineTrace Engine = iota
 	// EngineBlock is the PR-2 block-dispatch engine with no trace tier.
 	EngineBlock
@@ -113,42 +114,6 @@ func (m *Machine) SetEngine(e Engine) {
 
 // Engine returns the currently selected execution engine.
 func (m *Machine) Engine() Engine { return m.engine }
-
-// hotThreshold is the default for how many times a block head must dispatch
-// before LoadText text compiles a trace for it. Image text skips the counter
-// entirely (a marked image head compiles on its first entry). 64 is low
-// enough that every loop that matters compiles within noise, high enough
-// that straight-through startup code never pays compilation. Tunable per
-// machine via SetHotThreshold (the EXPERIMENTS.md sweep confirms 64 as the
-// default).
-const hotThreshold = 64
-
-// SetHotThreshold overrides the per-head dispatch count that triggers lazy
-// trace compilation of private text (default 64). Clamped to [1, 65534];
-// values already counted keep their progress. Image text is unaffected
-// (its marked heads compile on first entry, with no counter).
-func (m *Machine) SetHotThreshold(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > int(hotNever)-1 {
-		n = int(hotNever) - 1
-	}
-	m.hotThreshold = uint16(n)
-}
-
-// SetBrProfMin overrides the branch-site execution count below which the
-// edge profile is ignored in favor of static prediction (default 8).
-func (m *Machine) SetBrProfMin(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.brProfMin = uint32(n)
-}
-
-// hotNever marks a head whose compilation was attempted and declined
-// (trivial trace); it is never retried.
-const hotNever = ^uint16(0)
 
 // minTraceInstrs rejects traces too short to amortize the execTrace call.
 const minTraceInstrs = 3
@@ -349,32 +314,26 @@ func (tr *traceProg) covers(idx int32) bool {
 // installation, or COW privatization. Invariants: m.traces is non-nil
 // exactly when the trace (or closure) engine is active over non-empty text,
 // so execBlocks gates the whole tier on one nil check; m.cls is non-nil
-// exactly when the closure engine is active over non-empty text; and while
-// m.traces is non-nil, m.hot is nil exactly when m.traces are m.img's
-// shared slots, so a nil slot at pc with m.hot == nil and pc still marked
-// in m.img.heads means "not compiled yet" (Image.compileHead) rather than
-// "no trace".
+// exactly when the closure engine is active over non-empty text; and a nil
+// trace slot at a pc still marked in m.heads means "not compiled yet"
+// (compileHead) rather than "no trace".
 func (m *Machine) syncTraceState() {
 	traced := m.engine == EngineTrace || m.engine == EngineClosure
 	if !traced || len(m.text) == 0 {
-		m.traces, m.hot, m.brProf, m.cls = nil, nil, nil, nil
+		m.traces, m.cls = nil, nil
 		return
 	}
-	shared := m.imgShared && m.img.traceShift == m.cache.LineShift()
+	shared := m.sharesTraces()
 	if shared {
 		// Shared image with matching cache geometry: the image's trace
-		// slots, filled on first entry of each marked head. No hotness
-		// counters or edge profile — image traces never use them.
+		// slots, filled on first entry of each marked head.
 		m.traces = m.img.traces
-		m.hot, m.brProf = nil, nil
 	} else {
 		// Private text — or a shared image whose traces are compiled for a
 		// different I-line geometry, which this machine cannot execute (the nl
-		// bits would mis-batch fetch accounting): compile privately, driven by
-		// the hotness counters. The shared text itself is still borrowed.
+		// bits would mis-batch fetch accounting): compile into private slots.
+		// The shared text itself is still borrowed.
 		m.traces = make([]atomic.Pointer[traceProg], len(m.text))
-		m.hot = make([]uint16, len(m.text))
-		m.brProf = make([]uint32, len(m.text))
 	}
 	if m.engine == EngineClosure {
 		// The threaded form is machine-independent data — items bake in only
@@ -392,29 +351,41 @@ func (m *Machine) syncTraceState() {
 	}
 }
 
-// noteHot counts a dispatch of private-text head pc and compiles a trace
-// once the head crosses hotThreshold. Called from the dispatcher only when
-// m.hot is non-nil and m.traces[pc] is nil.
-func (m *Machine) noteHot(pc int32) {
-	h := m.hot[pc]
-	switch {
-	case h >= m.hotThreshold: // hotNever: compilation declined, don't retry
-	case h+1 >= m.hotThreshold:
-		if tr := m.tb.compile(m.text, m.uops, pc, m.brProf, m.brProfMin, m.cache.LineShift()); tr != nil {
-			m.traces[pc].Store(tr)
-			m.hot[pc] = 0
-		} else {
-			m.hot[pc] = hotNever
-		}
-	default:
-		m.hot[pc] = h + 1
-	}
+// sharesTraces reports whether the machine executes its image's trace
+// slots: the text is a shared image's, compiled for this machine's I-line
+// geometry.
+func (m *Machine) sharesTraces() bool {
+	return m.imgShared && m.img.traceShift == m.cache.LineShift()
 }
 
-// invalidateTraces drops every private trace whose consumed spans cover the
-// patched index. The caller (PatchInstr) has already privatized, so on a
-// formerly shared image m.traces is a fresh private slice (all nil) and this
-// is a no-op; the image's own traces are immutable and untouched.
+// compileHead compiles the trace at marked head pc on its first entry, with
+// the machine's builder scratch and I-line shift, and publishes it once in
+// the machine's trace slots: a caller that loses the race on a shared
+// image's slot adopts the winner's trace. A declined head loses its mark,
+// so it is never retried. Returns the published trace, or nil when the head
+// was declined. Kept out of line so the dispatcher and the trace-link paths
+// gain only an untaken branch.
+//
+//go:noinline
+func (m *Machine) compileHead(pc int32) *traceProg {
+	tr := m.tb.compile(m.text, m.uops, pc, m.cache.LineShift())
+	if tr == nil {
+		m.heads.clear(pc)
+		return nil
+	}
+	if !m.traces[pc].CompareAndSwap(nil, tr) {
+		return m.traces[pc].Load()
+	}
+	if m.sharesTraces() {
+		m.img.traceBytes.Add(int64(traceSize(tr)))
+	}
+	return tr
+}
+
+// invalidateTraces drops every trace whose consumed spans cover the patched
+// index. The caller (PatchInstr) has already privatized, so the slots are
+// the machine's own: on a formerly shared image they hold the traces it
+// inherited, and the image's traces stay untouched.
 func (m *Machine) invalidateTraces(idx int32) {
 	for i := range m.traces {
 		if tr := m.traces[i].Load(); tr != nil && tr.covers(idx) {
@@ -640,32 +611,20 @@ func FusionPlan(run []sparc.Instr) []int8 {
 	return widths
 }
 
-// brProfMin is the default execution count below which a branch site's edge
-// profile is considered noise and the static heuristics decide instead.
-// Tunable per machine via SetBrProfMin.
-const brProfMin = 8
-
-// predictBranch predicts a conditional branch for trace stitching. The edge
-// profile wins when the site has been executed enough times (private text
-// warms up in block mode, so compiled traces follow MEASURED bias, the
-// Dynamo-style trace-selection rule); otherwise backward branches are
-// predicted taken (the classic loop heuristic) and forward branches fall to
-// predictTaken's layout heuristic. Predictions never affect correctness —
-// a wrong one is a side exit — only how long the common pass runs.
-func predictBranch(text []sparc.Instr, uops []uop, prof []uint32, profMin uint32, brPC, tgt int32) bool {
-	if prof != nil {
-		if p := prof[brPC]; p&0xffff >= profMin {
-			return p>>16 >= (p&0xffff+1)/2
-		}
-	}
+// predictBranch predicts a conditional branch for trace stitching:
+// backward branches are predicted taken (the classic loop heuristic) and
+// forward branches fall to predictTaken's layout heuristic. Predictions
+// never affect correctness — a wrong one is a side exit — only how long the
+// common pass runs.
+func predictBranch(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 	if tgt <= brPC {
 		return true
 	}
 	return predictTaken(text, uops, brPC, tgt)
 }
 
-// predictTaken is the static prediction for a FORWARD conditional branch
-// without profile data. Default: not taken — fall-through is the common layout
+// predictTaken is the static prediction for a FORWARD conditional branch.
+// Default: not taken — fall-through is the common layout
 // for compiler output. Exception: when the fall-through path is a short run
 // that ends in a trap or unimp, the branch is the branch-over-trap shape
 // every patched check sequence uses, and the taken edge is the hot one.
@@ -697,8 +656,7 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 // order, so a trace's spans cost its own length, not the text's; ops is the
 // op stream's growth buffer. A finished trace copies both out at exact
 // size, since traces live as long as their image. Each machine keeps one
-// builder for its lazy compiles: noteHot over private text, compileHead
-// over a shared image.
+// builder for its first-entry compiles (compileHead).
 type traceBuilder struct {
 	stamp []uint32
 	gen   uint32
@@ -768,12 +726,10 @@ func (b *traceBuilder) spans() [][2]int32 {
 // the same bound that caps block runs and PatchInstr's backward repair, so
 // a single patch never invalidates more than a bounded neighborhood.
 // Operands come from the predecoded uops, which PatchInstr keeps coherent
-// with text. prof is the per-site edge profile (predictBranch) with its
-// noise floor profMin, nil for image text (Image.compileHead).
-// shift is the I-line shift the nl bits are computed under; a machine may
+// with text. shift is the I-line shift the nl bits are computed under; a machine may
 // only execute traces whose shift matches its own cache geometry
 // (syncTraceState enforces this).
-func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, prof []uint32, profMin, shift uint32) *traceProg {
+func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, shift uint32) *traceProg {
 	if uint32(entry) >= uint32(len(uops)) {
 		return nil
 	}
@@ -930,7 +886,7 @@ scan:
 				ni++
 				pc++
 			case tgt == entry && (term.Cond == sparc.BA ||
-				predictBranch(text, uops, prof, profMin, pc, tgt)):
+				predictBranch(text, uops, pc, tgt)):
 				// Predicted-taken back-edge to the head: loop trace. (BA
 				// back-edges too: condMask[BA] is all-ones, so tBrLoop with
 				// cond BA never takes its side exit.)
@@ -951,7 +907,7 @@ scan:
 				}
 				ni++
 				pc = tgt
-			case predictBranch(text, uops, prof, profMin, pc, tgt):
+			case predictBranch(text, uops, pc, tgt):
 				// Predicted taken: stitch to the target and keep compiling.
 				// Backward targets duplicate already-laid-out code into the
 				// trace tail (superblock tail duplication); the consumed-set
@@ -1067,6 +1023,15 @@ scan:
 		ops:        exact,
 		spans:      b.spans(),
 	}
+}
+
+// badJumpFormat is the format of Step's fault text for a jmpl to dest
+// outside the text.
+func badJumpFormat(dest uint32) string {
+	if dest < TextBase || dest&3 != 0 {
+		return "indirect jump to bad address %#x"
+	}
+	return "indirect jump outside text %#x"
 }
 
 // topWidth reports how many instructions (and ifetches, at iaddr, +4, +8) a
@@ -2557,11 +2522,10 @@ chain:
 					dest := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
 					idx := int32((dest - TextBase) / 4)
 					if dest < TextBase || dest&3 != 0 || int(idx) >= len(m.uops) {
-						// Bad target: exit before the jmpl, Step replays it
-						// and raises the fault (committing the rd write
-						// first, exactly as the block engine's bail does).
-						m.traceExit(int32((u.iaddr-TextBase)/4), int64(u.ni), cyc, base)
-						return curILine, curDLine, ihits, nil
+						// Bad target: the jmpl has been fetched and counted,
+						// so it faults here, after its rd write, as in Step.
+						m.regs[u.rd] = int32(u.iaddr) + 4
+						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, badJumpFormat(dest), dest)
 					}
 					m.regs[u.rd] = int32(u.iaddr) + 4
 					cyc += m.costs.TakenBranch
@@ -2638,8 +2602,8 @@ chain:
 		// budget for a full pass, jump straight into it — no dispatcher
 		// round-trip, no call overhead. This is what turns a side-exit-heavy
 		// program (predictions are static) back into straight-line execution.
-		// A marked image head links on its first entry too: compile it, then
-		// retry the link.
+		// A marked head links on its first entry too: compile it, then retry
+		// the link.
 		if uint32(npc) < uint32(len(ts)) {
 			if next := ts[npc].Load(); next != nil {
 				if m.MaxInstrs-m.instrs >= next.passInstrs {
@@ -2647,8 +2611,8 @@ chain:
 					tr = next
 					continue chain
 				}
-			} else if m.hot == nil && m.img.heads.has(npc) {
-				m.img.compileHead(&m.tb, npc)
+			} else if m.heads.has(npc) {
+				m.compileHead(npc)
 				goto link
 			}
 		}
@@ -2673,6 +2637,21 @@ type headSet []atomic.Uint64
 
 func (h headSet) has(i int32) bool { return h[i>>6].Load()>>(i&63)&1 != 0 }
 
+// set adds i to the set when it is an index of a text of n instructions;
+// concurrent updates of other bits in the same word survive.
+func (h headSet) set(i int32, n int) {
+	if uint32(i) >= uint32(n) {
+		return
+	}
+	w := &h[i>>6]
+	for {
+		old := w.Load()
+		if w.CompareAndSwap(old, old|1<<(i&63)) {
+			return
+		}
+	}
+}
+
 // clear drops i from the set; concurrent clears of other bits in the same
 // word survive.
 func (h headSet) clear(i int32) {
@@ -2685,51 +2664,37 @@ func (h headSet) clear(i int32) {
 	}
 }
 
-// blockHeads marks every block head of text an image compiles a trace at
-// on first entry: the entry point, every branch/call target, and every
-// fall-through successor of a terminator. LoadText text compiles lazily by
-// hotness instead (noteHot).
+// clone returns a private copy of the set.
+func (h headSet) clone() headSet {
+	c := make(headSet, len(h))
+	for i := range h {
+		c[i].Store(h[i].Load())
+	}
+	return c
+}
+
+// blockHeads marks every block head of text a trace is compiled at on
+// first entry: the entry point, every branch/call target, and every
+// fall-through successor of a terminator.
 func blockHeads(text []sparc.Instr, uops []uop, entry int32) headSet {
 	heads := make(headSet, (len(text)+63)/64)
-	mark := func(i int32) {
-		if uint32(i) < uint32(len(text)) {
-			w := &heads[i>>6]
-			w.Store(w.Load() | 1<<(i&63)) // not shared yet
-		}
-	}
-	mark(entry)
-	mark(0)
+	heads.set(entry, len(text))
+	heads.set(0, len(text))
 	for i := range text {
-		switch text[i].Op {
-		case sparc.Br, sparc.Call:
-			mark(text[i].Target)
-		}
-		if uops[i].bl == 0 {
-			mark(int32(i) + 1) // fall-through and jmpl-return successors
-		}
+		heads.markCreated(text, uops, int32(i))
 	}
 	return heads
 }
 
-// compileHead compiles the trace at marked head pc on its first entry by
-// any attached machine, with the arguments every image trace is compiled
-// with (no edge profile, the default brProfMin, the image's line shift) and
-// the caller's builder scratch, and publishes it once: a caller that loses
-// the race adopts the winner's trace. A declined head loses its mark, so it
-// is never retried. Returns the published trace, or nil when the head was
-// declined. Kept out of line so the dispatcher and the trace-link paths
-// gain only an untaken branch.
-//
-//go:noinline
-func (img *Image) compileHead(b *traceBuilder, pc int32) *traceProg {
-	tr := b.compile(img.text, img.uops, pc, nil, brProfMin, img.traceShift)
-	if tr == nil {
-		img.heads.clear(pc)
-		return nil
+// markCreated marks the heads instruction i of text creates: its target if
+// it branches or calls, and its successor (fall-through or jmpl return) if
+// it ends a block.
+func (h headSet) markCreated(text []sparc.Instr, uops []uop, i int32) {
+	switch text[i].Op {
+	case sparc.Br, sparc.Call:
+		h.set(text[i].Target, len(text))
 	}
-	if !img.traces[pc].CompareAndSwap(nil, tr) {
-		return img.traces[pc].Load()
+	if uops[i].bl == 0 {
+		h.set(i+1, len(text))
 	}
-	img.traceBytes.Add(int64(traceSize(tr)))
-	return tr
 }

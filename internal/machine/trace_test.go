@@ -9,7 +9,7 @@ import (
 )
 
 // countLoop is a small store/increment loop every trace-tier test can share:
-// long enough (100 iterations) to cross the lazy hotThreshold, fused-pair
+// long enough (100 iterations) to run mostly in compiled traces, fused-pair
 // friendly, and deterministic.
 func countLoop() []sparc.Instr {
 	return []sparc.Instr{
@@ -25,8 +25,9 @@ func countLoop() []sparc.Instr {
 // TestImageTracesSurviveSiblingPatch pins the first-entry and COW contract
 // of the trace tier: BuildImage publishes no trace, a sibling's first run
 // publishes the loop head into the image, and a machine that patches text
-// on the shared image drops the image's traces for itself only — the
-// published trace stays in place, identical to a fresh compile of the
+// on the shared image copies the image's slots and drops, in its copy only,
+// the traces covering the patch — the published trace stays in place,
+// identical to a fresh compile of the
 // original text, and the sibling keeps executing it with counts
 // bit-identical to a fresh Step reference.
 func TestImageTracesSurviveSiblingPatch(t *testing.T) {
@@ -66,8 +67,10 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	if reflect.ValueOf(m1.traces).Pointer() == reflect.ValueOf(img.traces).Pointer() {
 		t.Fatal("patching machine still holds the image's trace slots")
 	}
+	// Both published traces (the entry's and the loop head's) cover the
+	// patched add, so the patcher inherits neither.
 	if n := traceCount(m1.traces); n != 0 {
-		t.Fatalf("private trace slice has %d stale compiled entries", n)
+		t.Fatalf("private trace slice kept %d traces over the patched index", n)
 	}
 
 	// The sibling is untouched: same trace slots, and its run matches a
@@ -134,5 +137,89 @@ func TestEngineSelection(t *testing.T) {
 			continue
 		}
 		diffStates(t, "engine "+e.String(), ref, m, nil, nil)
+	}
+}
+
+// TestLoadTextCompilesOnFirstEntry pins the one compile rule on private
+// text: LoadText marks the block heads, the first dispatch of a marked head
+// compiles its trace, and every trace the machine holds at the end equals a
+// fresh compile of its head.
+func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
+	for _, e := range []Engine{EngineTrace, EngineClosure} {
+		m := New(cache.DefaultConfig, DefaultCosts)
+		m.SetEngine(e)
+		m.LoadText(countLoop(), 0)
+		for _, h := range []int32{0, 1, 5} { // entry, branch target, successor
+			if !m.heads.has(h) {
+				t.Fatalf("%v: LoadText did not mark head %d", e, h)
+			}
+		}
+		if n := traceCount(m.traces); n != 0 {
+			t.Fatalf("%v: LoadText compiled %d traces before any entry", e, n)
+		}
+		// One instruction: the first dispatch of the entry head compiles
+		// it (the one-instruction budget then runs it in block mode).
+		if _, _, err := m.RunFor(1); err != nil {
+			t.Fatal(err)
+		}
+		if m.traces[0].Load() == nil {
+			t.Fatalf("%v: the first entry of head 0 compiled no trace", e)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The loop head compiles when the entry trace first links to it.
+		if m.traces[1].Load() == nil || (m.cls != nil && m.cls[1].Load() == nil) {
+			t.Fatalf("%v: the loop head was never compiled", e)
+		}
+		if s := traceMismatch(m.text, m.uops, m.traces, m.cache.LineShift()); s != "" {
+			t.Fatalf("%v: %s", e, s)
+		}
+	}
+}
+
+// TestPatchMarksNewHeads checks that a patched-in branch or call marks its
+// target and its successor, so both compile on first entry like any block
+// head, on private text and on a privatized image alike — and that the
+// image's own marks stay as they were.
+func TestPatchMarksNewHeads(t *testing.T) {
+	text := []sparc.Instr{
+		sparc.RI(sparc.Or, sparc.G0, 0, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 1, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 2, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 3, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 4, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 5, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 6, sparc.O0),
+		sparc.RI(sparc.Add, sparc.O0, 7, sparc.O0),
+		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+	}
+	img := BuildImage(text, 0)
+	for _, c := range []struct {
+		name          string
+		patch         sparc.Instr
+		at, succ, tgt int32
+	}{
+		{"branch", sparc.Branch(sparc.BA, 6), 2, 3, 6},
+		{"call", sparc.Instr{Op: sparc.Call, Target: 5}, 1, 2, 5},
+	} {
+		private := New(cache.DefaultConfig, DefaultCosts)
+		private.LoadText(append([]sparc.Instr(nil), text...), 0)
+		shared := New(cache.DefaultConfig, DefaultCosts)
+		shared.LoadImage(img)
+		for _, m := range []*Machine{private, shared} {
+			if m.heads.has(c.succ) || m.heads.has(c.tgt) {
+				t.Fatalf("%s: straight-line text already marks %d or %d", c.name, c.succ, c.tgt)
+			}
+			if err := m.PatchInstr(c.at, c.patch); err != nil {
+				t.Fatal(err)
+			}
+			if !m.heads.has(c.succ) || !m.heads.has(c.tgt) {
+				t.Fatalf("%s: patch at %d did not mark successor %d and target %d", c.name, c.at, c.succ, c.tgt)
+			}
+		}
+		if img.heads.has(c.succ) || img.heads.has(c.tgt) {
+			t.Fatalf("%s: a privatized machine's patch marked the image's heads", c.name)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Mid-triple hazard coverage for the three-instruction fused runs. Each test
-// pins one way a fused triple can be interrupted after the run is hot and
+// pins one way a fused triple can be interrupted after the run is
 // compiled — a fault in a specific slot, a text patch landed by the triple's
 // own hooked store, a monitored load clobbering its address register — and
 // demands bit-identical state, counts, fault pc, and error text against a
@@ -18,8 +18,9 @@ import (
 // that the hazard instruction really sits inside a width-3 item; otherwise a
 // builder change could silently turn these into plain single-op tests.
 
-// diffRunBoth runs text against Step on the trace and closure engines with
-// an immediate hot threshold, applying setup (hooks) to every machine. Each
+// diffRunBoth runs text against Step on the trace and closure engines,
+// applying setup (hooks) to every machine, and checks that each compiled
+// run held compiled traces at its end. Each
 // machine loads its OWN copy of the text: LoadText aliases the caller's
 // slice and PatchInstr writes through it, so the patch tests would otherwise
 // leak one machine's patch into its reference.
@@ -30,7 +31,6 @@ func diffRunBoth(t *testing.T, ctx string, text []sparc.Instr, setup func(*Machi
 		a := New(cache.DefaultConfig, DefaultCosts)
 		b := New(cache.DefaultConfig, DefaultCosts)
 		b.SetEngine(e)
-		b.SetHotThreshold(1)
 		if setup != nil {
 			setup(a)
 			setup(b)
@@ -40,6 +40,9 @@ func diffRunBoth(t *testing.T, ctx string, text []sparc.Instr, setup func(*Machi
 		errA := stepAll(a)
 		_, errB := b.Run()
 		diffStates(t, ctx+" vs "+e.String(), a, b, errA, errB)
+		if traceCount(b.traces) == 0 {
+			t.Fatalf("%s vs %v: the run compiled no traces", ctx, e)
+		}
 	}
 }
 
@@ -54,7 +57,7 @@ func wantWidths(t *testing.T, body []sparc.Instr, want []int8) {
 
 // slotFaultLoop builds the shared skeleton of the slot-fault tests: a loop
 // whose load address is DataBase plus (iteration>>4)<<1 — word-aligned for
-// the first 16 iterations (plenty to compile at threshold 1), then offset 2,
+// the first 16 iterations (the loop compiles on its first entry), then offset 2,
 // so the fused load faults from inside a long-since-compiled triple.
 //
 //	sethi %l0, DataBase

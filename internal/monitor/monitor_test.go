@@ -142,6 +142,35 @@ func TestRegionValidation(t *testing.T) {
 	}
 }
 
+// TestCheckRegionEnd pins the region bounds check at the top of the address
+// space: a region whose end wraps past 2^32 is refused (a 32-bit sum would
+// wrap it around the monitor's window), one ending exactly at 2^32 is
+// valid. It calls checkRegion directly: CreateRegion of a wrapped region
+// would otherwise walk every word of it.
+func TestCheckRegionEnd(t *testing.T) {
+	_, s := newMachineWithService(t, DefaultConfig)
+	cases := []struct {
+		addr, size uint32
+		wantErr    string // "" when the region is valid
+	}{
+		{0xF000_0000, 0x9200_0000, "wraps"}, // a 32-bit end of 0x8200_0000 covers SegTableBase
+		{0xFFFF_FFF0, 0x20, "wraps"},
+		{0xFFFF_FFF0, 0x10, ""}, // ends exactly at 2^32
+		{0xF000_0000, 0x1000_0000, ""},
+		{SegTableBase - 0x10, 0x20, "monitor structures"},
+		{SegTableBase - 0x10, 0x10, ""},
+	}
+	for _, c := range cases {
+		err := s.checkRegion(c.addr, c.size)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("checkRegion(%#x, %#x) = %v, want valid", c.addr, c.size, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("checkRegion(%#x, %#x) = %v, want %q", c.addr, c.size, err, c.wantErr)
+		}
+	}
+}
+
 func TestSegmentMonitoredFlag(t *testing.T) {
 	_, s := newMachineWithService(t, DefaultConfig)
 	addr := machine.HeapBase + 0x2000

@@ -339,11 +339,17 @@ func (s *Service) checkRegion(addr, size uint32) error {
 	if addr < machine.TextBase {
 		return fmt.Errorf("monitor: region [%#x,+%d) below the program address space", addr, size)
 	}
+	// The end is computed in 64 bits: a 32-bit sum wraps past 2^32 and
+	// would let a region covering the window below slip through.
+	end := uint64(addr) + uint64(size)
+	if end > 1<<32 {
+		return fmt.Errorf("monitor: region [%#x,+%d) wraps past the end of the address space", addr, size)
+	}
 	// Reject regions inside the monitor's own reserved window. (The real
 	// system instead monitors its structures to protect their integrity;
 	// here the debugger owns them outright.)
 	monEnd := SegArenaBase + 0x0100_0000
-	if addr < monEnd && addr+size > SegTableBase {
+	if addr < monEnd && end > uint64(SegTableBase) {
 		return fmt.Errorf("monitor: region [%#x,+%d) overlaps monitor structures", addr, size)
 	}
 	return nil
