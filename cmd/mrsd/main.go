@@ -43,7 +43,7 @@ func run() error {
 	batch := flag.Int("batch", 0, "default hit-coalescing batch size (0 = 64; 1 = one frame per hit)")
 	flush := flag.Duration("flush", 0, "hit batch flush deadline (0 = 500µs)")
 	reconcile := flag.Duration("reconcile-timeout", 0, "bound on draining a run's hits to the client before the run response (0 = 5s)")
-	engine := flag.String("engine", "trace", "execution engine: step, block, trace, or closure (counts are engine-independent)")
+	engine := flag.String("engine", "closure", "execution engine: step, block, or closure (counts are engine-independent)")
 	cacheCap := flag.Int64("artifact-cache-cap", 128<<20, "artifact cache size bound in bytes (0 = unbounded)")
 	verbose := flag.Bool("v", false, "log session lifecycle events")
 	flag.Parse()

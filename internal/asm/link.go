@@ -236,7 +236,8 @@ func (p *Program) Load(m *machine.Machine) {
 // first call and reusing it afterwards. The image is safe to attach to any
 // number of machines concurrently: its code is immutable
 // (machine.LoadImage's copy-on-write patching keeps per-machine patches
-// private), and its trace tier fills in as the machines first enter heads.
+// private), and its compiled closures fill in as the machines first enter
+// heads.
 func (p *Program) Image() *machine.Image {
 	p.imgOnce.Do(func() {
 		p.img = machine.BuildImage(p.Text, p.Entry)
@@ -301,9 +302,9 @@ func (p *Program) SizeBytes() int {
 	return p.Image().SizeBytes() + len(p.dataSnapshot())
 }
 
-// TraceBytes is the portion of SizeBytes held by the image's compiled trace
-// tier, reported separately (ArtifactStats.TraceBytes) so the cache's
-// retained-bytes number distinguishes program code from trace footprint.
+// TraceBytes is the portion of SizeBytes held by the image's compiled
+// closures, reported separately (ArtifactStats.TraceBytes) so the cache's
+// retained-bytes number distinguishes program code from compiled footprint.
 // It is zero until a machine runs the program.
 func (p *Program) TraceBytes() int {
 	return p.Image().TraceBytes()

@@ -27,7 +27,7 @@ import (
 // and data-segment snapshot (asm.LoadShared), so "running a cached artifact"
 // is: attach the shared image, memcpy the data snapshot, execute. Machines
 // never mutate a shared program's code — machine.PatchInstr privatizes on
-// first write — and publish each trace they compile into its image once, so
+// first write — and publish each closure they compile into its image once, so
 // any number of concurrent workers and sessions may run one artifact.
 //
 // The cache also memoizes EXECUTIONS. The simulated machine is
@@ -201,10 +201,11 @@ type ArtifactStats struct {
 	// Bytes estimates host memory retained by the cached artifacts: the
 	// item arrays of compiled units and of elimination results' own units,
 	// plus each program's shared image and data snapshot. TraceBytes is
-	// the portion of Bytes held by compiled trace streams — the part that
-	// scales with the text machines have actually entered rather than
-	// program size, broken out so a cap tuned against real footprint can
-	// see what the trace tier costs. Both grow as cached programs run.
+	// the portion of Bytes held by the images' published closures — the
+	// part that scales with the text machines have actually entered rather
+	// than program size, broken out so a cap tuned against real footprint
+	// can see what the compiled tier costs. Both grow as cached programs
+	// run.
 	// CapBytes is the configured bound (0 = unbounded) and Evictions counts
 	// entries dropped to enforce it.
 	Bytes      int64  `json:"bytes"`

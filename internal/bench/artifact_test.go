@@ -152,9 +152,10 @@ func TestArtifactCacheUnboundedByDefault(t *testing.T) {
 }
 
 // TestArtifactCacheAccountsImageGrowth runs a cached program, whose image
-// publishes traces as the run first enters heads, and checks that the cache
-// follows: Stats().Bytes grows, and the next admission evicts against the
-// grown total, not the size charged when the program was admitted.
+// publishes closures as the run first enters heads, and checks that the
+// cache follows: Stats().Bytes grows by exactly the published bytes, and
+// the next admission evicts against the grown total, not the size charged
+// when the program was admitted.
 func TestArtifactCacheAccountsImageGrowth(t *testing.T) {
 	ran, idle := smallProgram(t), smallProgram(t)
 	size := int64(ran.SizeBytes())
@@ -185,6 +186,13 @@ func TestArtifactCacheAccountsImageGrowth(t *testing.T) {
 	after := c.Stats()
 	if after.TraceBytes == 0 || after.Bytes <= before.Bytes {
 		t.Fatalf("after a run: %+v, want Bytes and TraceBytes grown from %+v", after, before)
+	}
+	// The run grows the retained bytes by exactly what its image published:
+	// the closures TraceBytes counts (machine's
+	// TestImageSizeCountsPublishedClosures pins those to the closures'
+	// own headers, items and spans).
+	if grew := after.Bytes - before.Bytes; grew != after.TraceBytes {
+		t.Fatalf("after a run: Bytes grew by %d, TraceBytes is %d", grew, after.TraceBytes)
 	}
 
 	// A third program of the admitted size fits the cap only if the run's

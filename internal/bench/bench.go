@@ -31,7 +31,7 @@ type Config struct {
 	Cache cache.Config
 	Costs machine.Costs
 	// Engine selects the execution engine for every machine the harness
-	// creates (mrsbench -engine). The zero value is machine.EngineTrace;
+	// creates (mrsbench -engine). The zero value is machine.EngineClosure;
 	// simulated counts are engine-independent, so this only moves host time.
 	Engine machine.Engine
 	// Workers is the number of benchmark cells executed concurrently; <= 0

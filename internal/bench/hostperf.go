@@ -50,7 +50,7 @@ func HostPerf(cfg Config, runs int) ([]HostPerfRow, error) {
 		return nil, err
 	}
 
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineTrace, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
 	rows := make([]HostPerfRow, len(engines))
 	times := make([][]time.Duration, len(engines))
 	for i, e := range engines {

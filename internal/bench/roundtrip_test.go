@@ -12,17 +12,14 @@ import (
 // TestEngineRoundTripAllWorkloads is the workload-scale engine-switching
 // differential: every benchmark program runs once serially under the
 // reference step engine, then again sliced by RunFor with SetEngine rotating
-// through all four engines between slices. The sliced run crosses engine
-// boundaries dozens of times mid-program — compiled traces and closures are
+// through every engine between slices. The sliced run crosses engine
+// boundaries dozens of times mid-program — compiled closures are
 // entered, abandoned for the block or step engine, and re-entered — and the
 // final cycles, instructions, exit code, and output must be bit-identical to
 // the uninterrupted reference. Run under -race this also exercises the
 // per-engine caches' construction on a machine shared across slices.
 func TestEngineRoundTripAllWorkloads(t *testing.T) {
-	engines := []machine.Engine{
-		machine.EngineStep, machine.EngineBlock,
-		machine.EngineTrace, machine.EngineClosure,
-	}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
 	cfg := DefaultConfig()
 	for _, p := range workload.All(1) {
 		p := p
@@ -86,14 +83,11 @@ func TestEngineRoundTripAllWorkloads(t *testing.T) {
 // the monitored, read-checked build: every workload is patched with
 // BitmapInlineRegisters+CheckReads, armed with a load-kind region on one
 // entry-frame stack slot and a transition region (PredChanged) on another,
-// and run once under the step engine and once sliced across all four engines.
+// and run once under the step engine and once sliced across every engine.
 // Cycles, instructions, output, AND the delivered hit stream — including
 // read flags and transition old/new values — must be bit-identical.
 func TestEngineRoundTripKindRegions(t *testing.T) {
-	engines := []machine.Engine{
-		machine.EngineStep, machine.EngineBlock,
-		machine.EngineTrace, machine.EngineClosure,
-	}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
 	cfg := DefaultConfig()
 	popts := patch.Options{Strategy: patch.BitmapInlineRegisters, CheckReads: true}
 	mcfg := monitor.DefaultConfig

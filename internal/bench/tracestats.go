@@ -22,8 +22,8 @@ type SeqCount struct {
 // builder's fusion rules (machine.FusionPlan — the compiler's own decision
 // procedure, not a reimplementation) tile the dynamic instruction stream.
 //
-// Instrs counts retired instructions; Items the dispatch items the trace and
-// closure tiers would retire for them; Fused2/Fused3 the instructions retired
+// Instrs counts retired instructions; Items the dispatch items the closure
+// tier would retire for them; Fused2/Fused3 the instructions retired
 // inside two- and three-wide items. ItemsPerInstr = Items/Instrs is the
 // dispatch density the closure tier's hot loop actually pays; FusedPct =
 // (Fused2+Fused3)/Instrs is the share of retirement covered by fused ops.

@@ -77,16 +77,15 @@ func compiledWorkload(b *testing.B, name string) *asm.Program {
 // the shared image, land the data snapshot, execute (LoadShared, the
 // artifact cache's run-a-cached-artifact path; Load's per-machine text copy
 // and predecode is the cold path the cache exists to avoid). One
-// sub-benchmark per execution engine: the trace tier's speedup over the
-// block engine is this benchmark's trace/block ratio, and CI prints all
-// three next to the matrix wall-clock delta.
+// sub-benchmark per execution engine: the compiled tier's speedup over the
+// block engine is this benchmark's block/closure ratio.
 func BenchmarkRunWorkload(b *testing.B) {
 	prog := compiledWorkload(b, "eqntott")
 	// Pin the simulated counts across iterations AND engines, so the
 	// benchmark doubles as a cheap determinism check: the optimization
 	// invariant is that host time may change but these may not.
 	var wantCycles, wantInstrs int64
-	for _, e := range []machine.Engine{machine.EngineClosure, machine.EngineTrace, machine.EngineBlock, machine.EngineStep} {
+	for _, e := range []machine.Engine{machine.EngineClosure, machine.EngineBlock, machine.EngineStep} {
 		b.Run(e.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -196,20 +195,20 @@ func BenchmarkPatchInstrCOW(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginesAllWorkloads times the four engines on every workload's
+// BenchmarkEnginesAllWorkloads times every engine on every workload's
 // baseline build and its BitmapInlineRegisters build, the latter run as its
 // Table 1 cell runs it: a monitor service with FarRegion watched. Each
 // build is a sub-benchmark whose op is one round that runs every engine
 // once on a fresh machine attached to the build's shared image, with the
 // engine order rotating from round to round, so host drift lands on all
 // engines alike. It reports each engine's median run time and the
-// trace/closure and block/closure ratios of the medians; simulated counts
-// must agree across engines and rounds. The whole set takes minutes, so
+// block/closure ratio of the medians; simulated counts must agree across
+// engines and rounds. The whole set takes minutes, so
 // the CI bench job leaves it out; run it as
 //
 //	go test ./internal/machine -run '^$' -bench EnginesAllWorkloads -benchtime 15x
 func BenchmarkEnginesAllWorkloads(b *testing.B) {
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineTrace, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
 	for _, p := range workload.All(1) {
 		u, err := bench.Compile(p)
 		if err != nil {
@@ -245,9 +244,8 @@ func BenchmarkEnginesAllWorkloads(b *testing.B) {
 					}
 					return d
 				}
-				// One untimed run per engine first: the image compiles (and
-				// the closure tier threads) each trace on its first entry, a
-				// set-up cost, not a run cost.
+				// One untimed run per engine first: the image compiles each
+				// closure on its first entry, a set-up cost, not a run cost.
 				for _, e := range engines {
 					run(e)
 				}
@@ -267,8 +265,7 @@ func BenchmarkEnginesAllWorkloads(b *testing.B) {
 					ms[j] = float64(ds[(len(ds)-1)/2]+ds[len(ds)/2]) / 2 / 1e6
 					b.ReportMetric(ms[j], e.String()+"-ms")
 				}
-				b.ReportMetric(ms[2]/ms[3], "trace/closure")
-				b.ReportMetric(ms[1]/ms[3], "block/closure")
+				b.ReportMetric(ms[1]/ms[2], "block/closure")
 			})
 		}
 	}

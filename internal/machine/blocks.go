@@ -113,74 +113,6 @@ func ccFromBits(b uint8) sparc.CC {
 // counter check at all.
 const opCount sparc.Op = 0x80
 
-// decodeUop predecodes in. ok reports whether the instruction is
-// straight-line (block interior); terminators and malformed encodings that
-// must fault return ok=false and execute via Step (or, for Br/Call, inline
-// in the dispatcher from the predecoded fields).
-func decodeUop(in *sparc.Instr) (u uop, ok bool) {
-	switch in.Op {
-	case sparc.Nop, sparc.Ld, sparc.Ldd, sparc.St, sparc.Std,
-		sparc.Add, sparc.Sub, sparc.And, sparc.Andn, sparc.Or, sparc.Orn,
-		sparc.Xor, sparc.Xnor, sparc.Sll, sparc.Srl, sparc.Sra,
-		sparc.SMul, sparc.SDiv,
-		sparc.Addcc, sparc.Subcc, sparc.Andcc, sparc.Andncc,
-		sparc.Orcc, sparc.Xorcc, sparc.Sethi:
-	case sparc.Br:
-		return uop{op: sparc.Br, rd: uint8(in.Cond & 15), s2i: in.Target, cnt: in.Count}, false
-	case sparc.Call:
-		return uop{op: sparc.Call, s2i: in.Target, cnt: in.Count}, false
-	case sparc.Jmpl:
-		u = uop{op: sparc.Jmpl, rd: uint8(in.Rd), rs1: uint8(in.Rs1), cnt: in.Count}
-		if in.UseImm {
-			u.s2r = uint8(sparc.G0)
-			u.s2i = in.Imm
-		} else {
-			u.s2r = uint8(in.Rs2)
-		}
-		if in.Rd == sparc.G0 {
-			u.rd = scratchReg
-		}
-		return u, false
-	default:
-		return uop{op: in.Op}, false // Jmpl/Save/Restore/Ta/Unimp/unknown: Step only
-	}
-	u = uop{op: in.Op, rd: uint8(in.Rd), rs1: uint8(in.Rs1), cnt: in.Count}
-	if in.UseImm {
-		u.s2r = uint8(sparc.G0)
-		u.s2i = in.Imm
-	} else {
-		u.s2r = uint8(in.Rs2)
-		u.s2i = 0
-	}
-	switch in.Op {
-	case sparc.Sethi:
-		u.s2i = in.Imm << 10
-		if in.Rd == sparc.G0 {
-			u.rd = scratchReg
-		}
-	case sparc.Ldd:
-		// Odd rd must fault; rd==%g0 has the quirky "write %g1 only"
-		// semantics writeReg gives it. Both go through Step.
-		if in.Rd&1 != 0 || in.Rd == sparc.G0 {
-			return uop{op: in.Op}, false
-		}
-	case sparc.Std:
-		if in.Rd&1 != 0 {
-			return uop{op: in.Op}, false
-		}
-	case sparc.St:
-		// rd is a source; keep the architectural index.
-	default:
-		if in.Rd == sparc.G0 {
-			u.rd = scratchReg
-		}
-	}
-	if u.cnt != 0 {
-		u.op |= opCount
-	}
-	return u, true
-}
-
 // rebuildBlocks recomputes the whole block index from m.text (LoadText).
 // The decode pass itself is buildUops (image.go), shared with BuildImage.
 func (m *Machine) rebuildBlocks() {
@@ -328,32 +260,17 @@ dispatch:
 			m.pc = next
 			continue
 		}
-		// Trace tier (trace.go): m.traces is non-nil exactly when the trace
-		// engine is active, so the whole tier costs one nil check under
-		// EngineBlock. A compiled trace is entered only when a full pass fits
+		// Compiled tier (closure.go): m.traces is non-nil exactly when the
+		// closure engine is active, so the whole tier costs one nil check
+		// under EngineBlock. A closure is entered only when a full pass fits
 		// in the remaining budget — otherwise the block path below clamps the
-		// tail bit-exactly. A marked head without a trace compiles on this
+		// tail bit-exactly. A marked head without a closure compiles on this
 		// first entry and re-dispatches to enter it.
 		if ts := m.traces; ts != nil {
-			if tr := ts[pc].Load(); tr != nil {
-				if cs := m.cls; cs != nil {
-					// Closure tier (closure.go): thread the trace on first
-					// entry, then run the threaded form.
-					cp := cs[pc].Load()
-					if cp == nil {
-						cp = m.closureAt(pc, tr)
-					}
-					if m.MaxInstrs-m.instrs >= cp.passInstrs {
-						var err error
-						curILine, curDLine, ihits, err = m.execClosures(cp, shift, imask, curILine, curDLine, ihits)
-						if err != nil {
-							return err
-						}
-						continue
-					}
-				} else if m.MaxInstrs-m.instrs >= tr.passInstrs {
+			if cp := ts[pc].Load(); cp != nil {
+				if m.MaxInstrs-m.instrs >= cp.passInstrs {
 					var err error
-					curILine, curDLine, ihits, err = m.execTrace(tr, shift, imask, curILine, curDLine, ihits)
+					curILine, curDLine, ihits, err = m.execClosures(cp, shift, imask, curILine, curDLine, ihits)
 					if err != nil {
 						return err
 					}
@@ -690,4 +607,75 @@ func (m *Machine) blockFault(pc int32, k int, cyc, base int64, ihits uint64, for
 	m.cycles += cyc + base*(int64(k)+1)
 	m.pc = pc + int32(k)
 	return m.fault(m.text[m.pc], format, args...)
+}
+
+// decodeUop predecodes in. ok reports whether the instruction is
+// straight-line (block interior); terminators and malformed encodings that
+// must fault return ok=false and execute via Step (or, for Br/Call, inline
+// in the dispatcher from the predecoded fields). It sits below execBlocks
+// because the functions laid out ahead of execBlocks set the hot loop's
+// address mod 64, which moves host speed (EXPERIMENTS.md, "One compiled
+// tier").
+func decodeUop(in *sparc.Instr) (u uop, ok bool) {
+	switch in.Op {
+	case sparc.Nop, sparc.Ld, sparc.Ldd, sparc.St, sparc.Std,
+		sparc.Add, sparc.Sub, sparc.And, sparc.Andn, sparc.Or, sparc.Orn,
+		sparc.Xor, sparc.Xnor, sparc.Sll, sparc.Srl, sparc.Sra,
+		sparc.SMul, sparc.SDiv,
+		sparc.Addcc, sparc.Subcc, sparc.Andcc, sparc.Andncc,
+		sparc.Orcc, sparc.Xorcc, sparc.Sethi:
+	case sparc.Br:
+		return uop{op: sparc.Br, rd: uint8(in.Cond & 15), s2i: in.Target, cnt: in.Count}, false
+	case sparc.Call:
+		return uop{op: sparc.Call, s2i: in.Target, cnt: in.Count}, false
+	case sparc.Jmpl:
+		u = uop{op: sparc.Jmpl, rd: uint8(in.Rd), rs1: uint8(in.Rs1), cnt: in.Count}
+		if in.UseImm {
+			u.s2r = uint8(sparc.G0)
+			u.s2i = in.Imm
+		} else {
+			u.s2r = uint8(in.Rs2)
+		}
+		if in.Rd == sparc.G0 {
+			u.rd = scratchReg
+		}
+		return u, false
+	default:
+		return uop{op: in.Op}, false // Jmpl/Save/Restore/Ta/Unimp/unknown: Step only
+	}
+	u = uop{op: in.Op, rd: uint8(in.Rd), rs1: uint8(in.Rs1), cnt: in.Count}
+	if in.UseImm {
+		u.s2r = uint8(sparc.G0)
+		u.s2i = in.Imm
+	} else {
+		u.s2r = uint8(in.Rs2)
+		u.s2i = 0
+	}
+	switch in.Op {
+	case sparc.Sethi:
+		u.s2i = in.Imm << 10
+		if in.Rd == sparc.G0 {
+			u.rd = scratchReg
+		}
+	case sparc.Ldd:
+		// Odd rd must fault; rd==%g0 has the quirky "write %g1 only"
+		// semantics writeReg gives it. Both go through Step.
+		if in.Rd&1 != 0 || in.Rd == sparc.G0 {
+			return uop{op: in.Op}, false
+		}
+	case sparc.Std:
+		if in.Rd&1 != 0 {
+			return uop{op: in.Op}, false
+		}
+	case sparc.St:
+		// rd is a source; keep the architectural index.
+	default:
+		if in.Rd == sparc.G0 {
+			u.rd = scratchReg
+		}
+	}
+	if u.cnt != 0 {
+		u.op |= opCount
+	}
+	return u, true
 }

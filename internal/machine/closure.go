@@ -1,11 +1,8 @@
-// Closure-compiled (threaded-code) execution tier.
+// Closure-compiled (threaded-code) execution tier: the only compiled tier.
 //
-// The trace tier (trace.go) already stitches superblocks, fuses pairs, and
-// skips known-hit cache probes, but execTrace still pays, per trace-op: the
-// three-way known-hit ifetch check, a per-op batched-hit increment, per-op
-// static-cycle accumulation, memory round-trips through m.ccb for every
-// condition-code def/use, and a counter-redo dispatch in the switch default.
-// This tier compiles each traceProg one step further: ONE closure per trace,
+// The trace builder (trace.go) stitches superblocks, fuses pairs and
+// triples, and marks the compile-time I-line boundaries. This file threads
+// each trace it emits, at once, into ONE closure per trace (closProg),
 // whose body is a loop over items that map 1:1 onto trace-ops but carry
 // their accounting pre-resolved — the fetch check collapses to a two-bit
 // dispatch code, known-hit fetches and static cycles collapse to per-batch
@@ -15,15 +12,18 @@
 // transfers are evaluated inline; the trace back-edge is a pointer reset,
 // not a dispatch. Per-pass hot state (both line trackers, hit/cycle
 // accumulators, the CC byte) stays in locals and spills to the shared cst
-// only at trace exits, faults, and hook (StoreHook/LoadHook) boundaries. Trace-to-trace
-// linking is a tail-dispatch: the exiting closure hands the trampoline
-// (execClosures) the next trace's entry closure, threading it on demand, so
-// chained traces run without a block-dispatcher round-trip.
+// only at trace exits, faults, and hook (StoreHook/LoadHook) boundaries.
+// Trace-to-trace linking is a tail-dispatch: the exiting closure hands the
+// trampoline (execClosures) the next trace's entry closure, compiling it on
+// demand, so chained traces run without a block-dispatcher round-trip. The
+// closure is all a machine or image keeps of a trace: its item stream, its
+// pass length and the spans PatchInstr invalidates by.
 //
 // Measured dead ends worth recording, all on BenchmarkRunWorkload against
-// execTrace's ~5.5-6ms/op: one-closure-per-µop threading — the classic
-// threaded-code shape — lands at ~9.9ms (an indirect call, frame setup, and
-// spilled hot state per op cost more than a predicted jump-table branch);
+// the ~5.5-6ms/op of a plain interpreter over the trace-ops: one closure per
+// µop — the classic threaded-code shape — lands at ~9.9ms (an indirect
+// call, frame setup, and spilled hot state per op cost more than a
+// predicted jump-table branch);
 // one-closure-per-RUN with control ops as separate closures lands at ~10.1ms
 // (at this workload's ~3.4-instruction runs it still pays an indirect call
 // round-trip per handful of ops, and every closure boundary forces hot state
@@ -47,8 +47,9 @@
 //     one `goto hop` tail, and exit-only accounting lookups hide inside the
 //     noinline callees. Any edit that grows run() should re-check -m=2.
 //  2. Item footprint. ritem is exactly 32 bytes — two per cache line, never
-//     straddling — with exit-only fields split into the parallel rcold
-//     array and control items' settle pair packed into their unused imm2.
+//     straddling — with control items' settle pair packed into their unused
+//     imm2 and a memory item's exit-only prefix left out entirely: faults
+//     and patch exits recompute it with one scan of the stream (exitPrefix).
 //     The dispatch loop streams items, so bytes per item is a first-order
 //     cost (the 48-byte predecessor measured ~3% slower end to end).
 //
@@ -57,7 +58,7 @@
 // a store hook) can kill it — both sites repair the tracker eagerly,
 // performing the next precounted fetch's probe at the kill site (the
 // intervening work touches no cache state, so the probe order matches
-// execTrace exactly; the repair target is precomputed, and a line-crossing
+// Step's exactly; the repair target is precomputed, and a line-crossing
 // or control fetch bounds the scan because those probe dynamically anyway).
 // Every same-line (nl-clear) body fetch is therefore a guaranteed hit
 // counted at compile time into per-item prefix sums (hb), settled with ONE
@@ -67,12 +68,12 @@
 // as a "tracker live => hit" fast path, and its probe re-establishes the
 // tracker for the next batch.
 //
-// The proof obligation is unchanged: simulated instruction counts, cycles,
-// cache statistics, event counters, and fault points bit-identical to Step.
-// Patch safety reuses the trace tier's contract verbatim: spans + textGen (a
-// hooked store or load that patches text exits at the access boundary), and COW
-// privatization copies the image's closures alongside its traces into this
-// machine's own slots, where invalidateTraces nils a closure with its trace.
+// The proof obligation: simulated instruction counts, cycles, cache
+// statistics, event counters, and fault points bit-identical to Step.
+// Patch safety is spans + textGen (a hooked store or load that patches text
+// exits at the access boundary), and COW privatization copies the image's
+// closures into this machine's own slots, where invalidateTraces nils every
+// closure whose spans cover a patch.
 package machine
 
 import (
@@ -95,17 +96,39 @@ import (
 // eqntott run made that the single largest line item in the profile).
 type cfn func(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (cfn, uint32, uint32, uint64, uint8)
 
-// closProg is the compiled closure form of one traceProg. Per machine, and
-// dropped wholesale (never mutated) on invalidation.
+// closProg is the compiled closure form of one trace, and all that is kept
+// of it: immutable once published, so an image's closures may be shared
+// across machines and read while another machine invalidates its own slots.
 type closProg struct {
-	entry      cfn
-	items      []ritem // compiled item stream, 1:1 with tr.ops
-	cold       []rcold // exit-only accounting, 1:1 with items
-	head       int32   // trace entry text index
-	passInstrs int64   // one full pass's simulated instructions
+	entry cfn
+	items []ritem // compiled item stream, 1:1 with the trace's ops
+	// spans are the trace's sorted, disjoint [lo,hi) consumed text-index
+	// ranges; PatchInstr drops any closure whose span covers the patched
+	// index.
+	spans      [][2]int32
+	head       int32  // trace entry text index
+	shift      uint32 // I-line shift the fetch codes were compiled under
+	passInstrs int64  // one full pass's simulated instructions
 	// cost constants resolved at compile time, so run() never touches costs
-	shift                   uint32
-	taken, div, spill, memx int64
+	taken, mul, div, spill, memx int64
+}
+
+// covers reports whether text index idx is part of the trace.
+func (cp *closProg) covers(idx int32) bool {
+	for _, s := range cp.spans {
+		if idx >= s[0] && idx < s[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// size is the host memory one published closure holds — header, item stream
+// and spans — as Image.TraceBytes counts it.
+func (cp *closProg) size() int {
+	return int(unsafe.Sizeof(closProg{})) +
+		len(cp.items)*int(unsafe.Sizeof(ritem{})) +
+		len(cp.spans)*int(unsafe.Sizeof([2]int32{}))
 }
 
 // cst is the spill area of one execClosures call (the Machine's reusable
@@ -113,31 +136,31 @@ type closProg struct {
 // never touches it; everything here is read/written only on slow paths,
 // commits, and exits.
 type cst struct {
-	m     *Machine
-	cls   []atomic.Pointer[closProg]
-	imask uint32
-	gen   uint32 // textGen at entry; a mismatch after a hooked store exits
-	drh   uint64 // batched known-hit data reads
-	dwh   uint64 // batched known-hit data writes
-	base  int64  // costs.Base + PerInstrPenalty
-	inst  int64  // instructions committed this call
-	cycs  int64  // cycles committed this call
-	rem   int64  // remaining MaxInstrs budget
-	npc   int32  // exit pc handed back to the dispatcher
-	err   error
+	m      *Machine
+	traces []atomic.Pointer[closProg] // the machine's slots (Machine.traces)
+	imask  uint32
+	gen    uint32 // textGen at entry; a mismatch after a hooked store exits
+	drh    uint64 // batched known-hit data reads
+	dwh    uint64 // batched known-hit data writes
+	base   int64  // costs.Base + PerInstrPenalty
+	inst   int64  // instructions committed this call
+	cycs   int64  // cycles committed this call
+	rem    int64  // remaining MaxInstrs budget
+	npc    int32  // exit pc handed back to the dispatcher
+	err    error
 }
 
 // ritem is one trace-op with its accounting pre-resolved. The stream maps
-// 1:1 onto tr.ops (fused pairs stay fused — dispatch density is what the
-// loop's cost tracks) except that counted ops are preceded by a synthetic
-// cCount item, keeping the counter test off the hot path entirely.
+// 1:1 onto the trace's ops (fused pairs stay fused — dispatch density is
+// what the loop's cost tracks) except that counted ops are preceded by a
+// synthetic cCount item, keeping the counter test off the hot path entirely.
 //
 // The struct is exactly 32 bytes — half a cache line, so a streamed item
 // never straddles two lines — and holds only what the loop touches between
-// settles. Exit-only accounting (a memory item's batch prefix and retired
-// count, read on faults and patch exits) lives in the parallel rcold array;
-// a control item packs the same pair into its unused imm2 (see finish), and
-// fetch addresses are derived from fpc (TextBase + fpc<<2) at probe sites.
+// settles. A control item packs its batch's settle pair into its unused
+// imm2 (see finish); a memory item's exit-only pair, read only on faults and
+// patch exits, is recomputed there (exitPrefix); and fetch addresses are
+// derived from fpc (TextBase + fpc<<2) at probe sites.
 type ritem struct {
 	kind topOp
 	// f bits 0-1 dispatch this item's first ifetch:
@@ -169,7 +192,7 @@ type ritem struct {
 	hb  uint16
 	imm int32
 	// imm2: fused second half's immediate. Control items have no second
-	// immediate, so finish() packs their settle pair here instead:
+	// immediate, so they carry their settle pair here instead:
 	// bits 0-15 the batch's static-cycle total, bits 16-30 the pass
 	// instructions retired through the op's first instr (niW). Read via
 	// ctlCyc/ctlNi; both fit 15 bits because maxBlockLen caps a trace.
@@ -188,47 +211,13 @@ type ritem struct {
 	fpc int32 // this instruction's text index (probe address / fault / exit)
 }
 
-// rcold is the exit-only half of a memory item: the batch's static-cycle
-// prefix (cycB) and the pass instructions retired through the op's first
-// instr (niW), read only on faults and store-boundary patch exits. Kept out
-// of ritem so the hot stream stays at 32 bytes; indexed 1:1 with items.
-type rcold struct {
-	cycB int32
-	niW  int32
-}
-
 // ctlCyc and ctlNi unpack a control item's settle pair from imm2.
 func ctlCyc(it *ritem) int64 { return int64(it.imm2 & 0xffff) }
 func ctlNi(it *ritem) int64  { return int64(it.imm2 >> 16) }
 
-// itemIdx recovers an item's index from its pointer — cold-path glue for
-// rcold lookups, kept as pointer math so the loop needs no index variable.
-func itemIdx(items []ritem, it *ritem) int {
-	return int((uintptr(unsafe.Pointer(it)) - uintptr(unsafe.Pointer(&items[0]))) / unsafe.Sizeof(ritem{}))
-}
-
-// ClosureBytes reports the host memory held by the closure tier this
-// machine executes (slots, item streams, cold arrays, headers). On a shared
-// image that tier is the image's, shared by every machine attached with the
-// same cost model (Image.sharedClosures), so machines sharing it each report
-// the same bytes, which grow as any of them first enters a head; private
-// text threads its own. Image.SizeBytes leaves it out either way, so
-// retained-bytes accounting does not depend on which engine has run.
-func (m *Machine) ClosureBytes() int {
-	n := len(m.cls) * int(unsafe.Sizeof(atomic.Pointer[closProg]{}))
-	for i := range m.cls {
-		if cp := m.cls[i].Load(); cp != nil {
-			n += int(unsafe.Sizeof(closProg{})) +
-				len(cp.items)*int(unsafe.Sizeof(ritem{})) +
-				len(cp.cold)*int(unsafe.Sizeof(rcold{}))
-		}
-	}
-	return n
-}
-
 // cCount is the synthetic counter-bump item kind; imm is the counter index.
 // Placed before its op — both effects are pure counters invisible until the
-// next flush, where both have completed (v. the trace tier's redo dispatch).
+// next flush, where both have completed.
 const cCount = topOpEnd
 
 // chainKinds marks the item kinds runOutlined retires itself: the outlined
@@ -270,7 +259,7 @@ func fetchSlowV(m *Machine, line, iaddr, curDL, imask uint32) (uint32, uint32, i
 // eagerly repairs the I-line tracker when the access aliases it: the next
 // precounted fetch (address ria, line ria>>shift) is probed at the kill
 // site — nothing between them touches cache state, so the probe order
-// matches execTrace exactly — and the returned conv (-1) records the
+// matches Step's exactly — and the returned conv (-1) records the
 // hit-to-probe conversion for the next settle.
 //
 //go:noinline
@@ -302,8 +291,8 @@ func dataSlowV(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imask
 // different D-lines (only possible with lines narrower than 8 bytes — Ldd/Std
 // enforce 8-byte alignment), so both words probe, in program order, one
 // reference each (see dataAccess2). Any I-tracker kill defers its eager
-// repair until AFTER the second word's probe: execTrace probes the next
-// fetch only once both data words are done, and the repair must keep that
+// repair until AFTER the second word's probe: Step probes the next fetch
+// only once both data words are done, and the repair must keep that
 // cache-probe order to stay bit-identical.
 //
 //go:noinline
@@ -352,29 +341,21 @@ func dataSlow2V(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imas
 }
 
 // exitNext is the cold tail of a trace side exit: commit n instructions and
-// resolve the next-closure pointer registered at npc (threading it, and at a
-// marked head compiling its trace, on first entry) when a full pass
-// fits the remaining budget. The caller hops to the returned trace
-// in-function — the whole point of the closure tier: a linked exit is a
-// pointer swap and a branch, never a call-frame round-trip. A nil return
-// hands control back to the dispatcher at npc.
+// resolve the closure registered at npc (compiling it on a marked head's
+// first entry) when a full pass fits the remaining budget. The caller hops
+// to the returned closure in-function — the whole point of the closure
+// tier: a linked exit is a pointer swap and a branch, never a call-frame
+// round-trip. A nil return hands control back to the dispatcher at npc.
 //
 //go:noinline
 func (s *cst) exitNext(cyc, n int64, npc int32) *closProg {
 	s.inst += n
 	s.cycs += cyc + s.base*n
 	s.rem -= n
-	if uint32(npc) < uint32(len(s.cls)) {
-		next := s.cls[npc].Load()
-		if next == nil {
-			m := s.m
-			tr := m.traces[npc].Load()
-			if tr == nil && m.heads.has(npc) {
-				tr = m.compileHead(npc)
-			}
-			if tr != nil {
-				next = m.closureAt(npc, tr)
-			}
+	if uint32(npc) < uint32(len(s.traces)) {
+		next := s.traces[npc].Load()
+		if next == nil && s.m.heads.has(npc) {
+			next = s.m.compileHead(npc)
 		}
 		if next != nil && s.rem >= next.passInstrs {
 			return next
@@ -427,20 +408,20 @@ func (s *cst) loadHookFlush(ihits uint64, ccb uint8, ea uint32, size int32) int6
 // fault commits a fault at the item's text index (cyc arrives as the
 // faulting pass's dynamic charges through the faulting instruction — its
 // fetch and any dynamic cost charged, nothing past it; the item's static
-// batch prefix and retired count come from the cold array here, with dN/dPc
-// adjusting for a fused op's second half) and stops the trampoline with the
-// Fault. ihits arrives with the earned batch hits folded in and is flushed
-// here (the returned batch is empty); the flushed statistics and error
-// values match execTrace's traceFault bit for bit.
+// batch prefix and retired count are recomputed here, with dN/dPc adjusting
+// for a fused op's later half) and stops the trampoline with the Fault.
+// ihits arrives with the earned batch hits folded in and is flushed here
+// (the returned batch is empty); the flushed statistics and error values
+// match Step's bit for bit.
 //
 //go:noinline
-func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, items []ritem, it *ritem, dN, dPc int32, format string, args ...any) (cfn, uint32, uint32, uint64, uint8) {
-	cd := &cp.cold[itemIdx(items, it)]
-	n := int64(cd.niW + dN)
+func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dN, dPc int32, format string, args ...any) (cfn, uint32, uint32, uint64, uint8) {
+	cycB, niW := cp.exitPrefix(it)
+	n := niW + int64(dN)
 	pc := it.fpc + dPc
 	s.m.cache.NoteHits(cache.IFetch, ihits)
 	s.inst += n
-	s.cycs += cyc + int64(cd.cycB) + s.base*n
+	s.cycs += cyc + cycB + s.base*n
 	s.rem -= n
 	s.npc = pc
 	s.err = &Fault{PC: pc, Instr: s.m.text[pc], Reason: fmt.Sprintf(format, args...)}
@@ -452,9 +433,9 @@ func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp 
 // write and then the fault.
 //
 //go:noinline
-func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, items []ritem, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
+func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
 	s.m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
-	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, items, it, 0, 0, badJumpFormat(dest), dest)
+	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, it, 0, 0, badJumpFormat(dest), dest)
 }
 
 // ccAddBits/ccSubBits/ccLogicBits compute the packed condition codes the
@@ -505,20 +486,6 @@ func ccLogicBits(r int32) uint8 {
 	return bits
 }
 
-// cb is the closure compiler's per-trace context. It holds no machine
-// state beyond the cost model — the output closProg must stay
-// machine-independent so a shared image can publish it to every attached
-// machine (image.go sharedClosures).
-type cb struct {
-	tr    *traceProg
-	shift uint32
-	taken int64
-	mul   int64
-	div   int64
-	spill int64
-	memx  int64
-}
-
 // isCtlOp reports whether a trace-op is a control transfer (settles the
 // batch; its own fetch never precounts).
 func isCtlOp(op topOp) bool {
@@ -529,19 +496,22 @@ func isCtlOp(op topOp) bool {
 	return false
 }
 
-// compileClosures compiles tr into its single-closure form for machine m.
-func (m *Machine) compileClosures(tr *traceProg) *closProg {
-	cp := &closProg{head: tr.entry, passInstrs: tr.passInstrs}
-	b := &cb{
-		tr:    tr,
-		shift: tr.shift,
-		taken: m.costs.TakenBranch,
-		mul:   m.costs.Mul,
-		div:   m.costs.Div,
-		spill: m.costs.WindowSpill,
-		memx:  m.costs.MemExtra,
+// compileClosures threads tr into its single-closure form under cost model
+// c. The result depends only on tr and c, never on the compiling machine,
+// so a shared image can publish it to every machine attached with the
+// image's geometry and cost model.
+func compileClosures(tr *traceProg, c *Costs) *closProg {
+	cp := &closProg{
+		head:       tr.entry,
+		shift:      tr.shift,
+		passInstrs: tr.passInstrs,
+		spans:      tr.spans,
+		taken:      c.TakenBranch,
+		mul:        c.Mul,
+		div:        c.Div,
+		spill:      c.WindowSpill,
+		memx:       c.MemExtra,
 	}
-
 	// One item per op plus one counter item per counted op, stored at exact
 	// size: closures live as long as their image.
 	n := len(tr.ops)
@@ -551,18 +521,14 @@ func (m *Machine) compileClosures(tr *traceProg) *closProg {
 		}
 	}
 	items := make([]ritem, 0, n)
-	cold := make([]rcold, 0, n)
 	for i := range tr.ops {
-		items, cold = b.appendItem(items, cold, &tr.ops[i], len(items) == 0)
+		items = appendItem(items, tr, &tr.ops[i], len(items) == 0)
 	}
-	b.finish(items, cold)
+	cp.finish(items)
 	cp.items = items
-	cp.cold = cold
-	cp.shift = b.shift
-	cp.taken, cp.div, cp.spill, cp.memx = b.taken, b.div, b.spill, b.memx
 	// The entry closure is deliberately a thin thunk: the interpreting loop
-	// lives in the regular method run() so the compiler optimizes it like
-	// execTrace (helper inlining, bounds-check elision, jump-table dispatch) —
+	// lives in the regular method run() so the compiler optimizes it as a
+	// method (helper inlining, bounds-check elision, jump-table dispatch) —
 	// the same body compiled as a func literal kept small helpers
 	// (pageCacheIdx, bigEndian.Uint32, the cc-bit packers) as real calls,
 	// and with no callee-saved registers in the Go ABI every such call
@@ -573,23 +539,19 @@ func (m *Machine) compileClosures(tr *traceProg) *closProg {
 	return cp
 }
 
-// appendItem compiles one trace-op into its item (plus a counter item when
-// the op is counted), growing the cold array in lockstep: every item gets an
-// rcold slot; niW lands there and finish() fills cycB (or repacks both into
-// a control item's imm2).
-func (b *cb) appendItem(items []ritem, cold []rcold, u *top, first bool) ([]ritem, []rcold) {
+// appendItem compiles trace-op u of tr into its item, preceded by a counter
+// item when the op is counted. finish() fills in the batch bookkeeping.
+func appendItem(items []ritem, tr *traceProg, u *top, first bool) []ritem {
 	op := u.op &^ topCount
 	if u.op&topCount != 0 {
 		// The counter item fetches nothing, so the op after it keeps its
 		// own dispatch code (including the entry compare when first).
 		items = append(items, ritem{kind: cCount, imm: int32(u.cnt) - 1})
-		cold = append(cold, rcold{})
 	}
 	if op == tEnd {
 		// Synthetic tail: settle, commit the whole pass, link to exitPC.
-		items = append(items, ritem{kind: tEnd, rx: uint32(b.tr.exitPC)})
-		cold = append(cold, rcold{niW: int32(b.tr.passInstrs)})
-		return items, cold
+		return append(items, ritem{kind: tEnd, rx: uint32(tr.exitPC),
+			imm2: int32(tr.passInstrs) << 16})
 	}
 	it := ritem{
 		kind: op,
@@ -598,6 +560,10 @@ func (b *cb) appendItem(items []ritem, cold []rcold, u *top, first bool) ([]rite
 		cm:  condMask[u.cond],
 		imm: u.imm, imm2: u.imm2,
 		fpc: int32((u.iaddr - TextBase) / 4),
+	}
+	if isCtlOp(op) {
+		// finish() completes the settle pair around niW (see ritem.imm2).
+		it.imm2 = (int32(u.ni) + 1) << 16
 	}
 	switch {
 	case first:
@@ -631,7 +597,7 @@ func (b *cb) appendItem(items []ritem, cold []rcold, u *top, first bool) ([]rite
 	case tCmpBrT, tCmpBrLoop:
 		it.rx = uint32(it.fpc + 2)
 	}
-	return append(items, it), append(cold, rcold{niW: int32(u.ni) + 1})
+	return append(items, it)
 }
 
 // ownStatic is one item's static-cycle contribution to its batch's prefix
@@ -639,31 +605,31 @@ func (b *cb) appendItem(items []ritem, cold []rcold, u *top, first bool) ([]rite
 // charged-before-the-zero-check contract needs no special case; a branch's
 // taken cost is dynamic by nature (tCall's is static: it always transfers,
 // and its target is stitched into the trace).
-func (b *cb) ownStatic(op topOp) int32 {
+func (cp *closProg) ownStatic(op topOp) int64 {
 	switch op {
 	case tLd, tLdI, tSt, tStI, tLdSll, tLdOr, tLdCmp, tAddLd, tOrLd, tAddSt, tSubSt,
 		tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tSet2Ld, tSet2St:
-		return int32(b.memx)
+		return cp.memx
 	case tLdd, tStd, tLdLd, tLdSt, tLdAddLd, tLdAddSt, tLdSubSt, tLdOrSt:
-		return 2 * int32(b.memx)
+		return 2 * cp.memx
 	case tSMul:
-		return int32(b.mul)
+		return cp.mul
 	case tCall:
-		return int32(b.taken)
+		return cp.taken
 	}
 	return 0
 }
 
 // finish computes the batch bookkeeping over the item stream: per-item
-// precounted-hit and static-cycle prefix sums (a batch runs from one control
-// op to the next — the control settles and resets it), and, for every memory
-// item, the eager repair target: the next precounted first-fetch in
-// instruction order. The scan bounds at any dynamically-fetching item
-// (crossing, entry, control): its own probe re-establishes the tracker, so
-// nothing past it needs repair.
-func (b *cb) finish(items []ritem, cold []rcold) {
+// precounted-hit prefix sums and each control item's settle pair (a batch
+// runs from one control op to the next — the control settles and resets
+// it), and, for every memory item, the eager repair target: the next
+// precounted first-fetch in instruction order. The scan bounds at any
+// dynamically-fetching item (crossing, entry, control): its own probe
+// re-establishes the tracker, so nothing past it needs repair.
+func (cp *closProg) finish(items []ritem) {
 	hb := uint16(0)
-	cyc := int32(0)
+	cyc := int64(0)
 	for i := range items {
 		it := &items[i]
 		if it.kind == cCount {
@@ -672,10 +638,10 @@ func (b *cb) finish(items []ritem, cold []rcold) {
 		if isCtlOp(it.kind) {
 			// Controls read their settle pair on every execution, so it
 			// rides in the hot item: imm2 (free — no fused second half) is
-			// cycB | niW<<16. maxBlockLen (1024) bounds both well under
-			// their 16/15-bit fields.
+			// cycB | niW<<16, with niW placed by appendItem. maxBlockLen
+			// (1024) bounds both well under their 16/15-bit fields.
 			it.hb = hb
-			it.imm2 = cyc | cold[i].niW<<16
+			it.imm2 |= int32(cyc)
 			hb, cyc = 0, 0
 			continue
 		}
@@ -691,8 +657,7 @@ func (b *cb) finish(items []ritem, cold []rcold) {
 				hb++
 			}
 		}
-		cold[i].cycB = cyc
-		cyc += b.ownStatic(it.kind)
+		cyc += cp.ownStatic(it.kind)
 	}
 	for i := range items {
 		switch items[i].kind {
@@ -711,6 +676,33 @@ func (b *cb) finish(items []ritem, cold []rcold) {
 			}
 		}
 	}
+}
+
+// exitPrefix recomputes what a fault or patch exit at item it commits
+// beyond the dynamic charges: cycB, the static cycles of its batch's items
+// before it, and niW, the pass instructions retired through its first
+// instruction. A control item's batch is already settled and its niW sits
+// in imm2; any other item's pair costs one scan of the stream, on these
+// cold paths only, so the hot items need not carry it.
+func (cp *closProg) exitPrefix(it *ritem) (cycB, niW int64) {
+	if isCtlOp(it.kind) {
+		return 0, ctlNi(it)
+	}
+	for i := range cp.items {
+		x := &cp.items[i]
+		switch {
+		case x == it:
+			return cycB, niW + 1
+		case x.kind == cCount:
+		case isCtlOp(x.kind):
+			cycB = 0
+			niW += int64(topWidth(x.kind))
+		default:
+			cycB += cp.ownStatic(x.kind)
+			niW += int64(topWidth(x.kind))
+		}
+	}
+	panic("machine: exitPrefix: item outside its closure's stream")
 }
 
 // winPush is tSave's window push — cold relative to the dispatch loop, and
@@ -762,7 +754,7 @@ func (m *Machine) winPop(spillC int64) int64 {
 // the generic ReadWord/storeWord path, then either the batch rebase and
 // eager repair (rebased ihits wraps negative mod 2^64; every path to a flush
 // first adds a batch prefix that covers it, and the repair performs the next
-// precounted fetch's probe exactly as execTrace's next per-op fetch would)
+// precounted fetch's probe exactly as Step's next fetch would)
 // or, on a text patch under the hook, the access-boundary commit (exit=true:
 // the caller returns to the trampoline immediately). Keeping all of it out
 // of line keeps the nine hook sites in run() from pushing the loop over the
@@ -775,7 +767,7 @@ func (m *Machine) winPop(spillC int64) int64 {
 // access, and the retired-count/pc deltas for a fused second half.
 //
 //go:noinline
-func (s *cst) hookedAccess(cp *closProg, items []ritem, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, dbl bool, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
+func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, dbl bool, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
 	m := s.m
 	size := int32(4)
 	if dbl {
@@ -812,10 +804,10 @@ func (s *cst) hookedAccess(cp *closProg, items []ritem, it *ritem, ihits0 uint64
 		}
 	}
 	if m.textGen != s.gen {
-		cd := &cp.cold[itemIdx(items, it)]
-		n := int64(cd.niW) + int64(dN)
+		cycB, niW := cp.exitPrefix(it)
+		n := niW + int64(dN)
 		s.inst += n
-		s.cycs += cyc + int64(cd.cycB) + extra + s.base*n
+		s.cycs += cyc + cycB + extra + s.base*n
 		s.rem -= n
 		s.npc = it.fpc + dPc
 		return curIL, curDL, 0, 0, true
@@ -922,7 +914,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					dv := m.regs[it.s2r] + it.imm
 					if dv == 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-							cyc, cp, items, it, 0, 0, "division by zero")
+							cyc, cp, it, 0, 0, "division by zero")
 					}
 					m.regs[it.rd] = m.regs[it.rs1] / dv
 				case tAddcc:
@@ -965,11 +957,11 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					}
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-							cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+							cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					}
 					if m.LoadHook != nil {
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, false, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
@@ -1009,14 +1001,14 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					}
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-							cyc, cp, items, it, 0, 0, "unaligned store at %#x", ea)
+							cyc, cp, it, 0, 0, "unaligned store at %#x", ea)
 					}
 					if m.StoreHook != nil {
 						// The whole hooked protocol — flush exact statistics,
 						// run the hook, probe with dead trackers, store, then
 						// rebase-and-repair or patch-exit — lives out of line.
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, false, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
@@ -1057,7 +1049,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 				case tRestore:
 					if len(m.win) < 1 {
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-							cyc, cp, items, it, 0, 0, "register window underflow at top frame")
+							cyc, cp, it, 0, 0, "register window underflow at top frame")
 					}
 					v := m.regs[it.rs1] + m.regs[it.s2r] + it.imm
 					cyc += m.winPop(cp.spill)
@@ -1108,7 +1100,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-							cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+							cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					}
 					if m.LoadHook != nil {
 						// Repair targets the op's own second fetch when it is
@@ -1119,7 +1111,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							ra = TextBase + uint32(it.fpc)<<2 + 4
 						}
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
@@ -1185,7 +1177,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 						if ea&3 != 0 {
 							return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-								cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+								cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 						}
 						if lhooked {
 							var ra uint32
@@ -1193,7 +1185,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 								ra = TextBase + uint32(it.fpc)<<2 + 4
 							}
 							var ex bool
-							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 							if ex {
 								return nil, curIL, curDL, ihits, ccb
@@ -1248,11 +1240,11 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(uint16(hb2)), ccb,
-							cyc+firstMemx, cp, items, it, 1, 1, "unaligned load at %#x", ea)
+							cyc+firstMemx, cp, it, 1, 1, "unaligned load at %#x", ea)
 					}
 					if lhooked {
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DRead, false, firstMemx+cp.memx, 1, 2)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
@@ -1290,7 +1282,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 						if ea&3 != 0 {
 							return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-								cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+								cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 						}
 						if m.LoadHook != nil {
 							var ra uint32
@@ -1298,7 +1290,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 								ra = TextBase + uint32(it.fpc)<<2 + 4
 							}
 							var ex bool
-							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 							if ex {
 								return nil, curIL, curDL, ihits, ccb
@@ -1353,11 +1345,11 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(uint16(hb2)), ccb,
-							cyc+firstMemx, cp, items, it, 1, 1, "unaligned store at %#x", ea)
+							cyc+firstMemx, cp, it, 1, 1, "unaligned store at %#x", ea)
 					}
 					if m.StoreHook != nil {
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DWrite, false, firstMemx+cp.memx, 1, 2)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
@@ -1393,7 +1385,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 
 				case tLdd, tStd:
 					// Double-word pairs: rare path (see runOutlinedDW).
-					fn, nIL, nDL, nih, nccb, ncyc, done := cp.runOutlinedDW(m, items, it, curIL, curDL, ihits, ccb, cyc)
+					fn, nIL, nDL, nih, nccb, ncyc, done := cp.runOutlinedDW(m, it, curIL, curDL, ihits, ccb, cyc)
 					if done {
 						return fn, nIL, nDL, nih, nccb
 					}
@@ -1408,7 +1400,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					// exit, with the results forwarded verbatim.
 					var fn cfn
 					var done bool
-					p, fn, curIL, curDL, ihits, ccb, cyc, done = cp.runOutlined(m, items, p, it, curIL, curDL, ihits, ccb, cyc)
+					p, fn, curIL, curDL, ihits, ccb, cyc, done = cp.runOutlined(m, p, it, curIL, curDL, ihits, ccb, cyc)
 					if done {
 						return fn, curIL, curDL, ihits, ccb
 					}
@@ -1475,7 +1467,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					dest := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 					idx := int32((dest - TextBase) / 4)
 					if dest < TextBase || dest&3 != 0 || int(idx) >= len(m.uops) {
-						return cs.jmplFault(curIL, curDL, ihits, ccb, cyc, cp, items, it, dest)
+						return cs.jmplFault(curIL, curDL, ihits, ccb, cyc, cp, it, dest)
 					}
 					m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
 					n := ctlNi(it)
@@ -1570,22 +1562,34 @@ func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, n
 	return nil, curIL, curDL, ihits, ccb
 }
 
-// execClosures runs the compiled form of a trace until a side exit, a fault,
-// a mid-trace patch, or the MaxInstrs budget — the closure tier's execTrace.
-// The accounting protocol is execTrace's exactly (see that doc comment);
-// additionally known data hits batch in the cst and flush with the same
-// discipline as ifetch hits. The caller guarantees MaxInstrs-instrs >=
-// passInstrs on entry; back-edges and links re-check against s.rem.
+// execClosures runs a compiled closure, and the closures it links to, until
+// a side exit, a fault, a mid-trace patch, or the MaxInstrs budget. The
+// known-hit line trackers and the batched ifetch-hit count are threaded in
+// from the dispatcher and back out, so residency knowledge survives the
+// block→closure→block transitions and the combined engine issues exactly
+// the probes Step would. Accounting protocol (mirrors execBlocks):
+//   - Base+PerInstrPenalty cycles fold into one multiply per commit:
+//     base*passInstrs when a pass completes (tail or back-edge), base*n at
+//     side exits, faults and patch exits.
+//   - Static cycles (MemExtra, Mul, a stitched call's taken cost) are
+//     compile-time batch sums settled at control items; dynamic ones (miss
+//     penalties, Div, taken branches, hook charges) accumulate in cyc.
+//   - ihits counts only ACTUAL known-hit fetches; it is flushed via
+//     cache.NoteHits before anything that can observe the cache (a hook, a
+//     fault) and returned to the dispatcher otherwise. Known data hits
+//     batch in the cst and flush with the same discipline.
+//   - The caller guarantees MaxInstrs-instrs >= passInstrs on entry;
+//     back-edges and links re-check against s.rem.
 func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32, ihits0 uint64) (uint32, uint32, uint64, error) {
 	_ = shift // geometry is compiled into the closures (syncTraceState gates on it)
 	s := &m.cstate
 	*s = cst{
-		m:     m,
-		cls:   m.cls,
-		imask: imask,
-		gen:   m.textGen,
-		base:  m.costs.Base + m.PerInstrPenalty,
-		rem:   m.MaxInstrs - m.instrs,
+		m:      m,
+		traces: m.traces,
+		imask:  imask,
+		gen:    m.textGen,
+		base:   m.costs.Base + m.PerInstrPenalty,
+		rem:    m.MaxInstrs - m.instrs,
 	}
 	f, curIL, curDL, ihits, ccb := cp.entry, ciLine, cdLine, ihits0, m.ccb
 	for f != nil {
@@ -1617,7 +1621,7 @@ func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32
 // done reports that the dispatch must return (a fault or a hook exit, with
 // the non-pointer results forwarded verbatim); otherwise the caller resumes
 // its walk at the returned pointer with the returned threaded state.
-func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (unsafe.Pointer, cfn, uint32, uint32, uint64, uint8, int64, bool) {
+func (cp *closProg) runOutlined(m *Machine, p unsafe.Pointer, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (unsafe.Pointer, cfn, uint32, uint32, uint64, uint8, int64, bool) {
 	shift := cp.shift
 	// Loop-invariant hot fields, hoisted so the compiler keeps them in
 	// registers instead of reloading through m after every real call.
@@ -1635,7 +1639,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-					cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+					cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.LoadHook != nil {
@@ -1644,7 +1648,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 					ra = TextBase + uint32(it.fpc)<<2 + 4
 				}
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -1733,12 +1737,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, items, it, 2, 2, "unaligned load at %#x", ea)
+					cyc, cp, it, 2, 2, "unaligned load at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.LoadHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DRead, false, cp.memx, 2, 3)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -1792,7 +1796,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb2)), ccb,
-					cyc, cp, items, it, 1, 1, "unaligned load at %#x", ea)
+					cyc, cp, it, 1, 1, "unaligned load at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.LoadHook != nil {
@@ -1801,7 +1805,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 					ra = TextBase + uint32(it.fpc)<<2 + 8
 				}
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb2), ra, it.rd2, cache.DRead, false, cp.memx, 1, 2)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -1854,7 +1858,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 				ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 				if ea&3 != 0 {
 					fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-						cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+						cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					return p, fn, fIL, fDL, fih, fcb, 0, true
 				}
 				if m.LoadHook != nil {
@@ -1863,7 +1867,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 						ra = TextBase + uint32(it.fpc)<<2 + 4
 					}
 					var ex bool
-					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 						ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 					if ex {
 						return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -1925,12 +1929,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc+cp.memx, cp, items, it, 2, 2, "unaligned load at %#x", ea)
+					cyc+cp.memx, cp, it, 2, 2, "unaligned load at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.LoadHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DRead, false, 2*cp.memx, 2, 3)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -1994,12 +1998,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, items, it, 2, 2, "unaligned load at %#x", ea)
+					cyc, cp, it, 2, 2, "unaligned load at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.LoadHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb3), it.rx, it.rd2, cache.DRead, false, cp.memx, 2, 3)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -2059,12 +2063,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, items, it, 2, 2, "unaligned store at %#x", ea)
+					cyc, cp, it, 2, 2, "unaligned store at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.StoreHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb3), it.rx, it.rd2, cache.DWrite, false, cp.memx, 2, 3)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -2104,7 +2108,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 				ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 				if ea&3 != 0 {
 					fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-						cyc, cp, items, it, 0, 0, "unaligned load at %#x", ea)
+						cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					return p, fn, fIL, fDL, fih, fcb, 0, true
 				}
 				if m.LoadHook != nil {
@@ -2113,7 +2117,7 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 						ra = TextBase + uint32(it.fpc)<<2 + 4
 					}
 					var ex bool
-					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 						ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
 					if ex {
 						return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -2182,12 +2186,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc+cp.memx, cp, items, it, 2, 2, "unaligned store at %#x", ea)
+					cyc+cp.memx, cp, it, 2, 2, "unaligned store at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.StoreHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DWrite, false, 2*cp.memx, 2, 3)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -2307,12 +2311,12 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 			ea := uint32(m.regs[it.rs1] + it.imm)
 			if ea&3 != 0 {
 				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-					cyc, cp, items, it, 0, 0, "unaligned store at %#x", ea)
+					cyc, cp, it, 0, 0, "unaligned store at %#x", ea)
 				return p, fn, fIL, fDL, fih, fcb, 0, true
 			}
 			if m.StoreHook != nil {
 				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, items, it,
+				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 					ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, false, cp.memx, 0, 1)
 				if ex {
 					return p, nil, curIL, curDL, ihits, ccb, 0, true
@@ -2383,19 +2387,19 @@ func (cp *closProg) runOutlined(m *Machine, items []ritem, p unsafe.Pointer, it 
 // cache probes on the chained triple path inlined. Results follow
 // runOutlined's contract minus the stream pointer: done means fault or hook
 // exit.
-func (cp *closProg) runOutlinedDW(m *Machine, items []ritem, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (cfn, uint32, uint32, uint64, uint8, int64, bool) {
+func (cp *closProg) runOutlinedDW(m *Machine, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (cfn, uint32, uint32, uint64, uint8, int64, bool) {
 	shift := cp.shift
 	switch it.kind {
 	case tLdd:
 		ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 		if ea&7 != 0 {
 			fn, fIL, fDL, fih, fcb := m.cstate.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-				cyc, cp, items, it, 0, 0, "unaligned ldd at %#x", ea)
+				cyc, cp, it, 0, 0, "unaligned ldd at %#x", ea)
 			return fn, fIL, fDL, fih, fcb, 0, true
 		}
 		if m.LoadHook != nil {
 			var ex bool
-			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, items, it,
+			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, it,
 				ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, true, 2*cp.memx, 0, 1)
 			if ex {
 				return nil, curIL, curDL, ihits, ccb, 0, true
@@ -2431,12 +2435,12 @@ func (cp *closProg) runOutlinedDW(m *Machine, items []ritem, it *ritem, curIL, c
 		ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
 		if ea&7 != 0 {
 			fn, fIL, fDL, fih, fcb := m.cstate.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-				cyc, cp, items, it, 0, 0, "unaligned std at %#x", ea)
+				cyc, cp, it, 0, 0, "unaligned std at %#x", ea)
 			return fn, fIL, fDL, fih, fcb, 0, true
 		}
 		if m.StoreHook != nil {
 			var ex bool
-			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, items, it,
+			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, it,
 				ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, true, 2*cp.memx, 0, 1)
 			if ex {
 				return nil, curIL, curDL, ihits, ccb, 0, true
@@ -2469,18 +2473,4 @@ func (cp *closProg) runOutlinedDW(m *Machine, items []ritem, it *ritem, curIL, c
 		m.storeWord(ea+4, m.regs[it.rd+1])
 	}
 	return nil, curIL, curDL, ihits, ccb, cyc, false
-}
-
-// closureAt threads tr, the trace registered at head pc, into m.cls on its
-// first entry. Like image traces, a slot is published once: a machine that
-// loses the race on a shared slice adopts the winner's closure, which is
-// identical (it bakes in only tr and the cost model the slice is keyed by).
-//
-//go:noinline
-func (m *Machine) closureAt(pc int32, tr *traceProg) *closProg {
-	cp := m.compileClosures(tr)
-	if !m.cls[pc].CompareAndSwap(nil, cp) {
-		return m.cls[pc].Load()
-	}
-	return cp
 }

@@ -3,16 +3,18 @@ package machine
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"databreak/internal/cache"
 	"databreak/internal/sparc"
 )
 
-// These tests pin the central invariant of the block-dispatch engine: a
-// single-Step loop and Run() are observationally identical — same registers,
-// same output, same simulated Cycles()/Instrs(), same cache statistics, same
-// faults — on any text, including text patched while a block is executing.
+// These tests pin the central invariant of the compiled engines: a
+// single-Step loop and Run() under the default closure engine are
+// observationally identical — same registers, same output, same simulated
+// Cycles()/Instrs(), same cache statistics, same faults — on any text,
+// including text patched while a block or a compiled closure is executing.
 
 // stepAll drives m with the single-instruction path until it halts or faults.
 func stepAll(m *Machine) error {
@@ -72,8 +74,8 @@ func diffStates(t *testing.T, ctx string, a, b *Machine, errA, errB error) {
 }
 
 // diffRun loads text into two fresh machines and executes one via Step and
-// one via Run, then compares every observable.
-func diffRun(t *testing.T, ctx string, text []sparc.Instr) {
+// one via Run, then compares every observable. It returns the Run machine.
+func diffRun(t *testing.T, ctx string, text []sparc.Instr) *Machine {
 	t.Helper()
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)
@@ -84,6 +86,7 @@ func diffRun(t *testing.T, ctx string, text []sparc.Instr) {
 	errA := stepAll(a)
 	_, errB := b.Run()
 	diffStates(t, ctx, a, b, errA, errB)
+	return b
 }
 
 // randText generates a terminating program: straight-line ALU, memory, and
@@ -168,18 +171,24 @@ func randText(r *rand.Rand, n int) []sparc.Instr {
 }
 
 // TestDifferentialRandomPrograms runs many randomized instruction sequences
-// through both execution paths and demands identical observables.
+// through both execution paths and demands identical observables. Marked
+// heads compile on first entry, so even these short-lived programs execute
+// closures.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		text := randText(r, 80+r.Intn(400))
-		diffRun(t, "seed "+string(rune('0'+seed%10))+"/len", text)
+		ctx := "seed " + string(rune('0'+seed%10)) + "/len"
+		if b := diffRun(t, ctx, text); traceCount(b.traces) == 0 {
+			t.Fatalf("%s: the run compiled no traces", ctx)
+		}
 	}
 }
 
 // TestDifferentialFaults checks that both paths fault identically: same
 // error text, same pc, and — because the block engine pre-charges nothing —
-// same cycle and instruction counts at the fault.
+// same cycle and instruction counts at the fault. The "in loop" cases fault
+// from inside a compiled closure chain.
 func TestDifferentialFaults(t *testing.T) {
 	base := sparc.Instr{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true}
 	textAlign := sparc.Instr{Op: sparc.Sethi, Rd: sparc.G1, Imm: int32(TextBase >> 10), UseImm: true}
@@ -237,9 +246,46 @@ func TestDifferentialFaults(t *testing.T) {
 			sparc.RI(sparc.Add, sparc.G0, 1, sparc.O0),
 			sparc.RI(sparc.Add, sparc.O0, 1, sparc.O0),
 		}},
+		{"unaligned load in loop", []sparc.Instr{
+			base,
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 50, sparc.G0),
+			sparc.Branch(sparc.BL, 1),
+			sparc.RI(sparc.Add, sparc.L0, 2, sparc.L1),
+			{Op: sparc.Ld, Rd: sparc.O0, Rs1: sparc.L1, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"division by zero in loop", []sparc.Instr{
+			sparc.RI(sparc.Or, sparc.G0, 40, sparc.O2),
+			sparc.RI(sparc.Sub, sparc.O2, 1, sparc.O2),
+			sparc.RR(sparc.SDiv, sparc.O2, sparc.O2, sparc.O3),
+			sparc.RI(sparc.Subcc, sparc.O2, 0, sparc.G0),
+			sparc.Branch(sparc.BG, 1),
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"window underflow in loop", []sparc.Instr{
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 30, sparc.G0),
+			sparc.Branch(sparc.BL, 0),
+			{Op: sparc.Restore, Rd: sparc.G0, Rs1: sparc.G0, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"jmpl bad target in loop", []sparc.Instr{
+			textAlign,
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 30, sparc.G0),
+			sparc.Branch(sparc.BL, 1),
+			sparc.RI(sparc.Add, sparc.G1, 2, sparc.G1),
+			{Op: sparc.Jmpl, Rd: sparc.G0, Rs1: sparc.G1, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { diffRun(t, c.name, c.text) })
+		t.Run(c.name, func(t *testing.T) {
+			if b := diffRun(t, c.name, c.text); strings.HasSuffix(c.name, " in loop") && traceCount(b.traces) == 0 {
+				t.Fatalf("%s: the run compiled no traces", c.name)
+			}
+		})
 	}
 }
 
@@ -295,11 +341,11 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 }
 
 // TestDifferentialPatchInTrace is TestDifferentialPatchMidRun against the
-// trace tier: both machines attach to a shared Image, so the store executes
-// inside an image superblock, published on the run's first entry of the
-// loop head, when the hook patches an instruction the trace has already
-// consumed. The trace must commit exactly the store,
-// exit to the dispatcher, and re-dispatch against the privatized text.
+// compiled tier: both machines attach to a shared Image, so the store
+// executes inside an image closure, published on the run's first entry of
+// the loop head, when the hook patches an instruction the closure has
+// already consumed. The closure must commit exactly the store, exit to the
+// dispatcher, and re-dispatch against the privatized text.
 func TestDifferentialPatchInTrace(t *testing.T) {
 	text := []sparc.Instr{
 		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
@@ -336,9 +382,17 @@ func TestDifferentialPatchInTrace(t *testing.T) {
 		t.Fatal("patching machine still marked shared after PatchInstr")
 	}
 	// The run published the loop head before its hook patched; the patch
-	// privatized the machine and must leave the published trace in place.
+	// privatized the machine and must leave the published closure in place.
 	if img.traces[1].Load() == nil {
 		t.Fatal("image lost the loop trace the run published before patching")
+	}
+	// The loop head's closure covered the patch: the patcher dropped it and
+	// rebuilt it from the patched text, never touching the image's.
+	if b.traces[1].Load() == img.traces[1].Load() {
+		t.Fatal("patcher kept the image's trace over the patched index")
+	}
+	if s := MachineTraceMismatch(b); s != "" {
+		t.Fatal(s)
 	}
 	if got := b.Reg(sparc.O1); got < 100 || got > 102 {
 		t.Fatalf("final %%o1 = %d, want the patched +3 stride past 100", got)
@@ -346,10 +400,10 @@ func TestDifferentialPatchInTrace(t *testing.T) {
 }
 
 // TestDifferentialPatchInFusedStore drives the same hazard through a fused
-// add+st trace-op (tAddSt): the hook fires from the second half of a fused
-// pair and patches the pair's own first instruction, so the mid-pair
-// patch-exit protocol must commit both halves and land pc just past the
-// store.
+// add+st item (tAddSt) of a shared image's closure: the hook fires from the
+// second half of a fused pair and patches the pair's own first instruction,
+// so the mid-pair patch-exit protocol must commit both halves and land pc
+// just past the store.
 func TestDifferentialPatchInFusedStore(t *testing.T) {
 	text := []sparc.Instr{
 		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
@@ -385,9 +439,9 @@ func TestDifferentialPatchInFusedStore(t *testing.T) {
 }
 
 // TestDifferentialWindowedCallTrace loops through a call -> save -> restore
-// -> jmpl ring — the shape that exercises the trace tier's interior window
-// ops, the dynamic jmpl terminator, and trace linking across the return —
-// over private text (LoadText) and over a shared image.
+// -> jmpl ring — the shape that exercises the compiled tier's interior
+// window ops, the dynamic jmpl terminator, and trace linking across the
+// return — over private text (LoadText) and over a shared image.
 func TestDifferentialWindowedCallTrace(t *testing.T) {
 	text := []sparc.Instr{
 		sparc.RI(sparc.Or, sparc.G0, 0, sparc.O0),
@@ -415,7 +469,7 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 
 // TestDifferentialPatchInFusedLoad mirrors TestDifferentialPatchInFusedStore
 // for the read side: a LoadHook patches the loop body from inside a
-// fused-load execution, and the trace tier must unwind to the patched text
+// fused-load closure item, and the closure must unwind to the patched text
 // exactly like the step reference.
 func TestDifferentialPatchInFusedLoad(t *testing.T) {
 	text := []sparc.Instr{

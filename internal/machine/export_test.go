@@ -10,7 +10,7 @@ import (
 	"databreak/internal/sparc"
 )
 
-// CompileImageHeads publishes the trace of every still-marked, uncompiled
+// CompileImageHeads publishes the closure of every still-marked, uncompiled
 // head of img through the first-entry compile machines run, as if each head
 // had been entered once.
 func CompileImageHeads(img *Image) {
@@ -23,111 +23,112 @@ func CompileImageHeads(img *Image) {
 	}
 }
 
-// ImageTraceCount reports how many traces img has published.
+// ImageTraceCount reports how many closures img has published.
 func ImageTraceCount(img *Image) int { return traceCount(img.traces) }
 
-// ImageTraceMismatch compares every trace img has published against a fresh
-// compile of its head with a fresh builder and the image's line shift, and
-// describes the first difference ("" when all match).
+// ImageTraceMismatch compares every closure img has published against a
+// fresh compile of its head with a fresh builder, the image's line shift
+// and DefaultCosts, and describes the first difference ("" when all match).
 func ImageTraceMismatch(img *Image) string {
-	return traceMismatch(img.text, img.uops, img.traces, img.traceShift)
+	return traceMismatch(img.text, img.uops, img.traces, img.traceShift, &DefaultCosts)
 }
 
-// MachineTraceMismatch is ImageTraceMismatch for the traces a machine
+// MachineTraceMismatch is ImageTraceMismatch for the closures a machine
 // holds, against fresh compiles of its own, possibly patched, text.
 func MachineTraceMismatch(m *Machine) string {
-	return traceMismatch(m.text, m.uops, m.traces, m.cache.LineShift())
+	return traceMismatch(m.text, m.uops, m.traces, m.cache.LineShift(), &m.costs)
 }
 
-func traceMismatch(text []sparc.Instr, uops []uop, traces []atomic.Pointer[traceProg], shift uint32) string {
+func traceMismatch(text []sparc.Instr, uops []uop, traces []atomic.Pointer[closProg], shift uint32, c *Costs) string {
 	for i := range traces {
-		tr := traces[i].Load()
-		if tr == nil {
+		cp := traces[i].Load()
+		if cp == nil {
 			continue
 		}
-		var b traceBuilder
-		if want := b.compile(text, uops, int32(i), shift); !reflect.DeepEqual(tr, want) {
-			return fmt.Sprintf("trace at %d differs from a fresh compile", i)
+		if want := freshClosure(text, uops, int32(i), shift, c); !sameClosure(cp, want) {
+			return fmt.Sprintf("closure at %d differs from a fresh compile", i)
 		}
 	}
 	return ""
 }
 
-// ImageTraceSpan returns the first [lo,hi) span of the trace img has
+// freshClosure compiles and threads the trace at head with a fresh builder,
+// or returns nil when the builder declines the head.
+func freshClosure(text []sparc.Instr, uops []uop, head int32, shift uint32, c *Costs) *closProg {
+	var b traceBuilder
+	tr := b.compile(text, uops, head, shift)
+	if tr == nil {
+		return nil
+	}
+	return compileClosures(tr, c)
+}
+
+// sameClosure reports whether two closures hold the same compiled form:
+// every field but the entry thunk, which is a distinct func value per
+// closure.
+func sameClosure(a, b *closProg) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	x, y := *a, *b
+	x.entry, y.entry = nil, nil
+	return reflect.DeepEqual(x, y)
+}
+
+// ImageTraceSpan returns the first [lo,hi) span of the closure img has
 // published at head.
 func ImageTraceSpan(img *Image, head int32) (lo, hi int32) {
 	s := img.traces[head].Load().spans[0]
 	return s[0], s[1]
 }
 
-// ImageTraceHeads lists the heads at which img has published a trace, in
+// ImageTraceHeads lists the heads at which img has published a closure, in
 // text-index order, and for each whether its spans cover text index idx.
 func ImageTraceHeads(img *Image, idx int32) (heads []int32, covers []bool) {
 	for i := range img.traces {
-		if tr := img.traces[i].Load(); tr != nil {
+		if cp := img.traces[i].Load(); cp != nil {
 			heads = append(heads, int32(i))
-			covers = append(covers, tr.covers(idx))
+			covers = append(covers, cp.covers(idx))
 		}
 	}
 	return heads, covers
 }
 
-// ImageHasClosure reports whether img holds a published closure at pc for
-// cost model c.
-func ImageHasClosure(img *Image, c Costs, pc int32) bool {
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	cls := img.cls[c]
-	return cls != nil && cls[pc].Load() != nil
-}
-
-// InheritsImageTrace reports whether m's trace slot at pc holds img's own
-// published trace and, under the closure engine, its closure slot img's own
-// closure for m's cost model.
+// InheritsImageTrace reports whether m's slot at pc holds img's own
+// published closure.
 func InheritsImageTrace(m *Machine, img *Image, pc int32) bool {
-	tr := m.traces[pc].Load()
-	if tr == nil || tr != img.traces[pc].Load() {
-		return false
-	}
-	if m.cls == nil {
-		return true
-	}
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	cp := m.cls[pc].Load()
-	return cp != nil && cp == img.cls[m.costs][pc].Load()
+	cp := m.traces[pc].Load()
+	return cp != nil && cp == img.traces[pc].Load()
 }
 
-// MachineHasTrace reports whether m holds a compiled trace at pc.
+// MachineHasTrace reports whether m holds a compiled closure at pc.
 func MachineHasTrace(m *Machine, pc int32) bool { return m.traces[pc].Load() != nil }
 
-// ImageSlots snapshots every trace slot of img and every closure slot for
-// cost model c, so a test can check that no slot changed.
-func ImageSlots(img *Image, c Costs) []any {
+// ImageSlots snapshots every slot of img, so a test can check that no slot
+// changed.
+func ImageSlots(img *Image) []any {
 	var s []any
 	for i := range img.traces {
 		s = append(s, img.traces[i].Load())
 	}
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	for i := range img.cls[c] {
-		s = append(s, img.cls[c][i].Load())
-	}
 	return s
 }
 
-// AppendImageTraces appends a fixed binary encoding of every compiled trace
-// of img, in text-index order, to dst: the head index, entry, exitPC,
-// shift, passInstrs, every field of every op, and every span. Two builders
-// that produce the same encoding for an image produce traces that execute
-// identically.
+// AppendImageTraces appends a fixed binary encoding of the trace behind
+// every closure img has published, in text-index order, to dst: the head
+// index, entry, exitPC, shift, passInstrs, every field of every op, and
+// every span. Closures keep no op stream, so each trace is a fresh builder
+// compile of its head, which the published closure was threaded from. Two
+// builders that produce the same encoding for an image produce traces that
+// execute identically.
 func AppendImageTraces(dst []byte, img *Image) []byte {
 	le := binary.LittleEndian
+	var b traceBuilder
 	for i := range img.traces {
-		tr := img.traces[i].Load()
-		if tr == nil {
+		if img.traces[i].Load() == nil {
 			continue
 		}
+		tr := b.compile(img.text, img.uops, int32(i), img.traceShift)
 		dst = le.AppendUint32(dst, uint32(i))
 		dst = le.AppendUint32(dst, uint32(tr.entry))
 		dst = le.AppendUint32(dst, uint32(tr.exitPC))
@@ -153,41 +154,72 @@ func AppendImageTraces(dst []byte, img *Image) []byte {
 	return dst
 }
 
-// ImageTraceSlack describes the first compiled trace of img whose ops or
-// spans slice has capacity beyond its length, or returns "" when every
-// trace is stored at exact size.
-func ImageTraceSlack(img *Image) string { return traceSlack(img.traces) }
-
-// ImageClosureSlack is ImageTraceSlack for the closures img has published
-// under any cost model: it describes the first whose item stream or cold
-// array has capacity beyond its length. n counts the closures checked.
-func ImageClosureSlack(img *Image) (n int, slack string) {
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	for _, cls := range img.cls {
-		for i := range cls {
-			cp := cls[i].Load()
-			if cp == nil {
-				continue
-			}
-			n++
-			if slack == "" && (cap(cp.items) != len(cp.items) || cap(cp.cold) != len(cp.cold)) {
-				slack = fmt.Sprintf("closure at %d: items len %d cap %d, cold len %d cap %d",
-					i, len(cp.items), cap(cp.items), len(cp.cold), cap(cp.cold))
-			}
+// AppendImageClosures appends a fixed binary encoding of every closure img
+// has published, in text-index order, to dst: the head, passInstrs, every
+// span, and every field of every item.
+func AppendImageClosures(dst []byte, img *Image) []byte {
+	for i := range img.traces {
+		if cp := img.traces[i].Load(); cp != nil {
+			dst = appendClosure(dst, cp.head, cp.passInstrs, cp.spans, cp.items)
 		}
 	}
-	return n, slack
+	return dst
 }
 
-// MachineTraceSlack is ImageTraceSlack for the traces a machine holds,
+// RitemFieldCount reports how many fields ritem has, so a test can catch a
+// field appendClosure does not encode.
+func RitemFieldCount() int { return reflect.TypeOf(ritem{}).NumField() }
+
+func appendClosure(dst []byte, head int32, passInstrs int64, spans [][2]int32, items []ritem) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(head))
+	dst = le.AppendUint64(dst, uint64(passInstrs))
+	dst = le.AppendUint32(dst, uint32(len(spans)))
+	for _, s := range spans {
+		dst = le.AppendUint32(dst, uint32(s[0]))
+		dst = le.AppendUint32(dst, uint32(s[1]))
+	}
+	dst = le.AppendUint32(dst, uint32(len(items)))
+	for _, it := range items {
+		dst = append(dst, byte(it.kind), it.f, it.rd, it.rs1, it.s2r, it.rd2, it.rs1b, it.s2rb)
+		dst = le.AppendUint16(dst, it.cm)
+		dst = le.AppendUint16(dst, it.hb)
+		dst = le.AppendUint32(dst, uint32(it.imm))
+		dst = le.AppendUint32(dst, uint32(it.imm2))
+		dst = le.AppendUint32(dst, it.c3)
+		dst = le.AppendUint32(dst, it.rx)
+		dst = le.AppendUint32(dst, uint32(it.fpc))
+	}
+	return dst
+}
+
+// ImageTraceSlack describes the first closure img has published whose item
+// stream or spans slice has capacity beyond its length, or returns "" when
+// every closure is stored at exact size.
+func ImageTraceSlack(img *Image) string { return traceSlack(img.traces) }
+
+// MachineTraceSlack is ImageTraceSlack for the closures a machine holds,
 // including the ones it compiled over private text.
 func MachineTraceSlack(m *Machine) string { return traceSlack(m.traces) }
 
-// MachineTraceCount reports how many traces a machine currently holds.
+// MachineTraceCount reports how many closures a machine currently holds.
 func MachineTraceCount(m *Machine) int { return traceCount(m.traces) }
 
-func traceCount(traces []atomic.Pointer[traceProg]) int {
+// ImagePublishedBytes sums the bytes of every closure img has published,
+// counted from the closures themselves: header, items and spans.
+func ImagePublishedBytes(img *Image) int {
+	n := 0
+	for i := range img.traces {
+		if cp := img.traces[i].Load(); cp != nil {
+			n += int(reflect.TypeOf(*cp).Size()) +
+				len(cp.items)*int(reflect.TypeOf(ritem{}).Size()) +
+				len(cp.spans)*int(reflect.TypeOf([2]int32{}).Size())
+		}
+	}
+	return n
+}
+
+func traceCount(traces []atomic.Pointer[closProg]) int {
 	n := 0
 	for i := range traces {
 		if traces[i].Load() != nil {
@@ -197,15 +229,15 @@ func traceCount(traces []atomic.Pointer[traceProg]) int {
 	return n
 }
 
-func traceSlack(traces []atomic.Pointer[traceProg]) string {
+func traceSlack(traces []atomic.Pointer[closProg]) string {
 	for i := range traces {
-		tr := traces[i].Load()
-		if tr == nil {
+		cp := traces[i].Load()
+		if cp == nil {
 			continue
 		}
-		if cap(tr.ops) != len(tr.ops) || cap(tr.spans) != len(tr.spans) {
-			return fmt.Sprintf("trace at %d: ops len %d cap %d, spans len %d cap %d",
-				i, len(tr.ops), cap(tr.ops), len(tr.spans), cap(tr.spans))
+		if cap(cp.items) != len(cp.items) || cap(cp.spans) != len(cp.spans) {
+			return fmt.Sprintf("closure at %d: items len %d cap %d, spans len %d cap %d",
+				i, len(cp.items), cap(cp.items), len(cp.spans), cap(cp.spans))
 		}
 	}
 	return ""

@@ -59,14 +59,13 @@ func eqntottChecked(t *testing.T) *asm.Program {
 	return prog
 }
 
-// TestConcurrentFirstEntry attaches eight machines per compiled engine to
-// one fresh image of a checked table build and runs all sixteen on their own
-// goroutines, so machines race to compile and publish the same image traces
-// and closures on first entry. Every machine's counts, output, cache
-// statistics and hits must equal a step-engine run, and every trace the
-// image published must equal a fresh compile of its head. It is not skipped
-// under -short: the race-detector run is what checks the publication
-// protocol.
+// TestConcurrentFirstEntry attaches sixteen machines per compiled engine to
+// one fresh image of a checked table build and runs them on their own
+// goroutines, so machines race to compile and publish the same image
+// closures on first entry. Every machine's counts, output, cache statistics
+// and hits must equal a step-engine run, and every closure the image
+// published must equal a fresh compile of its head. It is not skipped under
+// -short: the race-detector run is what checks the publication protocol.
 func TestConcurrentFirstEntry(t *testing.T) {
 	prog := eqntottChecked(t)
 	img := prog.Image()
@@ -78,8 +77,8 @@ func TestConcurrentFirstEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const perEngine = 8
-	engines := []machine.Engine{machine.EngineTrace, machine.EngineClosure}
+	const perEngine = 16
+	engines := []machine.Engine{machine.EngineClosure}
 	ms := make([]*machine.Machine, perEngine*len(engines))
 	hits := make([]int64, len(ms))
 	errs := make([]error, len(ms))
@@ -126,14 +125,14 @@ func TestConcurrentFirstEntry(t *testing.T) {
 }
 
 // TestPatchInheritsPublishedTraces pins copy-on-write privatization over a
-// fresh image, on both compiled engines. A machine watching a region the
-// program writes runs part-way, publishing image traces, then patches an
-// index inside one published trace's spans (rewriting the instruction
+// fresh image, on every compiled engine. A machine watching a region the
+// program writes runs part-way, publishing image closures, then patches an
+// index inside one published closure's spans (rewriting the instruction
 // already there, so the program keeps its meaning). The patcher keeps the
-// image's own trace, and closure, at every head the patch does not cover;
-// it drops the covering traces and rebuilds them from its patched text; and
-// it never writes the image's slots, which a sibling attached before the
-// patch keeps running. The patcher's counts, output, cache statistics and
+// image's own closure at every head the patch does not cover; it drops the
+// covering closures and rebuilds them from its patched text; and it never
+// writes the image's slots, which a sibling attached before the patch keeps
+// running. The patcher's counts, output, cache statistics and
 // hits equal a step run patched at the same point, and the sibling's equal
 // an unpatched step run.
 func TestPatchInheritsPublishedTraces(t *testing.T) {
@@ -190,7 +189,7 @@ func TestPatchInheritsPublishedTraces(t *testing.T) {
 		}
 	}
 
-	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineClosure} {
+	for _, e := range []machine.Engine{machine.EngineClosure} {
 		prog := eqntottChecked(t)
 		img := prog.Image()
 
@@ -216,7 +215,7 @@ func TestPatchInheritsPublishedTraces(t *testing.T) {
 		patched := run(prog, e, func(m *machine.Machine) {
 			patcher = m
 			heads, covers := machine.ImageTraceHeads(img, idx)
-			snap = machine.ImageSlots(img, machine.DefaultCosts)
+			snap = machine.ImageSlots(img)
 			in, _ := m.InstrAt(idx)
 			if err := m.PatchInstr(idx, in); err != nil {
 				t.Fatal(err)
@@ -234,9 +233,6 @@ func TestPatchInheritsPublishedTraces(t *testing.T) {
 			}
 			if kept < 0 {
 				t.Fatalf("%v: every published trace covers index %d", e, idx)
-			}
-			if e == machine.EngineClosure && !machine.ImageHasClosure(img, machine.DefaultCosts, kept) {
-				t.Fatalf("%v: the image holds no closure at uncovered head %d", e, kept)
 			}
 			checkSlots(t, e, "the patch", img, snap)
 		})
@@ -260,11 +256,11 @@ func TestPatchInheritsPublishedTraces(t *testing.T) {
 	}
 }
 
-// checkSlots fails the test unless every trace and closure slot of img
-// still holds what snap recorded.
+// checkSlots fails the test unless every slot of img still holds what snap
+// recorded.
 func checkSlots(t *testing.T, e machine.Engine, after string, img *machine.Image, snap []any) {
 	t.Helper()
-	now := machine.ImageSlots(img, machine.DefaultCosts)
+	now := machine.ImageSlots(img)
 	if len(now) != len(snap) {
 		t.Fatalf("%v: image slot count %d after %s, %d before", e, len(now), after, len(snap))
 	}

@@ -4,7 +4,7 @@
 // sparc.Instr slice plus the predecoded µop/block index from blocks.go,
 // built once by BuildImage and attached to any number of Machines with
 // LoadImage. Sharing is safe because every execution path only READS text
-// and uops (the compiled tiers' slots fill in once each, by compare-and-
+// and uops (the compiled tier's slots fill in once each, by compare-and-
 // swap, and are never rewritten); the one mutation path, PatchInstr,
 // privatizes both arrays on first write (copy-on-write), so a Kessler-style
 // runtime patch in one machine — the PreMonitor/PostMonitor flow,
@@ -22,7 +22,6 @@ package machine
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -32,48 +31,39 @@ import (
 // Image is a predecoded program text. Build with BuildImage; attach with
 // Machine.LoadImage. A single Image may back any number of Machines on any
 // number of goroutines concurrently. Its text and block index are never
-// written after BuildImage returns; only the trace and closure slots below
-// fill in, each at most once, as attached machines first reach the heads,
-// and a declined head loses its mark.
+// written after BuildImage returns; only the closure slots below fill in,
+// each at most once, as attached machines first reach the heads, and a
+// declined head loses its mark.
 type Image struct {
 	text  []sparc.Instr
 	uops  []uop
 	entry int32
-	// heads marks the block heads a trace may be compiled at (blockHeads):
+	// heads marks the block heads a closure may be compiled at (blockHeads):
 	// the entry point, every branch/call target, and every fall-through
 	// successor of a terminator. A head whose trace the builder declines
 	// loses its mark, so no machine retries it.
 	heads headSet
-	// traces holds the image's trace tier (trace.go), one slot per text
-	// index. A slot stays nil until the first attached machine reaches its
-	// marked head, by dispatch or by a trace link; that machine compiles
-	// the trace (compileHead) and publishes it with a compare-and-swap, and
-	// the trace is immutable from then on: machines enter it read-only, and
-	// a patching machine privatizes away from the whole image first.
-	// traceShift is the I-line shift the traces are compiled for (the
-	// default cache geometry); machines with a different geometry compile
-	// their own traces instead (syncTraceState). traceBytes is the running
+	// traces holds the image's compiled tier (closure.go), one slot per
+	// text index. A slot stays nil until the first sharing machine reaches
+	// its marked head, by dispatch or by a trace link; that machine
+	// compiles the head's trace, threads it (compileHead) and publishes the
+	// closure with a compare-and-swap, and the closure is immutable from
+	// then on: machines enter it read-only, and a patching machine
+	// privatizes away from the whole image first. The closures are compiled
+	// for traceShift, the I-line shift of the default cache geometry, and
+	// for DefaultCosts; a machine with another geometry or cost model
+	// compiles its own instead (sharesTraces). traceBytes is the running
 	// total of TraceBytes, added by each publishing machine.
-	traces     []atomic.Pointer[traceProg]
+	traces     []atomic.Pointer[closProg]
 	traceShift uint32
 	traceBytes atomic.Int64
-	// cls holds the closure tier's shared threaded form of the traces
-	// above, one slot slice per cost model the item streams bake in.
-	// sharedClosures allocates a model's slice on the first closure-engine
-	// attach with it; each slot then fills on first entry with the same
-	// publish-once rule as traces (closureAt), and a published closProg is
-	// immutable. Deliberately NOT part of SizeBytes: retained-bytes
-	// accounting must not depend on which engine has run (the benchmark
-	// reports diff it across engines).
-	clsMu sync.Mutex
-	cls   map[Costs][]atomic.Pointer[closProg]
 }
 
 // BuildImage decodes text into a shareable image with the given entry point
 // (a text index). The input slice is copied, so the caller may reuse it.
-// It decodes and marks block heads only: each head's trace is compiled by
-// the first machine that enters it, so an image holds the traces its
-// machines actually run.
+// It decodes and marks block heads only: each head's closure is compiled by
+// the first machine that enters it, so an image holds the code its machines
+// actually run.
 func BuildImage(text []sparc.Instr, entry int32) *Image {
 	img := &Image{
 		text:  make([]sparc.Instr, len(text)),
@@ -82,7 +72,7 @@ func BuildImage(text []sparc.Instr, entry int32) *Image {
 	copy(img.text, text)
 	img.uops = buildUops(img.text, nil)
 	img.heads = blockHeads(img.text, img.uops, entry)
-	img.traces = make([]atomic.Pointer[traceProg], len(img.text))
+	img.traces = make([]atomic.Pointer[closProg], len(img.text))
 	img.traceShift = defaultLineShift()
 	return img
 }
@@ -94,48 +84,23 @@ func (img *Image) Len() int { return len(img.text) }
 func (img *Image) Entry() int32 { return img.entry }
 
 // SizeBytes reports the host memory held by the image (text, block index,
-// head marks, trace slots and compiled traces), for artifact-cache
+// head marks, closure slots and published closures), for artifact-cache
 // accounting. It grows as attached machines first enter heads, so callers
 // bounding memory must re-read it rather than cache it.
 func (img *Image) SizeBytes() int {
 	return len(img.text)*int(unsafe.Sizeof(sparc.Instr{})) +
 		len(img.uops)*int(unsafe.Sizeof(uop{})) +
 		len(img.heads)*int(unsafe.Sizeof(atomic.Uint64{})) +
-		len(img.traces)*int(unsafe.Sizeof(atomic.Pointer[traceProg]{})) +
+		len(img.traces)*int(unsafe.Sizeof(atomic.Pointer[closProg]{})) +
 		img.TraceBytes()
 }
 
-// TraceBytes reports the portion of SizeBytes held by the compiled trace
-// tier alone (trace headers, op streams, invalidation spans), reported
-// separately so cache accounting can distinguish code from trace
+// TraceBytes reports the portion of SizeBytes held by the published
+// closures alone (headers, item streams, invalidation spans), reported
+// separately so cache accounting can distinguish code from compiled
 // footprint. It starts at zero and grows as heads are first entered: it
 // measures the code that has actually run.
 func (img *Image) TraceBytes() int { return int(img.traceBytes.Load()) }
-
-// traceSize is one trace's contribution to TraceBytes.
-func traceSize(tr *traceProg) int {
-	return int(unsafe.Sizeof(traceProg{})) +
-		len(tr.ops)*int(unsafe.Sizeof(top{})) +
-		len(tr.spans)*8
-}
-
-// sharedClosures returns the image's shared closure slots for cost model c,
-// allocating them empty on the first request per model (the per-model map
-// stays tiny: one entry per distinct Costs that ever attaches a
-// closure-engine machine to this image). The slots fill on first entry.
-func (img *Image) sharedClosures(c Costs) []atomic.Pointer[closProg] {
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	cls, ok := img.cls[c]
-	if !ok {
-		cls = make([]atomic.Pointer[closProg], len(img.text))
-		if img.cls == nil {
-			img.cls = make(map[Costs][]atomic.Pointer[closProg], 1)
-		}
-		img.cls[c] = cls
-	}
-	return cls
-}
 
 // buildUops decodes text into its block index, reusing buf's capacity when
 // possible. It is the single decode pass shared by LoadText (private text)
@@ -182,17 +147,15 @@ func (m *Machine) LoadImage(img *Image) {
 // privatize gives the machine its own copy of the text, block index and
 // head marks. It is the copy-on-write half of LoadImage: called by
 // PatchInstr before the first mutation, it guarantees no write ever lands in
-// a shared image. The machine also inherits every trace published so far
-// and, under the closure engine, its threaded form; PatchInstr then drops
-// only the ones the patch covers. A closure slot is filled only where its
-// trace slot is, so invalidateTraces, which walks the trace slots, reaches
-// every inherited closure. Siblings sharing the image keep executing, and
-// first-entering, its slots untouched.
+// a shared image. The machine also inherits every closure in the slots it
+// executed so far; PatchInstr then drops only the ones the patch covers.
+// Siblings sharing the image keep executing, and first-entering, its slots
+// untouched.
 func (m *Machine) privatize() {
 	if !m.imgShared {
 		return
 	}
-	traces, cls := m.traces, m.cls
+	traces := m.traces
 	m.text = slices.Clone(m.text)
 	m.uops = slices.Clone(m.uops)
 	m.heads = m.heads.clone()
@@ -200,11 +163,6 @@ func (m *Machine) privatize() {
 	m.img = nil
 	m.syncTraceState()
 	for i := range m.traces {
-		if tr := traces[i].Load(); tr != nil {
-			m.traces[i].Store(tr)
-			if m.cls != nil {
-				m.cls[i].Store(cls[i].Load())
-			}
-		}
+		m.traces[i].Store(traces[i].Load())
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"databreak/internal/cache"
@@ -64,6 +65,54 @@ func TestLoadImageAccessors(t *testing.T) {
 	}
 	if m.Instrs() != 2 {
 		t.Fatalf("instrs = %d, want 2 (nop + exit; caller mutation leaked into image)", m.Instrs())
+	}
+}
+
+// TestImageSizeCountsPublishedClosures pins retained-bytes accounting: a
+// closure-engine run on a fresh image grows SizeBytes and TraceBytes by
+// exactly the bytes of the closures it published — header, items and spans
+// — while a machine with another cost model compiles into private slots,
+// grows neither, and still matches a Step run under its own costs.
+func TestImageSizeCountsPublishedClosures(t *testing.T) {
+	img := BuildImage(countLoop(), 0)
+	size := img.SizeBytes()
+	if img.TraceBytes() != 0 {
+		t.Fatalf("fresh image TraceBytes = %d, want 0", img.TraceBytes())
+	}
+	m := New(cache.DefaultConfig, DefaultCosts)
+	m.LoadImage(img)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := ImagePublishedBytes(img)
+	if want == 0 {
+		t.Fatal("the run published no closures")
+	}
+	if got := img.TraceBytes(); got != want {
+		t.Fatalf("TraceBytes = %d, published closures hold %d", got, want)
+	}
+	if got := img.SizeBytes() - size; got != want {
+		t.Fatalf("SizeBytes grew by %d, published closures hold %d", got, want)
+	}
+
+	costs := DefaultCosts
+	costs.MemExtra++
+	ref := New(cache.DefaultConfig, costs)
+	ref.LoadText(countLoop(), 0)
+	errRef := stepAll(ref)
+	p := New(cache.DefaultConfig, costs)
+	p.LoadImage(img)
+	_, errP := p.Run()
+	diffStates(t, "other cost model", ref, p, errRef, errP)
+	if reflect.ValueOf(p.traces).Pointer() == reflect.ValueOf(img.traces).Pointer() {
+		t.Fatal("a machine with another cost model executes the image's slots")
+	}
+	if MachineTraceCount(p) == 0 {
+		t.Fatal("the other cost model's run compiled no closures")
+	}
+	if img.TraceBytes() != want || img.SizeBytes()-size != want {
+		t.Fatalf("a private-slot run changed the image's bytes: TraceBytes %d, SizeBytes +%d, want %d",
+			img.TraceBytes(), img.SizeBytes()-size, want)
 	}
 }
 

@@ -118,28 +118,22 @@ type Machine struct {
 	// imgShared marks text/uops as views into a shared Image (LoadImage):
 	// they are read-only until PatchInstr privatizes both (copy-on-write,
 	// see image.go). LoadText always installs private arrays. img retains
-	// the attached image so the trace tier can reach its compiled traces.
+	// the attached image so the compiled tier can reach its closures.
 	imgShared bool
 	img       *Image
 	// heads marks the block heads whose trace compiles on first entry
 	// (trace.go): the image's set while the text is shared, a private one
 	// built by LoadText or copied by privatize otherwise.
 	heads headSet
-	// engine selects the Run/RunFor execution strategy; the trace-tier state
-	// below is maintained by syncTraceState (trace.go). traces[i], when
-	// non-nil, is the compiled trace registered at head i — the image's
-	// shared slots when imgShared, which any attached machine may fill on
-	// first entry of a marked head (hence atomic), the machine's own slots
-	// otherwise, filled the same way.
+	// engine selects the Run/RunFor execution strategy; the compiled-tier
+	// state below is maintained by syncTraceState (trace.go). traces[i],
+	// when non-nil, is the closure (closure.go) compiled at head i — the
+	// image's shared slots when the machine shares them (sharesTraces),
+	// which any attached machine may fill on first entry of a marked head
+	// (hence atomic), the machine's own slots otherwise, filled the same
+	// way. Non-nil exactly when EngineClosure is active over non-empty text.
 	engine Engine
-	traces []atomic.Pointer[traceProg]
-	// cls is the closure tier (closure.go): cls[i], when non-nil, is the
-	// threaded-closure compilation of traces[i]. On a shared image it is the
-	// image's slot slice for this machine's cost model (closures bake in
-	// only the trace and the cost model); private text threads its own.
-	// Non-nil exactly when EngineClosure is active over non-empty text, and
-	// filled lazily on first entry of a traced head.
-	cls []atomic.Pointer[closProg]
+	traces []atomic.Pointer[closProg]
 	// cstate is execClosures' reusable spill area (closure.go): dispatching
 	// a compiled closure chain must not allocate, and the pointer handed to
 	// the closures would otherwise force a fresh heap cst per dispatch.
@@ -200,7 +194,7 @@ type Machine struct {
 	// mirror of StoreHook — the hardware-watchpoint baseline for read
 	// watchpoints uses it — and it obeys the same contract in every engine:
 	// the hook fires BEFORE the load's data access, observes exact simulated
-	// counts, and may patch text (the block/trace/closure engines exit the
+	// counts, and may patch text (the block and closure engines exit the
 	// compiled region cleanly when it does).
 	LoadHook func(addr uint32, size int32) int64
 
@@ -878,9 +872,9 @@ func (m *Machine) alloc(size uint32) uint32 {
 
 // Run executes until the program exits, faults, or exceeds MaxInstrs.
 //
-// Under the default trace engine it dispatches a block at a time (blocks.go)
-// and enters compiled traces at block heads (trace.go); EngineBlock skips the
-// trace tier; EngineStep runs the reference one-instruction loop. Simulated
+// Under the default closure engine it dispatches a block at a time
+// (blocks.go) and enters compiled closures at block heads (closure.go);
+// EngineBlock skips the compiled tier; EngineStep runs the reference one-instruction loop. Simulated
 // cycle and instruction counts are bit-identical across all three; only host
 // time changes.
 func (m *Machine) Run() (int32, error) {

@@ -112,20 +112,23 @@ func sharedTables(t *testing.T) []*asm.Program {
 }
 
 // The digests pin every byte the set-up emits. Host-side work on the trace
-// builder or on check emission must leave them unchanged; only a deliberate
-// change to the trace format, the fused shapes or the check sequences may
-// move them, and it must say so.
+// builder, the closure compiler or check emission must leave them
+// unchanged; only a deliberate change to the trace format, the item layout,
+// the fused shapes or the check sequences may move them, and it must say so.
 const (
-	wantTablesTraceDigest = "39cdd28b952d19c900f8629c66033fdb990a84b9c72e4f79d4295c6e4143fdb3"
-	wantTablesTextDigest  = "55389e17926717454edb8b4a74b130ca0a69238d9c3c92f7735382767baab14e"
+	wantTablesTraceDigest   = "39cdd28b952d19c900f8629c66033fdb990a84b9c72e4f79d4295c6e4143fdb3"
+	wantTablesClosureDigest = "fd302791c9db047fbe08fce64524e1a1969090b696cb30155fec7665ccf2e106"
+	wantTablesTextDigest    = "55389e17926717454edb8b4a74b130ca0a69238d9c3c92f7735382767baab14e"
 )
 
-// TestTablesTraceDigest pins every image trace of the 130 table builds:
-// head, entry, exit pc, line shift, pass length, every op field, and every
-// invalidation span. Every marked head is compiled through the first-entry
-// path machines take; the digest was pinned when BuildImage still compiled
-// every head eagerly, so it proves the lazily published traces
-// byte-identical to the eager ones.
+// TestTablesTraceDigest pins the trace behind every image closure of the 130
+// table builds: head, entry, exit pc, line shift, pass length, every op
+// field, and every invalidation span. Every marked head is compiled through
+// the first-entry path machines take, and each published head's trace is
+// then rebuilt by a fresh builder, since closures keep no op stream; the
+// digest was pinned when BuildImage still compiled and kept every trace
+// eagerly, so it proves the lazily compiled traces byte-identical to the
+// eager ones.
 func TestTablesTraceDigest(t *testing.T) {
 	h := sha256.New()
 	var buf []byte
@@ -136,6 +139,28 @@ func TestTablesTraceDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != wantTablesTraceDigest {
 		t.Errorf("trace digest = %s, want %s", got, wantTablesTraceDigest)
+	}
+}
+
+// TestTablesClosureDigest pins every image closure of the 130 table builds,
+// published through the first-entry path: head, pass length, every
+// invalidation span, and every field of every item. The digest was pinned
+// when each compiled head kept both its trace and a closure threaded from
+// it with a parallel exit-prefix array, so it proves the closures that
+// recompute those prefixes on cold paths carry byte-identical item streams.
+func TestTablesClosureDigest(t *testing.T) {
+	if n := machine.RitemFieldCount(); n != 15 {
+		t.Fatalf("ritem has %d fields; the digest encodes 15", n)
+	}
+	h := sha256.New()
+	var buf []byte
+	for _, prog := range sharedTables(t) {
+		machine.CompileImageHeads(prog.Image())
+		buf = machine.AppendImageClosures(buf[:0], prog.Image())
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantTablesClosureDigest {
+		t.Errorf("closure digest = %s, want %s", got, wantTablesClosureDigest)
 	}
 }
 
@@ -166,10 +191,10 @@ func TestTablesTextDigest(t *testing.T) {
 	}
 }
 
-// TestTracesStoredAtExactSize checks that no retained trace or closure
-// carries append slack: every image trace of the 130 table builds, the
-// image traces and closures machines publish on first entry, and the traces
-// a machine compiles over private text.
+// TestTracesStoredAtExactSize checks that no retained closure carries append
+// slack in its item stream or spans: every image closure of the 130 table
+// builds, the image closures machines publish on first entry, and the
+// closures a machine compiles over private text.
 func TestTracesStoredAtExactSize(t *testing.T) {
 	for i, prog := range sharedTables(t) {
 		machine.CompileImageHeads(prog.Image())
@@ -185,36 +210,26 @@ func TestTracesStoredAtExactSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := buildTable(t, p, u, tableBuilds[3])
-	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineClosure} {
-		m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
-		m.SetEngine(e)
-		if _, err := runMonitored(fresh, m); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := runMonitored(fresh, machine.New(cache.DefaultConfig, machine.DefaultCosts)); err != nil {
+		t.Fatal(err)
 	}
 	if machine.ImageTraceCount(fresh.Image()) == 0 {
-		t.Fatal("shared-image runs published no traces")
+		t.Fatal("the shared-image run published no closures")
 	}
 	if s := machine.ImageTraceSlack(fresh.Image()); s != "" {
-		t.Fatalf("published image trace: %s", s)
-	}
-	if n, s := machine.ImageClosureSlack(fresh.Image()); n == 0 {
-		t.Fatal("the closure-engine run published no closures")
-	} else if s != "" {
 		t.Fatalf("published image closure: %s", s)
 	}
 
 	prog := sharedTables(t)[0] // the first program's baseline
 	m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
-	m.SetEngine(machine.EngineTrace)
 	prog.Load(m)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if machine.MachineTraceCount(m) == 0 {
-		t.Fatal("private-text run compiled no traces")
+		t.Fatal("private-text run compiled no closures")
 	}
 	if s := machine.MachineTraceSlack(m); s != "" {
-		t.Fatalf("private-text trace: %s", s)
+		t.Fatalf("private-text closure: %s", s)
 	}
 }

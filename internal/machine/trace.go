@@ -1,107 +1,99 @@
-// Trace/superblock compiler tier.
+// Trace builder: the compiled tier's front end.
 //
 // The block engine (blocks.go) already amortizes dispatch over straight-line
 // runs, but it still pays a switch on the generic µop encoding for every
-// instruction and a fresh dispatch at every terminator. This tier goes one
-// step further: a block head is compiled into a trace — a threaded-code
-// array of specialized trace-ops (top) covering the straight-line run AND the
-// statically-predicted path beyond it, stitched across unconditional
+// instruction and a fresh dispatch at every terminator. The compiled tier
+// goes further. Its front end, this file, turns a block head into a trace —
+// an array of specialized trace-ops (top) covering the straight-line run AND
+// the statically-predicted path beyond it, stitched across unconditional
 // branches, calls, and conditional branches predicted taken (backward) or
-// not-taken (forward). Common adjacent pairs are fused into one trace-op
-// (sethi+or constant synthesis, subcc+branch compare-and-branch), and
-// operand-2 forms that are immediate-only at compile time drop the register
-// read entirely. A trace whose last op branches back to its own entry is a
-// loop trace: one execTrace call retires whole iterations without returning
-// to the dispatcher.
+// not-taken (forward). Common adjacent pairs and triples are fused into one
+// trace-op (sethi+or constant synthesis, subcc+branch compare-and-branch, the
+// address chains minic emits), and operand-2 forms that are immediate-only at
+// compile time drop the register read entirely. A trace whose last op
+// branches back to its own entry is a loop trace: one pass after another
+// runs without returning to the dispatcher. closure.go threads each trace at
+// once into its item stream (closProg), the only compiled form a machine or
+// image retains; the op stream is scratch.
 //
 // The proof obligation is unchanged from blocks.go: simulated instruction
 // counts, cycles, cache statistics, event counters, and fault points must be
-// bit-identical to the single-Step engine. Everything data-dependent —
-// cache probes (through the same known-hit line trackers execBlocks uses,
-// threaded in and out of execTrace so residency knowledge survives the
-// transition), StoreHook, event counters, the MaxInstrs budget — fires in
-// program order. Static prediction never speculates state: a mispredicted
-// branch is a side exit that commits exactly the instructions architecturally
-// executed and returns to the dispatcher.
+// bit-identical to the single-Step engine. Static prediction never
+// speculates state: a mispredicted branch is a side exit that commits
+// exactly the instructions architecturally executed and returns to the
+// dispatcher.
 //
 // One compilation rule covers every text: BuildImage and LoadText mark the
 // block heads (blockHeads), and the first time a machine reaches a marked
 // head — by dispatching to it or by linking to it from a trace exit — it
-// compiles the head's trace with static prediction and publishes it in its
-// trace slots (Machine.compileHead). On a shared image those slots are the
-// Image's, so every attached machine shares the trace.
+// compiles the head's trace with static prediction, threads it, and
+// publishes the closure in its slots (Machine.compileHead). On a shared
+// image those slots are the Image's, so every attached machine with the
+// image's geometry and cost model shares the closure.
 //
 // Patch safety (the self-modifying-code hazard, DESIGN.md §9): PatchInstr
-// nils every trace whose consumed-index spans cover the patched index and
+// nils every closure whose consumed-index spans cover the patched index and
 // marks the heads the new instruction creates. On a shared image it
 // privatizes first: the patching machine copies the image's head marks and
-// the traces published so far, so only the traces covering the patch are
+// the closures published so far, so only the ones covering the patch are
 // dropped, and for this machine only (siblings keep executing and
-// first-entering the image traces). A patch landing while a trace is
+// first-entering the image's). A patch landing while a closure is
 // executing — only possible from a StoreHook or LoadHook — is caught by the
 // textGen generation check after the access, exactly as in execBlocks, and
-// the trace exits cleanly after the hooked instruction so the dispatcher
+// the closure exits cleanly after the hooked instruction so the dispatcher
 // re-enters against fresh state.
 package machine
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync/atomic"
-	"unsafe"
 
 	"databreak/internal/cache"
 	"databreak/internal/sparc"
 )
 
-// Engine selects how Run/RunFor execute. The zero value is EngineTrace: the
-// trace tier is the default, and every engine produces bit-identical
+// Engine selects how Run/RunFor execute. The zero value is EngineClosure:
+// the compiled tier is the default, and every engine produces bit-identical
 // simulated counts, so the choice is purely a host-speed/diagnosis knob.
 type Engine uint8
 
 const (
-	// EngineTrace dispatches blocks and enters compiled traces at block heads.
-	EngineTrace Engine = iota
-	// EngineBlock is the PR-2 block-dispatch engine with no trace tier.
+	// EngineClosure dispatches blocks and enters compiled closures
+	// (closure.go) at block heads.
+	EngineClosure Engine = iota
+	// EngineBlock is the block-dispatch engine with no compiled tier.
 	EngineBlock
 	// EngineStep executes one instruction at a time through Step — the
 	// reference semantics the other engines are measured against.
 	EngineStep
-	// EngineClosure compiles each trace into threaded Go closures
-	// (closure.go): same traces, same accounting, no per-op switch.
-	EngineClosure
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineTrace:
-		return "trace"
+	case EngineClosure:
+		return "closure"
 	case EngineBlock:
 		return "block"
 	case EngineStep:
 		return "step"
-	case EngineClosure:
-		return "closure"
 	}
 	return fmt.Sprintf("engine?%d", uint8(e))
 }
 
-// ParseEngine converts a flag value ("step", "block", "trace", "closure") to
-// an Engine.
+// ParseEngine converts a flag value ("step", "block", "closure") to an
+// Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "trace":
-		return EngineTrace, nil
+	case "closure":
+		return EngineClosure, nil
 	case "block":
 		return EngineBlock, nil
 	case "step":
 		return EngineStep, nil
-	case "closure":
-		return EngineClosure, nil
 	}
-	return EngineTrace, fmt.Errorf("machine: unknown engine %q (want step, block, trace, or closure)", s)
+	return EngineClosure, fmt.Errorf("machine: unknown engine %q (want step, block, or closure)", s)
 }
 
 // SetEngine selects the execution engine. Safe at any point the machine is
@@ -115,7 +107,7 @@ func (m *Machine) SetEngine(e Engine) {
 // Engine returns the currently selected execution engine.
 func (m *Machine) Engine() Engine { return m.engine }
 
-// minTraceInstrs rejects traces too short to amortize the execTrace call.
+// minTraceInstrs rejects traces too short to amortize entering a closure.
 const minTraceInstrs = 3
 
 // topOp is a trace-op opcode. Plain ops mirror the block engine's semantics
@@ -169,8 +161,8 @@ const (
 	// Window and indirect-jump ops. save/restore are pure register-window
 	// shuffles in this subset (no memory traffic), so they compile as
 	// interior ops; jmpl ends the trace with a computed exit that feeds
-	// straight into trace linking, which is what lets one chained execTrace
-	// call run caller -> callee -> return without a dispatcher round-trip.
+	// straight into trace linking, which is what lets a chain of closures
+	// go caller -> callee -> return without a dispatcher round-trip.
 	tSave
 	tRestore
 	tJmpl // terminator: validates the target, side-exits to Step on a bad one
@@ -181,9 +173,9 @@ const (
 
 	// tEnd terminates every trace's op array: it commits the completed pass
 	// and transfers to exitPC. A synthetic op (no instruction, no fetch), it
-	// lets the interpreter walk ops with a raw pointer instead of paying an
-	// index bound check per op — the walk provably stops at tEnd, and every
-	// other path out of a pass is an explicit goto.
+	// lets a closure walk its items with a raw pointer instead of paying an
+	// index bound check per item — the walk provably stops at tEnd, and
+	// every other path out of a pass is an explicit goto.
 	tEnd
 
 	// Fused interior pairs (two instructions, one dispatch). These are the
@@ -243,15 +235,13 @@ const (
 	topOpEnd
 
 	// topCount is or-ed into op when the instruction carries an event
-	// counter; the interpreter's default case bumps the counter, strips the
-	// flag, and re-dispatches (same trick as blocks.go opCount). Fused ops
-	// are only formed when neither instruction is counted.
+	// counter; the closure compiler turns it into a counter item ahead of
+	// the op. Fused ops are only formed when neither instruction is counted.
 	topCount topOp = 0x80
 )
 
 // top is one trace-op: a specialized instruction (or fused pair) plus the
-// bookkeeping needed for exact accounting. 32 bytes, so a 64-byte line holds
-// two ops.
+// bookkeeping needed for exact accounting.
 type top struct {
 	op   topOp
 	rd   uint8 // destination (source for stores); scratchReg absorbs %g0
@@ -284,117 +274,87 @@ type top struct {
 	iaddr uint32
 }
 
-// traceProg is one compiled trace. Immutable once built, so traces may be
-// shared across machines (Image) and read while another machine invalidates
-// its own slice entries.
+// traceProg is one trace as the builder emits it: the compiled tier's
+// intermediate form. compileHead threads it into a closProg at once and
+// keeps only that; ops alias the builder's buffer until its next compile.
 type traceProg struct {
 	entry      int32  // head text index the trace is registered under
 	exitPC     int32  // pc installed when a pass runs off the tail
 	shift      uint32 // I-line shift the nl bits were computed under
 	passInstrs int64  // simulated instructions one full pass retires
-	ops        []top
+	ops        []top  // ends in tEnd
 	// spans are the sorted, disjoint [lo,hi) text-index ranges the trace
-	// consumed; PatchInstr invalidates any trace whose span covers the
-	// patched index.
+	// consumed, at exact size: its closure keeps them, and PatchInstr
+	// invalidates any closure whose span covers the patched index.
 	spans [][2]int32
 }
 
-// covers reports whether text index idx is part of the trace.
-func (tr *traceProg) covers(idx int32) bool {
-	for _, s := range tr.spans {
-		if idx >= s[0] && idx < s[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// syncTraceState (re)establishes the engine-dependent trace state after any
-// event that changes what the dispatcher may execute: engine selection, text
-// installation, or COW privatization. Invariants: m.traces is non-nil
-// exactly when the trace (or closure) engine is active over non-empty text,
-// so execBlocks gates the whole tier on one nil check; m.cls is non-nil
-// exactly when the closure engine is active over non-empty text; and a nil
-// trace slot at a pc still marked in m.heads means "not compiled yet"
-// (compileHead) rather than "no trace".
+// syncTraceState (re)establishes the engine-dependent compiled state after
+// any event that changes what the dispatcher may execute: engine selection,
+// text installation, or COW privatization. Invariants: m.traces is non-nil
+// exactly when the closure engine is active over non-empty text, so
+// execBlocks gates the whole tier on one nil check; and a nil slot at a pc
+// still marked in m.heads means "not compiled yet" (compileHead) rather
+// than "no trace".
 func (m *Machine) syncTraceState() {
-	traced := m.engine == EngineTrace || m.engine == EngineClosure
-	if !traced || len(m.text) == 0 {
-		m.traces, m.cls = nil, nil
-		return
-	}
-	shared := m.sharesTraces()
-	if shared {
-		// Shared image with matching cache geometry: the image's trace
-		// slots, filled on first entry of each marked head.
+	switch {
+	case m.engine != EngineClosure || len(m.text) == 0:
+		m.traces = nil
+	case m.sharesTraces():
+		// Shared image compiled for this machine's geometry and cost
+		// model: the image's slots, filled on first entry of each marked
+		// head.
 		m.traces = m.img.traces
-	} else {
-		// Private text — or a shared image whose traces are compiled for a
-		// different I-line geometry, which this machine cannot execute (the nl
-		// bits would mis-batch fetch accounting): compile into private slots.
-		// The shared text itself is still borrowed.
-		m.traces = make([]atomic.Pointer[traceProg], len(m.text))
-	}
-	if m.engine == EngineClosure {
-		// The threaded form is machine-independent data — items bake in only
-		// the trace stream and the cost model — so machines attached to a
-		// shared image share one closure tier per cost model (image.go),
-		// filled on first entry like the traces. Private text threads its
-		// own, lazily, as traces appear.
-		if shared {
-			m.cls = m.img.sharedClosures(m.costs)
-		} else {
-			m.cls = make([]atomic.Pointer[closProg], len(m.text))
-		}
-	} else {
-		m.cls = nil
+	default:
+		// Private text — or a shared image whose closures bake in an I-line
+		// geometry or cost model this machine does not have: compile into
+		// private slots. The shared text itself is still borrowed.
+		m.traces = make([]atomic.Pointer[closProg], len(m.text))
 	}
 }
 
-// sharesTraces reports whether the machine executes its image's trace
-// slots: the text is a shared image's, compiled for this machine's I-line
-// geometry.
+// sharesTraces reports whether the machine executes its image's slots: the
+// text is a shared image's, and the image's closures were compiled for this
+// machine's I-line geometry (their fetch batching) and cost model (their
+// static cycle sums).
 func (m *Machine) sharesTraces() bool {
-	return m.imgShared && m.img.traceShift == m.cache.LineShift()
+	return m.imgShared && m.img.traceShift == m.cache.LineShift() && m.costs == DefaultCosts
 }
 
 // compileHead compiles the trace at marked head pc on its first entry, with
-// the machine's builder scratch and I-line shift, and publishes it once in
-// the machine's trace slots: a caller that loses the race on a shared
-// image's slot adopts the winner's trace. A declined head loses its mark,
-// so it is never retried. Returns the published trace, or nil when the head
-// was declined. Kept out of line so the dispatcher and the trace-link paths
-// gain only an untaken branch.
+// the machine's builder scratch and I-line shift, threads it for the
+// machine's cost model, and publishes the closure once in the machine's
+// slots: a caller that loses the race on a shared image's slot adopts the
+// winner's. A declined head loses its mark, so it is never retried.
+// Returns the published closure, or nil when the head was declined. Kept
+// out of line so the dispatcher and the trace-link paths gain only an
+// untaken branch.
 //
 //go:noinline
-func (m *Machine) compileHead(pc int32) *traceProg {
+func (m *Machine) compileHead(pc int32) *closProg {
 	tr := m.tb.compile(m.text, m.uops, pc, m.cache.LineShift())
 	if tr == nil {
 		m.heads.clear(pc)
 		return nil
 	}
-	if !m.traces[pc].CompareAndSwap(nil, tr) {
+	cp := compileClosures(tr, &m.costs)
+	if !m.traces[pc].CompareAndSwap(nil, cp) {
 		return m.traces[pc].Load()
 	}
 	if m.sharesTraces() {
-		m.img.traceBytes.Add(int64(traceSize(tr)))
+		m.img.traceBytes.Add(int64(cp.size()))
 	}
-	return tr
+	return cp
 }
 
-// invalidateTraces drops every trace whose consumed spans cover the patched
-// index. The caller (PatchInstr) has already privatized, so the slots are
-// the machine's own: on a formerly shared image they hold the traces it
-// inherited, and the image's traces stay untouched.
+// invalidateTraces drops every closure whose consumed spans cover the
+// patched index. The caller (PatchInstr) has already privatized, so the
+// slots are the machine's own: on a formerly shared image they hold the
+// closures it inherited, and the image's stay untouched.
 func (m *Machine) invalidateTraces(idx int32) {
 	for i := range m.traces {
-		if tr := m.traces[i].Load(); tr != nil && tr.covers(idx) {
+		if cp := m.traces[i].Load(); cp != nil && cp.covers(idx) {
 			m.traces[i].Store(nil)
-			if m.cls != nil {
-				// The closure tier compiles FROM traces, so a dropped trace
-				// drops its threaded form too (closure.go).
-				m.cls[i].Store(nil)
-			}
 		}
 	}
 }
@@ -579,7 +539,7 @@ func isTraceTerminator(op sparc.Op) bool {
 
 // FusionPlan applies the trace builder's fusion rules to one dynamically
 // consecutive instruction run and returns the width in instructions (1, 2, or
-// 3) of each dispatch item the trace and closure tiers would retire for it.
+// 3) of each dispatch item the compiled tier would retire for it.
 // Interior fusion windows are bounded at terminators exactly as the builder
 // bounds them at block ends, and a conditional branch fuses with an
 // immediately preceding uncounted subcc (tCmpBr*). The mrsbench -trace-stats
@@ -654,9 +614,10 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 // index i consumed by the trace under construction, and bumping gen empties
 // the set in O(1). seen lists the consumed indices as [lo,hi) runs in visit
 // order, so a trace's spans cost its own length, not the text's; ops is the
-// op stream's growth buffer. A finished trace copies both out at exact
-// size, since traces live as long as their image. Each machine keeps one
-// builder for its first-entry compiles (compileHead).
+// op stream's buffer, which the finished trace borrows until the next
+// compile. Spans are copied out at exact size, since the closure that keeps
+// them lives as long as its image. Each machine keeps one builder for its
+// first-entry compiles (compileHead).
 type traceBuilder struct {
 	stamp []uint32
 	gen   uint32
@@ -984,9 +945,8 @@ scan:
 			break scan
 		}
 	}
-	b.ops = ops // keep the grown buffer for the next trace
-
 	if !loop && !dyn && ni < minTraceInstrs {
+		b.ops = ops // keep the grown buffer for the next trace
 		return nil
 	}
 	// nl post-pass: mark the compile-time I-line boundaries (see top.nl).
@@ -1012,15 +972,14 @@ scan:
 			}
 		}
 	}
-	exact := make([]top, len(ops)+1)
-	copy(exact, ops)
-	exact[len(ops)] = top{op: tEnd}
+	ops = append(ops, top{op: tEnd})
+	b.ops = ops // keep the grown buffer for the next trace
 	return &traceProg{
 		entry:      entry,
 		exitPC:     exitPC,
 		shift:      shift,
 		passInstrs: int64(ni),
-		ops:        exact,
+		ops:        ops,
 		spans:      b.spans(),
 	}
 }
@@ -1048,1577 +1007,6 @@ func topWidth(op topOp) int32 {
 		return 3
 	}
 	return 1
-}
-
-// traceFault commits the accounting for a fault at trace-op u — the faulting
-// instruction's base cost and ifetch are charged, nothing past the point
-// Step would have charged — flushes the batched ifetch hits, and leaves pc
-// on the faulting instruction. Fused ops never fault (their first
-// instruction is ALU-only and their pair is only formed when well-typed), so
-// the faulting instruction always accounts for exactly one.
-func (m *Machine) traceFault(u *top, cyc, base int64, ihits uint64, format string, args ...any) error {
-	m.cache.NoteHits(cache.IFetch, ihits)
-	n := int64(u.ni) + 1
-	m.instrs += n
-	m.cycles += cyc + base*n
-	m.pc = int32((u.iaddr - TextBase) / 4)
-	return m.fault(m.text[m.pc], format, args...)
-}
-
-// traceFault2 is traceFault for a fault in the SECOND half of a fused pair:
-// the first half already retired, so two instructions commit and pc lands on
-// the second instruction. The caller has already accounted the second
-// instruction's fetch (Step fetches before it executes).
-func (m *Machine) traceFault2(u *top, cyc, base int64, ihits uint64, format string, args ...any) error {
-	m.cache.NoteHits(cache.IFetch, ihits)
-	n := int64(u.ni) + 2
-	m.instrs += n
-	m.cycles += cyc + base*n
-	m.pc = int32((u.iaddr-TextBase)/4) + 1
-	return m.fault(m.text[m.pc], format, args...)
-}
-
-// traceFault3 is traceFault for a fault in the THIRD slot of a fused triple:
-// the first two slots already retired, so three instructions commit and pc
-// lands on the third instruction. The caller has already accounted the third
-// instruction's fetch.
-func (m *Machine) traceFault3(u *top, cyc, base int64, ihits uint64, format string, args ...any) error {
-	m.cache.NoteHits(cache.IFetch, ihits)
-	n := int64(u.ni) + 3
-	m.instrs += n
-	m.cycles += cyc + base*n
-	m.pc = int32((u.iaddr-TextBase)/4) + 2
-	return m.fault(m.text[m.pc], format, args...)
-}
-
-// traceExit commits a side exit after n instructions of the current pass.
-func (m *Machine) traceExit(nextPC int32, n, cyc, base int64) {
-	m.instrs += n
-	m.cycles += cyc + base*n
-	m.pc = nextPC
-}
-
-// execTrace runs passes of tr until a side exit, the tail, a fault, a
-// mid-trace patch, or the MaxInstrs budget. The known-hit line trackers and
-// the batched ifetch-hit count are threaded in from the dispatcher and back
-// out, so residency knowledge survives the block→trace→block transitions and
-// the combined engine issues exactly the probes Step would.
-//
-// Accounting protocol (mirrors execBlocks):
-//   - Base+PerInstrPenalty cycles fold into one multiply per commit:
-//     base*passInstrs when a pass completes (tail or back-edge),
-//     base*(ni+width) at side exits and faults.
-//   - Dynamic cycles (MemExtra, miss penalties, Mul/Div, taken branches,
-//     StoreHook charges) accumulate in cyc and commit with the pass.
-//   - ihits counts only ACTUAL known-hit fetches (no prepaid credits); it is
-//     flushed via cache.NoteHits before anything that can observe the cache
-//     (StoreHook, fault) and returned to the dispatcher otherwise.
-//   - The caller guarantees MaxInstrs-instrs >= passInstrs on entry; loop
-//     back-edges re-check before starting another pass.
-func (m *Machine) execTrace(tr *traceProg, shift, imask, ciLine, cdLine uint32, ihits0 uint64) (curILine, curDLine uint32, ihits uint64, err error) {
-	curILine, curDLine, ihits = ciLine, cdLine, ihits0
-	ts := m.traces
-	const topSize = unsafe.Sizeof(top{})
-	base := m.costs.Base + m.PerInstrPenalty
-	gen := m.textGen
-	var (
-		cyc   int64
-		npc   int32 // pending exit pc (text index), set before goto exit/link
-		width int64 // instructions the exiting op retires, set before goto exit
-	)
-
-chain:
-	for {
-		ops := tr.ops
-	pass:
-		for {
-			// Raw-pointer walk over ops: tEnd terminates every trace, every
-			// other way out of the loop is an explicit goto/continue, so no
-			// per-op bound check is needed.
-			p := unsafe.Pointer(&ops[0])
-			for {
-				u := (*top)(p)
-				p = unsafe.Add(p, topSize)
-				op := u.op
-				if op == tEnd {
-					// The whole pass retired.
-					m.instrs += tr.passInstrs
-					m.cycles += cyc + base*tr.passInstrs
-					npc = tr.exitPC
-					goto link
-				}
-				// One ifetch per instruction through the known-hit line
-				// tracker. The nl bit proves at compile time that this fetch
-				// shares the previous op's line, so while curILine is live the
-				// fetch is a guaranteed hit with no line arithmetic at all;
-				// line-crossing ops (and a dead tracker) take the full path.
-				if u.nl&1 == 0 && curILine != noLine {
-					ihits++
-				} else if line := u.iaddr >> shift; line == curILine {
-					ihits++
-				} else {
-					if !m.cache.Access(u.iaddr, cache.IFetch) {
-						cyc += m.costs.MissPenalty
-					}
-					if (line^curDLine)&imask == 0 {
-						curDLine = noLine
-					}
-					curILine = line
-				}
-			redo:
-				switch op {
-				case tNop:
-					// nothing
-
-				case tLdI:
-					ea := uint32(m.regs[u.rs1] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						// Same contract as the store hook below: flush the
-						// earned hits, kill both trackers.
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tLd:
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tLdd:
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&7 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned ldd at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 8)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					cyc += m.costs.MemExtra // second word (see dataAccess2)
-					if line2 := (ea + 4) >> shift; line2 != curDLine {
-						if !m.cache.Access(ea+4, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line2^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line2
-					}
-					m.regs[u.rd] = m.ReadWord(ea)
-					m.regs[u.rd+1] = m.ReadWord(ea + 4)
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tStI, tSt:
-					var ea uint32
-					if op == tStI {
-						ea = uint32(m.regs[u.rs1] + u.imm)
-					} else {
-						ea = uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					}
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned store at %#x", ea)
-					}
-					hooked := m.StoreHook != nil
-					if hooked {
-						// Flush the earned hits so a hook that inspects the
-						// machine sees exact statistics; the hook may invalidate
-						// any line, so both trackers die.
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.StoreHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DWrite, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					binary.BigEndian.PutUint32(p[o:o+4], uint32(m.regs[u.rd]))
-					if hooked && m.textGen != gen {
-						// The hook patched text under us: this trace may be
-						// stale (or already invalidated). Finish this instruction
-						// (done) and return to the dispatcher, which re-dispatches
-						// against the fresh trace/block index.
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tStd:
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&7 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned std at %#x", ea)
-					}
-					hooked := m.StoreHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.StoreHook(ea, 8)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DWrite, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					cyc += m.costs.MemExtra // second word (see dataAccess2)
-					if line2 := (ea + 4) >> shift; line2 != curDLine {
-						if !m.cache.Access(ea+4, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line2^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line2
-					}
-					m.storeWord(ea, m.regs[u.rd])
-					m.storeWord(ea+4, m.regs[u.rd+1])
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tAddI:
-					m.regs[u.rd] = m.regs[u.rs1] + u.imm
-				case tAdd:
-					m.regs[u.rd] = m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-				case tSub:
-					m.regs[u.rd] = m.regs[u.rs1] - (m.regs[u.s2r] + u.imm)
-				case tSubI:
-					m.regs[u.rd] = m.regs[u.rs1] - u.imm
-				case tAnd:
-					m.regs[u.rd] = m.regs[u.rs1] & (m.regs[u.s2r] + u.imm)
-				case tAndn:
-					m.regs[u.rd] = m.regs[u.rs1] &^ (m.regs[u.s2r] + u.imm)
-				case tOr:
-					m.regs[u.rd] = m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-				case tOrI:
-					m.regs[u.rd] = m.regs[u.rs1] | u.imm
-				case tOrn:
-					m.regs[u.rd] = m.regs[u.rs1] | ^(m.regs[u.s2r] + u.imm)
-				case tXor:
-					m.regs[u.rd] = m.regs[u.rs1] ^ (m.regs[u.s2r] + u.imm)
-				case tXnor:
-					m.regs[u.rd] = ^(m.regs[u.rs1] ^ (m.regs[u.s2r] + u.imm))
-				case tSll:
-					m.regs[u.rd] = m.regs[u.rs1] << (uint32(m.regs[u.s2r]+u.imm) & 31)
-				case tSllI:
-					m.regs[u.rd] = m.regs[u.rs1] << (uint32(u.imm) & 31)
-				case tSrl:
-					m.regs[u.rd] = int32(uint32(m.regs[u.rs1]) >> (uint32(m.regs[u.s2r]+u.imm) & 31))
-				case tSrlI:
-					m.regs[u.rd] = int32(uint32(m.regs[u.rs1]) >> (uint32(u.imm) & 31))
-				case tSra:
-					m.regs[u.rd] = m.regs[u.rs1] >> (uint32(m.regs[u.s2r]+u.imm) & 31)
-				case tSMul:
-					cyc += m.costs.Mul
-					m.regs[u.rd] = m.regs[u.rs1] * (m.regs[u.s2r] + u.imm)
-				case tSDiv:
-					cyc += m.costs.Div // charged before the zero check, as in Step
-					d := m.regs[u.s2r] + u.imm
-					if d == 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "division by zero")
-					}
-					m.regs[u.rd] = m.regs[u.rs1] / d
-
-				case tAddcc:
-					a, b := m.regs[u.rs1], m.regs[u.s2r]+u.imm
-					r := a + b
-					m.setCCAdd(a, b, r)
-					m.regs[u.rd] = r
-				case tSubcc:
-					a, b := m.regs[u.rs1], m.regs[u.s2r]+u.imm
-					r := a - b
-					m.setCCSub(a, b, r)
-					m.regs[u.rd] = r
-				case tAndcc:
-					r := m.regs[u.rs1] & (m.regs[u.s2r] + u.imm)
-					m.setCCLogic(r)
-					m.regs[u.rd] = r
-				case tAndncc:
-					r := m.regs[u.rs1] &^ (m.regs[u.s2r] + u.imm)
-					m.setCCLogic(r)
-					m.regs[u.rd] = r
-				case tOrcc:
-					r := m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-					m.setCCLogic(r)
-					m.regs[u.rd] = r
-				case tXorcc:
-					r := m.regs[u.rs1] ^ (m.regs[u.s2r] + u.imm)
-					m.setCCLogic(r)
-					m.regs[u.rd] = r
-
-				case tSet:
-					m.regs[u.rd] = u.imm
-
-				case tSet2:
-					// Fused pair: second fetch at iaddr+4, then the synthesized
-					// constant. Reordering the or's fetch before the sethi's
-					// write is invisible — ALU ops touch no cache state.
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd] = u.imm
-
-				case tLdSll, tLdOr, tLdCmp:
-					// Fused ld+ALU pair: the load executes first (it may fault
-					// and has the d-cache probe), then the second half's fetch,
-					// then the ALU op — exactly Step's order. A load hook that
-					// patches text exits after the load half retires.
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					switch op {
-					case tLdSll:
-						m.regs[u.rd2] = m.regs[u.rs1b] << (uint32(m.regs[u.s2rb]+u.imm2) & 31)
-					case tLdOr:
-						m.regs[u.rd2] = m.regs[u.rs1b] | (m.regs[u.s2rb] + u.imm2)
-					default: // tLdCmp
-						a, b := m.regs[u.rs1b], m.regs[u.s2rb]+u.imm2
-						r := a - b
-						m.setCCSub(a, b, r)
-						m.regs[u.rd2] = r
-					}
-
-				case tSllAdd:
-					// Two ALU halves: only the second fetch touches cache state.
-					m.regs[u.rd] = m.regs[u.rs1] << (uint32(m.regs[u.s2r]+u.imm) & 31)
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd2] = m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2
-
-				case tAddLd, tOrLd:
-					// Fused ALU+ld pair: ALU result commits, second fetch, then
-					// the load — which may fault with the first half retired
-					// (traceFault2 commits both the pair's fetches and widths).
-					if op == tAddLd {
-						m.regs[u.rd] = m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-					} else {
-						m.regs[u.rd] = m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					ea := uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault2(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd2] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tLdLd:
-					// Fused ld+ld: either half may fault; the first retires
-					// before the second's fetch, so a dependent (pointer-chase)
-					// second load reads the just-written register. The load
-					// hook fires per half, with the tSt patch-exit protocol.
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					ea = uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault2(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked = m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb = ea &^ (PageBytes - 1)
-					pe = &m.pageCache[pageCacheIdx(ea)]
-					p = pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o = ea & (PageBytes - 4)
-					m.regs[u.rd2] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tLdSt, tAddSt, tSubSt:
-					// Fused op+store: the first half retires, then the second
-					// fetch, then the store with the full hook/patch-exit
-					// protocol of tSt.
-					switch op {
-					case tLdSt:
-						ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-						if ea&3 != 0 {
-							return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-						}
-						lhooked := m.LoadHook != nil
-						if lhooked {
-							m.cache.NoteHits(cache.IFetch, ihits)
-							ihits = 0
-							cyc += m.LoadHook(ea, 4)
-							curILine = noLine
-							curDLine = noLine
-						}
-						cyc += m.costs.MemExtra
-						if line := ea >> shift; line == curDLine {
-							m.cache.NoteHits(cache.DRead, 1)
-						} else {
-							if !m.cache.Access(ea, cache.DRead) {
-								cyc += m.costs.MissPenalty
-							}
-							if (line^curILine)&imask == 0 {
-								curILine = noLine
-							}
-							curDLine = line
-						}
-						pb := ea &^ (PageBytes - 1)
-						pe := &m.pageCache[pageCacheIdx(ea)]
-						p := pe.p
-						if pe.base != pb {
-							p = m.pageSlow(pb)
-						}
-						o := ea & (PageBytes - 4)
-						m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-						if lhooked && m.textGen != gen {
-							m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-							return curILine, curDLine, ihits, nil
-						}
-					case tAddSt:
-						m.regs[u.rd] = m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-					default: // tSubSt
-						m.regs[u.rd] = m.regs[u.rs1] - (m.regs[u.s2r] + u.imm)
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					ea := uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault2(u, cyc, base, ihits, "unaligned store at %#x", ea)
-					}
-					hooked := m.StoreHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.StoreHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DWrite, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					binary.BigEndian.PutUint32(p[o:o+4], uint32(m.regs[u.rd2]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tOrAdd, tOrSub:
-					// Two ALU halves, like tSllAdd.
-					m.regs[u.rd] = m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					if op == tOrAdd {
-						m.regs[u.rd2] = m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2
-					} else {
-						m.regs[u.rd2] = m.regs[u.rs1b] - (m.regs[u.s2rb] + u.imm2)
-					}
-
-				case tLdSllAdd:
-					// Fused ld+sll+add triple (the eqntott index-scale-add
-					// chain): the load retires with the full hook/fault
-					// protocol of tLd, then the second fetch, the shift, the
-					// third fetch, and the add. Slot C's operands live in
-					// rd3/rs1c/s2rc with tgt reused as its immediate.
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd2] = m.regs[u.rs1b] << (uint32(m.regs[u.s2rb]+u.imm2) & 31)
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					m.regs[u.rd3] = m.regs[u.rs1c] + m.regs[u.s2rc] + u.tgt
-
-				case tSllAddLd:
-					// Fused sll+add+ld (address-scale then dereference): two
-					// ALU slots, then a slot-C load that may fault with both
-					// earlier slots retired (traceFault3) and takes the full
-					// hook/patch-exit protocol at +3.
-					m.regs[u.rd] = m.regs[u.rs1] << (uint32(m.regs[u.s2r]+u.imm) & 31)
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd2] = m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					ea := uint32(m.regs[u.rs1c] + m.regs[u.s2rc] + u.tgt)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault3(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd3] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+3, int64(u.ni)+3, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tOrLdSll, tAddLdSll:
-					// Fused alu+ld+sll: the slot-B load faults with one slot
-					// retired (traceFault2) and a patching hook exits at +2 —
-					// the slot-C shift has not executed and re-dispatches
-					// against fresh text.
-					if op == tOrLdSll {
-						m.regs[u.rd] = m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-					} else {
-						m.regs[u.rd] = m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					ea := uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault2(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd2] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					m.regs[u.rd3] = m.regs[u.rs1c] << (uint32(m.regs[u.s2rc]+u.tgt) & 31)
-
-				case tLdAddLd:
-					// Fused ld+add+ld pointer chase (li/gcc): either load may
-					// fault or hook-patch; slot A exits at +1, slot C at +3.
-					// The slot-C address reads the registers as they stand
-					// after slots A and B, exactly program order.
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd2] = m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					ea = uint32(m.regs[u.rs1c] + m.regs[u.s2rc] + u.tgt)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault3(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked = m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb = ea &^ (PageBytes - 1)
-					pe = &m.pageCache[pageCacheIdx(ea)]
-					p = pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o = ea & (PageBytes - 4)
-					m.regs[u.rd3] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+3, int64(u.ni)+3, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tOrOrOr:
-					// Three ALU slots (espresso's mask-merge runs): only the
-					// interior fetches touch cache state.
-					m.regs[u.rd] = m.regs[u.rs1] | (m.regs[u.s2r] + u.imm)
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd2] = m.regs[u.rs1b] | (m.regs[u.s2rb] + u.imm2)
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					m.regs[u.rd3] = m.regs[u.rs1c] | (m.regs[u.s2rc] + u.tgt)
-
-				case tSet2Ld:
-					// Fused sethi+or+ld (address materialization then
-					// dereference): the merged constant commits after the
-					// or's fetch — before the slot-C load, which typically
-					// uses rd as its address base. The load's operands are in
-					// the rd2/rs1b/s2rb/imm2 slots but it is the THIRD
-					// instruction: faults use traceFault3, patch-exits +3.
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd] = u.imm
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					ea := uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault3(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					hooked := m.LoadHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd2] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+3, int64(u.ni)+3, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tSet2St:
-					// tSet2Ld with a store in slot C: full StoreHook/patch
-					// protocol of tSt, committing three instructions.
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					m.regs[u.rd] = u.imm
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					ea := uint32(m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault3(u, cyc, base, ihits, "unaligned store at %#x", ea)
-					}
-					hooked := m.StoreHook != nil
-					if hooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.StoreHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DWrite, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					binary.BigEndian.PutUint32(p[o:o+4], uint32(m.regs[u.rd2]))
-					if hooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+3, int64(u.ni)+3, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tLdAddSt, tLdSubSt, tLdOrSt:
-					// Canonical read-modify-write: ld [a], r; op r, x, r2;
-					// st r2, [a]. Fusion requires the store's address operands
-					// to equal the load's (sameAddr), and the store recomputes
-					// its address from the registers as they stand after slot
-					// B — so even an op that clobbers the address register is
-					// program-order exact. Load hooks exit at +1, store hooks
-					// at +3; either access can fault with the earlier slots
-					// retired.
-					ea := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "unaligned load at %#x", ea)
-					}
-					lhooked := m.LoadHook != nil
-					if lhooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.LoadHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DRead, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DRead) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					p := pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[u.rd] = int32(binary.BigEndian.Uint32(p[o : o+4]))
-					if lhooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					switch op {
-					case tLdAddSt:
-						m.regs[u.rd2] = m.regs[u.rs1b] + m.regs[u.s2rb] + u.imm2
-					case tLdSubSt:
-						m.regs[u.rd2] = m.regs[u.rs1b] - (m.regs[u.s2rb] + u.imm2)
-					default: // tLdOrSt
-						m.regs[u.rd2] = m.regs[u.rs1b] | (m.regs[u.s2rb] + u.imm2)
-					}
-					if u.nl&4 == 0 && curILine != noLine {
-						ihits++
-					} else if ia3 := u.iaddr + 8; ia3>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia3, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia3>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia3 >> shift
-					}
-					ea = uint32(m.regs[u.rs1c] + m.regs[u.s2rc] + u.tgt)
-					if ea&3 != 0 {
-						return curILine, curDLine, 0, m.traceFault3(u, cyc, base, ihits, "unaligned store at %#x", ea)
-					}
-					shooked := m.StoreHook != nil
-					if shooked {
-						m.cache.NoteHits(cache.IFetch, ihits)
-						ihits = 0
-						cyc += m.StoreHook(ea, 4)
-						curILine = noLine
-						curDLine = noLine
-					}
-					cyc += m.costs.MemExtra
-					if line := ea >> shift; line == curDLine {
-						m.cache.NoteHits(cache.DWrite, 1)
-					} else {
-						if !m.cache.Access(ea, cache.DWrite) {
-							cyc += m.costs.MissPenalty
-						}
-						if (line^curILine)&imask == 0 {
-							curILine = noLine
-						}
-						curDLine = line
-					}
-					pb = ea &^ (PageBytes - 1)
-					pe = &m.pageCache[pageCacheIdx(ea)]
-					p = pe.p
-					if pe.base != pb {
-						p = m.pageSlow(pb)
-					}
-					o = ea & (PageBytes - 4)
-					binary.BigEndian.PutUint32(p[o:o+4], uint32(m.regs[u.rd3]))
-					if shooked && m.textGen != gen {
-						m.traceExit(int32((u.iaddr-TextBase)/4)+3, int64(u.ni)+3, cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
-
-				case tBr: // predicted not taken
-					if condMask[u.cond]>>uint32(m.ccb)&1 != 0 {
-						cyc += m.costs.TakenBranch
-						npc, width = u.tgt, int64(u.ni)+1
-						goto exit
-					}
-
-				case tBrT: // predicted taken (stitched)
-					if condMask[u.cond]>>uint32(m.ccb)&1 != 0 {
-						cyc += m.costs.TakenBranch
-					} else {
-						npc, width = int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1
-						goto exit
-					}
-
-				case tBrLoop:
-					if condMask[u.cond]>>uint32(m.ccb)&1 != 0 {
-						cyc += m.costs.TakenBranch
-						m.instrs += int64(u.ni) + 1
-						m.cycles += cyc + base*(int64(u.ni)+1)
-						cyc = 0
-						if m.MaxInstrs-m.instrs < tr.passInstrs {
-							m.pc = tr.entry // dispatcher clamps the tail exactly
-							return curILine, curDLine, ihits, nil
-						}
-						continue pass
-					}
-					npc, width = int32((u.iaddr-TextBase)/4)+1, int64(u.ni)+1
-					goto exit
-
-				case tBA:
-					cyc += m.costs.TakenBranch
-
-				case tBALoop:
-					cyc += m.costs.TakenBranch
-					m.instrs += int64(u.ni) + 1
-					m.cycles += cyc + base*(int64(u.ni)+1)
-					cyc = 0
-					if m.MaxInstrs-m.instrs < tr.passInstrs {
-						m.pc = tr.entry
-						return curILine, curDLine, ihits, nil
-					}
-					continue pass
-
-				case tCall:
-					m.regs[sparc.O7] = int32(u.iaddr) + 4
-					cyc += m.costs.TakenBranch
-
-				case tSave:
-					// Mirrors Step: operand computed in the caller's window,
-					// destination written in the new one.
-					v := m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-					var parent winRegs
-					parent.o = [8]int32(m.regs[8:16])
-					parent.l = [8]int32(m.regs[16:24])
-					parent.i = [8]int32(m.regs[24:32])
-					m.win = append(m.win, parent)
-					copy(m.regs[24:32], parent.o[:])
-					clear(m.regs[8:24])
-					m.resident++
-					if m.resident > NWindows-1 {
-						m.resident = NWindows - 1
-						cyc += m.costs.WindowSpill
-					}
-					m.regs[u.rd] = v
-
-				case tRestore:
-					if len(m.win) < 1 {
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "register window underflow at top frame")
-					}
-					v := m.regs[u.rs1] + m.regs[u.s2r] + u.imm
-					ins := [8]int32(m.regs[24:32])
-					parent := &m.win[len(m.win)-1]
-					copy(m.regs[8:16], ins[:])
-					copy(m.regs[16:24], parent.l[:])
-					copy(m.regs[24:32], parent.i[:])
-					m.win = m.win[:len(m.win)-1]
-					m.resident--
-					if m.resident < 1 {
-						m.resident = 1
-						cyc += m.costs.WindowSpill
-					}
-					m.regs[u.rd] = v
-
-				case tJmpl:
-					dest := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					idx := int32((dest - TextBase) / 4)
-					if dest < TextBase || dest&3 != 0 || int(idx) >= len(m.uops) {
-						// Bad target: the jmpl has been fetched and counted,
-						// so it faults here, after its rd write, as in Step.
-						m.regs[u.rd] = int32(u.iaddr) + 4
-						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, badJumpFormat(dest), dest)
-					}
-					m.regs[u.rd] = int32(u.iaddr) + 4
-					cyc += m.costs.TakenBranch
-					npc, width = idx, int64(u.ni)+1
-					goto exit
-
-				case tCmpBr, tCmpBrT, tCmpBrLoop:
-					// Fused subcc+branch: second fetch, compare, then the branch
-					// with the same prediction split as the unfused forms.
-					if u.nl&2 == 0 && curILine != noLine {
-						ihits++
-					} else if ia2 := u.iaddr + 4; ia2>>shift == curILine {
-						ihits++
-					} else {
-						if !m.cache.Access(ia2, cache.IFetch) {
-							cyc += m.costs.MissPenalty
-						}
-						if (ia2>>shift^curDLine)&imask == 0 {
-							curDLine = noLine
-						}
-						curILine = ia2 >> shift
-					}
-					a, b := m.regs[u.rs1], m.regs[u.s2r]+u.imm
-					r := a - b
-					m.setCCSub(a, b, r)
-					m.regs[u.rd] = r
-					taken := condMask[u.cond]>>uint32(m.ccb)&1 != 0
-					switch op {
-					case tCmpBr:
-						if taken {
-							cyc += m.costs.TakenBranch
-							npc, width = u.tgt, int64(u.ni)+2
-							goto exit
-						}
-					case tCmpBrT:
-						if taken {
-							cyc += m.costs.TakenBranch
-						} else {
-							npc, width = int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2
-							goto exit
-						}
-					case tCmpBrLoop:
-						if taken {
-							cyc += m.costs.TakenBranch
-							m.instrs += int64(u.ni) + 2
-							m.cycles += cyc + base*(int64(u.ni)+2)
-							cyc = 0
-							if m.MaxInstrs-m.instrs < tr.passInstrs {
-								m.pc = tr.entry
-								return curILine, curDLine, ihits, nil
-							}
-							continue pass
-						}
-						npc, width = int32((u.iaddr-TextBase)/4)+2, int64(u.ni)+2
-						goto exit
-					}
-
-				default:
-					// Only counted ops land here: bump the event counter, strip
-					// the flag, and dispatch the underlying op.
-					m.Counters[u.cnt-1]++
-					op &^= topCount
-					goto redo
-				}
-			}
-		}
-
-	exit:
-		// A side exit retired width instructions of the current pass.
-		m.instrs += width
-		m.cycles += cyc + base*width
-	link:
-		// Trace linking: when the exit lands on another compiled head with
-		// budget for a full pass, jump straight into it — no dispatcher
-		// round-trip, no call overhead. This is what turns a side-exit-heavy
-		// program (predictions are static) back into straight-line execution.
-		// A marked head links on its first entry too: compile it, then retry
-		// the link.
-		if uint32(npc) < uint32(len(ts)) {
-			if next := ts[npc].Load(); next != nil {
-				if m.MaxInstrs-m.instrs >= next.passInstrs {
-					cyc = 0
-					tr = next
-					continue chain
-				}
-			} else if m.heads.has(npc) {
-				m.compileHead(npc)
-				goto link
-			}
-		}
-		m.pc = npc
-		return curILine, curDLine, ihits, nil
-	}
 }
 
 // defaultLineShift is the I-line shift of cache.DefaultConfig, the geometry

@@ -8,7 +8,7 @@ import (
 	"databreak/internal/sparc"
 )
 
-// countLoop is a small store/increment loop every trace-tier test can share:
+// countLoop is a small store/increment loop every compiled-tier test can share:
 // long enough (100 iterations) to run mostly in compiled traces, fused-pair
 // friendly, and deterministic.
 func countLoop() []sparc.Instr {
@@ -23,13 +23,12 @@ func countLoop() []sparc.Instr {
 }
 
 // TestImageTracesSurviveSiblingPatch pins the first-entry and COW contract
-// of the trace tier: BuildImage publishes no trace, a sibling's first run
-// publishes the loop head into the image, and a machine that patches text
-// on the shared image copies the image's slots and drops, in its copy only,
-// the traces covering the patch — the published trace stays in place,
-// identical to a fresh compile of the
-// original text, and the sibling keeps executing it with counts
-// bit-identical to a fresh Step reference.
+// of the compiled tier: BuildImage publishes no closure, a sibling's first
+// run publishes the loop head into the image, and a machine that patches
+// text on the shared image copies the image's slots and drops, in its copy
+// only, the closures covering the patch — the published closure stays in
+// place, identical to a fresh compile of the original text, and the sibling
+// keeps executing it with counts bit-identical to a fresh Step reference.
 func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	text := countLoop()
 	img := BuildImage(text, 0)
@@ -104,13 +103,17 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	}
 }
 
-// TestEngineSelection pins the engine flag surface: parsing, String, and
-// that all four engines produce identical counts on the same program.
+// TestEngineSelection pins the engine flag surface: parsing, String, the
+// closure engine as the zero value, and that every engine produces
+// identical counts on the same program.
 func TestEngineSelection(t *testing.T) {
+	if m := New(cache.DefaultConfig, DefaultCosts); m.Engine() != EngineClosure {
+		t.Fatalf("a new machine runs %v, want closure", m.Engine())
+	}
 	for _, c := range []struct {
 		s string
 		e Engine
-	}{{"step", EngineStep}, {"block", EngineBlock}, {"trace", EngineTrace}, {"closure", EngineClosure}} {
+	}{{"step", EngineStep}, {"block", EngineBlock}, {"closure", EngineClosure}} {
 		e, err := ParseEngine(c.s)
 		if err != nil || e != c.e {
 			t.Fatalf("ParseEngine(%q) = %v, %v", c.s, e, err)
@@ -119,13 +122,15 @@ func TestEngineSelection(t *testing.T) {
 			t.Fatalf("Engine(%v).String() = %q, want %q", e, e.String(), c.s)
 		}
 	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
+	for _, s := range []string{"jit", "trace"} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Fatalf("ParseEngine accepted the unknown engine %q", s)
+		}
 	}
 
 	text := countLoop()
 	var ref *Machine
-	for _, e := range []Engine{EngineStep, EngineBlock, EngineTrace, EngineClosure} {
+	for _, e := range []Engine{EngineStep, EngineBlock, EngineClosure} {
 		m := New(cache.DefaultConfig, DefaultCosts)
 		m.SetEngine(e)
 		m.LoadText(text, 0)
@@ -142,10 +147,10 @@ func TestEngineSelection(t *testing.T) {
 
 // TestLoadTextCompilesOnFirstEntry pins the one compile rule on private
 // text: LoadText marks the block heads, the first dispatch of a marked head
-// compiles its trace, and every trace the machine holds at the end equals a
-// fresh compile of its head.
+// compiles its closure, and every closure the machine holds at the end
+// equals a fresh compile of its head.
 func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
-	for _, e := range []Engine{EngineTrace, EngineClosure} {
+	for _, e := range []Engine{EngineClosure} {
 		m := New(cache.DefaultConfig, DefaultCosts)
 		m.SetEngine(e)
 		m.LoadText(countLoop(), 0)
@@ -169,10 +174,10 @@ func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The loop head compiles when the entry trace first links to it.
-		if m.traces[1].Load() == nil || (m.cls != nil && m.cls[1].Load() == nil) {
+		if m.traces[1].Load() == nil {
 			t.Fatalf("%v: the loop head was never compiled", e)
 		}
-		if s := traceMismatch(m.text, m.uops, m.traces, m.cache.LineShift()); s != "" {
+		if s := MachineTraceMismatch(m); s != "" {
 			t.Fatalf("%v: %s", e, s)
 		}
 	}

@@ -13,21 +13,21 @@ import (
 // compiled — a fault in a specific slot, a text patch landed by the triple's
 // own hooked store, a monitored load clobbering its address register — and
 // demands bit-identical state, counts, fault pc, and error text against a
-// pure-Step reference on BOTH compiled tiers (trace interpreter and closure
-// item stream). Every case first asserts, via the builder's own FusionPlan,
-// that the hazard instruction really sits inside a width-3 item; otherwise a
-// builder change could silently turn these into plain single-op tests.
+// pure-Step reference on the compiled tier (the closure item stream). Every
+// case first asserts, via the builder's own FusionPlan, that the hazard
+// instruction really sits inside a width-3 item; otherwise a builder change
+// could silently turn these into plain single-op tests.
 
-// diffRunBoth runs text against Step on the trace and closure engines,
-// applying setup (hooks) to every machine, and checks that each compiled
-// run held compiled traces at its end. Each
+// diffRunCompiled runs text against Step on every compiled engine, applying
+// setup (hooks) to every machine, and checks that each compiled run held
+// compiled traces at its end. Each
 // machine loads its OWN copy of the text: LoadText aliases the caller's
 // slice and PatchInstr writes through it, so the patch tests would otherwise
 // leak one machine's patch into its reference.
-func diffRunBoth(t *testing.T, ctx string, text []sparc.Instr, setup func(*Machine)) {
+func diffRunCompiled(t *testing.T, ctx string, text []sparc.Instr, setup func(*Machine)) {
 	t.Helper()
 	clone := func() []sparc.Instr { return append([]sparc.Instr(nil), text...) }
-	for _, e := range []Engine{EngineTrace, EngineClosure} {
+	for _, e := range []Engine{EngineClosure} {
 		a := New(cache.DefaultConfig, DefaultCosts)
 		b := New(cache.DefaultConfig, DefaultCosts)
 		b.SetEngine(e)
@@ -128,7 +128,7 @@ func TestDifferentialTripleSlotFaults(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			text := slotFaultLoop(c.mid)
 			wantWidths(t, text[1:len(text)-2], c.widths)
-			diffRunBoth(t, c.name, text, nil)
+			diffRunCompiled(t, c.name, text, nil)
 		})
 	}
 }
@@ -164,7 +164,7 @@ func TestDifferentialPatchInTripleStore(t *testing.T) {
 			return 0
 		}
 	}
-	diffRunBoth(t, "patch in triple store", text, setup)
+	diffRunCompiled(t, "patch in triple store", text, setup)
 }
 
 // TestDifferentialMonitoredClobberLoadInTriple monitors (LoadHook) a fused
@@ -196,8 +196,8 @@ func TestDifferentialMonitoredClobberLoadInTriple(t *testing.T) {
 			return 0
 		}
 	}
-	diffRunBoth(t, "monitored clobber load in triple", text, setup)
-	// diffRunBoth creates (step, engine) pairs in order; every machine must
+	diffRunCompiled(t, "monitored clobber load in triple", text, setup)
+	// diffRunCompiled creates (step, engine) pairs in order; every machine must
 	// have seen the same address stream.
 	if len(ms) < 2 {
 		t.Fatal("no machines recorded")
