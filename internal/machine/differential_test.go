@@ -3,18 +3,21 @@ package machine
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"databreak/internal/cache"
 	"databreak/internal/sparc"
 )
 
-// These tests pin the central invariant of the compiled engines: a
-// single-Step loop and Run() under the default closure engine are
-// observationally identical — same registers, same output, same simulated
-// Cycles()/Instrs(), same cache statistics, same faults — on any text,
-// including text patched while a block or a compiled closure is executing.
+// These tests pin the central invariant of the execution engines: a
+// single-Step loop and Run() are observationally identical — same registers,
+// same output, same simulated Cycles()/Instrs(), same cache statistics, same
+// faults — on any text, including text patched while a block or a compiled
+// closure is executing. The random, fault and mid-block patch tests here run
+// the block engine over private text; their TestDifferentialClosure* and
+// *Closure twins in closure_test.go run the closure engine on the same
+// programs. The patch-in-trace tests here run the default closure engine
+// over a shared image, where a patch copy-on-write privatizes the slots.
 
 // stepAll drives m with the single-instruction path until it halts or faults.
 func stepAll(m *Machine) error {
@@ -74,13 +77,15 @@ func diffStates(t *testing.T, ctx string, a, b *Machine, errA, errB error) {
 }
 
 // diffRun loads text into two fresh machines and executes one via Step and
-// one via Run, then compares every observable. It returns the Run machine.
-func diffRun(t *testing.T, ctx string, text []sparc.Instr) *Machine {
+// one via Run under engine e, then compares every observable. It returns
+// the Run machine.
+func diffRun(t *testing.T, ctx string, text []sparc.Instr, e Engine) *Machine {
 	t.Helper()
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)
 	a.SetCounterCount(4)
 	b.SetCounterCount(4)
+	b.SetEngine(e)
 	a.LoadText(text, 0)
 	b.LoadText(text, 0)
 	errA := stepAll(a)
@@ -171,31 +176,29 @@ func randText(r *rand.Rand, n int) []sparc.Instr {
 }
 
 // TestDifferentialRandomPrograms runs many randomized instruction sequences
-// through both execution paths and demands identical observables. Marked
-// heads compile on first entry, so even these short-lived programs execute
-// closures.
+// through Step and the block engine and demands identical observables.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		text := randText(r, 80+r.Intn(400))
-		ctx := "seed " + string(rune('0'+seed%10)) + "/len"
-		if b := diffRun(t, ctx, text); traceCount(b.traces) == 0 {
-			t.Fatalf("%s: the run compiled no traces", ctx)
-		}
+		diffRun(t, "seed "+string(rune('0'+seed%10))+"/len", text, EngineBlock)
 	}
 }
 
-// TestDifferentialFaults checks that both paths fault identically: same
-// error text, same pc, and — because the block engine pre-charges nothing —
-// same cycle and instruction counts at the fault. The "in loop" cases fault
-// from inside a compiled closure chain.
-func TestDifferentialFaults(t *testing.T) {
+// faultCase is one program of the fault matrix.
+type faultCase struct {
+	name string
+	text []sparc.Instr
+}
+
+// faultCases is the fault matrix: each program faults, or runs off the end
+// of its text, before its exit trap. The "in loop" programs fault only
+// after their loop has run, so under the closure engine they fault from
+// inside a compiled closure chain.
+func faultCases() []faultCase {
 	base := sparc.Instr{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true}
 	textAlign := sparc.Instr{Op: sparc.Sethi, Rd: sparc.G1, Imm: int32(TextBase >> 10), UseImm: true}
-	cases := []struct {
-		name string
-		text []sparc.Instr
-	}{
+	return []faultCase{
 		{"unaligned load", []sparc.Instr{
 			base,
 			sparc.RI(sparc.Add, sparc.L0, 2, sparc.L1),
@@ -280,12 +283,14 @@ func TestDifferentialFaults(t *testing.T) {
 			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 		}},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if b := diffRun(t, c.name, c.text); strings.HasSuffix(c.name, " in loop") && traceCount(b.traces) == 0 {
-				t.Fatalf("%s: the run compiled no traces", c.name)
-			}
-		})
+}
+
+// TestDifferentialFaults checks that Step and the block engine fault
+// identically: same error text, same pc, and — because the block engine
+// pre-charges nothing — same cycle and instruction counts at the fault.
+func TestDifferentialFaults(t *testing.T) {
+	for _, c := range faultCases() {
+		t.Run(c.name, func(t *testing.T) { diffRun(t, c.name, c.text, EngineBlock) })
 	}
 }
 
@@ -293,7 +298,9 @@ func TestDifferentialFaults(t *testing.T) {
 // own block is executing — the hardest invalidation case for the block
 // engine, since the patched instruction sits later in the block currently
 // being dispatched. Both machines run the same hook, so any divergence means
-// block dispatch missed the invalidation.
+// block dispatch missed the invalidation. Each machine loads its own copy of
+// the text: LoadText aliases the caller's slice and PatchInstr writes
+// through it.
 func TestDifferentialPatchMidRun(t *testing.T) {
 	// Loop storing %o1 and incrementing it; after the 5th store the hook
 	// rewrites the increment (index 2, directly after the store at index 1
@@ -310,7 +317,8 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 
 	mk := func() (*Machine, *int) {
 		m := New(cache.DefaultConfig, DefaultCosts)
-		m.LoadText(text, 0)
+		m.SetEngine(EngineBlock)
+		m.LoadText(append([]sparc.Instr(nil), text...), 0)
 		stores := 0
 		m.StoreHook = func(addr uint32, size int32) int64 {
 			stores++
@@ -454,7 +462,7 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 		{Op: sparc.Restore, Rd: sparc.G0, Rs1: sparc.G0, UseImm: true},
 		{Op: sparc.Jmpl, Rd: sparc.G0, Rs1: sparc.O7, UseImm: true},
 	}
-	diffRun(t, "windowed call loop", text)
+	diffRun(t, "windowed call loop", text, EngineClosure)
 
 	// Same program from a shared image.
 	img := BuildImage(text, 0)
