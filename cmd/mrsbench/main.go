@@ -71,7 +71,7 @@ func run() error {
 	sessions := flag.Int("sessions", 0, "mrsd: concurrent sessions in the scale phase (0 = one per workload)")
 	hitSessions := flag.Int("hit-sessions", 0, "mrsd: sessions in the hit/latency phase (0 = two per workload, -1 = skip)")
 	batch := flag.Int("batch", 0, "mrsd: hit-coalescing batch size for the main pass (0 = daemon default)")
-	traceStats := flag.Bool("trace-stats", false, "report fusion coverage (dynamic pair/triple frequencies, fused retirement share, items per retired instruction) instead of tables")
+	traceStats := flag.Bool("trace-stats", false, "report fusion coverage of each program's baseline and Nops32 builds (dynamic pair/triple frequencies, fused and nop-run retirement shares, items per retired instruction) instead of tables")
 	verbose := flag.Bool("v", false, "progress output")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the harness to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the harness to this file on exit")

@@ -18,6 +18,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -74,20 +76,36 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "mrsd: %v: shutting down (%d sessions served)\n", s, d.Attached())
+	fmt.Fprintf(os.Stderr, "mrsd: serving on %s (%d shards, engine %s)\n", *addr, d.Shards(), eng)
+	return serve(d, ln, sig, os.Stderr, func() string {
+		st := cfg.Artifacts.Stats()
+		return fmt.Sprintf("artifact cache: %d entries, %d bytes, %d evictions", st.Entries, st.Bytes, st.Evictions)
+	})
+}
+
+// serve runs d on ln until a signal arrives on sig or accepting fails. On a
+// signal it shuts down gracefully — listeners stop, sessions detach, and
+// each shard drains its hit queue — and returns only once Close has
+// finished and the drain summary (summary's line) is written to w.
+func serve(d *mrsnet.Daemon, ln net.Listener, sig <-chan os.Signal, w io.Writer, summary func() string) error {
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(ln) }()
+	select {
+	case err := <-served:
+		d.Close()
+		return err
+	case s := <-sig:
+		fmt.Fprintf(w, "mrsd: %v: shutting down (%d sessions served)\n", s, d.Attached())
 		start := time.Now()
 		d.Close()
-		st := cfg.Artifacts.Stats()
-		fmt.Fprintf(os.Stderr, "mrsd: drained in %v; artifact cache: %d entries, %d bytes, %d evictions\n",
-			time.Since(start), st.Entries, st.Bytes, st.Evictions)
-		os.Exit(0)
-	}()
-
-	fmt.Fprintf(os.Stderr, "mrsd: serving on %s (%d shards, engine %s)\n", *addr, d.Shards(), eng)
-	return d.ListenAndServe(*addr)
+		<-served
+		fmt.Fprintf(w, "mrsd: drained in %v; %s\n", time.Since(start), summary())
+		return nil
+	}
 }

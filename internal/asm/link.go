@@ -233,11 +233,11 @@ func (p *Program) Load(m *machine.Machine) {
 }
 
 // Image returns the program's predecoded machine image, building it on
-// first call and reusing it afterwards. The image is safe to attach to any
-// number of machines concurrently: its code is immutable
-// (machine.LoadImage's copy-on-write patching keeps per-machine patches
-// private), and its compiled closures fill in as the machines first enter
-// heads.
+// first call and reusing it afterwards. The image executes p.Text itself,
+// which is never written after linking. It is safe to attach to any number
+// of machines concurrently: its code is immutable (machine.LoadImage's
+// copy-on-write patching keeps per-machine patches private), and its
+// compiled closures fill in as the machines first enter heads.
 func (p *Program) Image() *machine.Image {
 	p.imgOnce.Do(func() {
 		p.img = machine.BuildImage(p.Text, p.Entry)
@@ -296,8 +296,9 @@ func (p *Program) LoadShared(m *machine.Machine) {
 }
 
 // SizeBytes estimates the host memory a cached Program retains: the shared
-// image plus the data snapshot. Used for artifact-cache accounting; it
-// grows as machines running the program first enter the image's heads.
+// image, which holds the program's Text as its one copy of the code, plus
+// the data snapshot. Used for artifact-cache accounting; it grows as
+// machines running the program first enter the image's heads.
 func (p *Program) SizeBytes() int {
 	return p.Image().SizeBytes() + len(p.dataSnapshot())
 }

@@ -113,6 +113,18 @@ type closProg struct {
 	taken, mul, div, spill, memx int64
 }
 
+// declined is the closure a head's slot holds once the trace builder
+// declined the head: its pass never fits a budget (fits), so the dispatcher
+// runs the head as a block and trace links return to the dispatcher, and
+// no machine compiles the head again. It is never entered, and one sentinel
+// serves every slot of every machine and image.
+var declined = &closProg{passInstrs: -1}
+
+// fits reports whether a full pass fits a remaining budget of rem
+// instructions. The compare is unsigned so that the declined sentinel's
+// passInstrs of -1 exceeds every budget.
+func (cp *closProg) fits(rem int64) bool { return uint64(rem) >= uint64(cp.passInstrs) }
+
 // covers reports whether text index idx is part of the trace.
 func (cp *closProg) covers(idx int32) bool {
 	for _, s := range cp.spans {
@@ -138,6 +150,7 @@ func (cp *closProg) size() int {
 type cst struct {
 	m      *Machine
 	traces []atomic.Pointer[closProg] // the machine's slots (Machine.traces)
+	uops   []uop                      // the machine's block index, naming each head's slot
 	imask  uint32
 	gen    uint32 // textGen at entry; a mismatch after a hooked store exits
 	drh    uint64 // batched known-hit data reads
@@ -341,24 +354,27 @@ func dataSlow2V(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imas
 }
 
 // exitNext is the cold tail of a trace side exit: commit n instructions and
-// resolve the closure registered at npc (compiling it on a marked head's
-// first entry) when a full pass fits the remaining budget. The caller hops
-// to the returned closure in-function — the whole point of the closure
-// tier: a linked exit is a pointer swap and a branch, never a call-frame
-// round-trip. A nil return hands control back to the dispatcher at npc.
+// resolve the closure in the slot of the head at npc (compiling it on the
+// head's first entry) when a full pass fits the remaining budget. The
+// caller hops to the returned closure in-function — the whole point of the
+// closure tier: a linked exit is a pointer swap and a branch, never a
+// call-frame round-trip. A nil return hands control back to the dispatcher
+// at npc.
 //
 //go:noinline
 func (s *cst) exitNext(cyc, n int64, npc int32) *closProg {
 	s.inst += n
 	s.cycs += cyc + s.base*n
 	s.rem -= n
-	if uint32(npc) < uint32(len(s.traces)) {
-		next := s.traces[npc].Load()
-		if next == nil && s.m.heads.has(npc) {
-			next = s.m.compileHead(npc)
-		}
-		if next != nil && s.rem >= next.passInstrs {
-			return next
+	if uint32(npc) < uint32(len(s.uops)) {
+		if slot := s.uops[npc].slot; slot >= 0 {
+			next := s.traces[slot].Load()
+			if next == nil {
+				next = s.m.compileHead(npc)
+			}
+			if next.fits(s.rem) {
+				return next
+			}
 		}
 	}
 	s.npc = npc
@@ -426,16 +442,6 @@ func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp 
 	s.npc = pc
 	s.err = &Fault{PC: pc, Instr: s.m.text[pc], Reason: fmt.Sprintf(format, args...)}
 	return nil, curIL, curDL, 0, ccb
-}
-
-// jmplFault faults a settled jmpl item whose target leaves the text: the
-// jmpl has been fetched and counted, so it commits as Step does, the rd
-// write and then the fault.
-//
-//go:noinline
-func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
-	s.m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
-	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, it, 0, 0, badJumpFormat(dest), dest)
 }
 
 // ccAddBits/ccSubBits/ccLogicBits compute the packed condition codes the
@@ -649,7 +655,9 @@ func (cp *closProg) finish(items []ritem) {
 			hb++
 		}
 		it.hb = hb // through the first fetch: first-half faults charge this
-		if w := topWidth(it.kind); w >= 2 {
+		if w := opWidth(it.kind, it.imm); it.kind == tNop {
+			hb += uint16(w - 1) // a nop run's later fetches share its line
+		} else if w >= 2 {
 			if it.f&4 == 0 {
 				hb++
 			}
@@ -699,7 +707,7 @@ func (cp *closProg) exitPrefix(it *ritem) (cycB, niW int64) {
 			niW += int64(topWidth(x.kind))
 		default:
 			cycB += cp.ownStatic(x.kind)
-			niW += int64(topWidth(x.kind))
+			niW += int64(opWidth(x.kind, x.imm))
 		}
 	}
 	panic("machine: exitPrefix: item outside its closure's stream")
@@ -869,7 +877,8 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 				}
 				switch it.kind {
 				case tNop:
-					// fetch only
+					// fetch only; a padding run's later fetches are
+					// precounted (finish)
 
 				case cCount:
 					m.Counters[it.imm]++
@@ -1562,6 +1571,16 @@ func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, n
 	return nil, curIL, curDL, ihits, ccb
 }
 
+// jmplFault faults a settled jmpl item whose target leaves the text: the
+// jmpl has been fetched and counted, so it commits as Step does, the rd
+// write and then the fault.
+//
+//go:noinline
+func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
+	s.m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
+	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, it, 0, 0, badJumpFormat(dest), dest)
+}
+
 // execClosures runs a compiled closure, and the closures it links to, until
 // a side exit, a fault, a mid-trace patch, or the MaxInstrs budget. The
 // known-hit line trackers and the batched ifetch-hit count are threaded in
@@ -1586,6 +1605,7 @@ func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32
 	*s = cst{
 		m:      m,
 		traces: m.traces,
+		uops:   m.uops,
 		imask:  imask,
 		gen:    m.textGen,
 		base:   m.costs.Base + m.PerInstrPenalty,

@@ -18,7 +18,7 @@ import (
 // abandon a closure chain mid-program.
 
 // TestDifferentialClosureRandomPrograms is the randomized differential
-// sweep against compiled closures. Marked heads compile on first entry, so
+// sweep against compiled closures. Heads compile on first entry, so
 // even these short-lived programs execute closures.
 func TestDifferentialClosureRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
@@ -62,7 +62,7 @@ func diffPatchClosure(t *testing.T, ctx string, text []sparc.Instr, store bool, 
 			seen++
 			if seen == n {
 				if e == EngineClosure {
-					held = m.traces[head].Load()
+					held = published(m.traces, m.uops, int32(head))
 				}
 				if err := m.PatchInstr(at, in); err != nil {
 					t.Fatalf("patch: %v", err)
@@ -106,7 +106,7 @@ func TestDifferentialPatchInClosure(t *testing.T) {
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
 	b, held := diffPatchClosure(t, "patch in closure", text, true, 5, 2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1), 1)
-	if b.traces[1].Load() == held {
+	if published(b.traces, b.uops, 1) == held {
 		t.Fatal("the patch kept the loop closure over the patched index")
 	}
 	if got := b.Reg(sparc.O1); got < 100 || got > 102 {
@@ -164,8 +164,8 @@ func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
 	if _, _, err := m2.RunFor(50); err != nil {
 		t.Fatalf("warm m2: %v", err)
 	}
-	loop := img.traces[1].Load()
-	if loop == nil || m2.traces[1].Load() != loop {
+	loop := published(img.traces, img.uops, 1)
+	if loop == nil || published(m2.traces, m2.uops, 1) != loop {
 		t.Fatal("the closure-engine sibling's first run did not publish the loop head")
 	}
 
@@ -175,7 +175,7 @@ func TestImageClosuresSurviveSiblingPatch(t *testing.T) {
 	if err := m1.PatchInstr(2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1)); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
-	if img.traces[1].Load() != loop || m2.traces[1].Load() != loop {
+	if published(img.traces, img.uops, 1) != loop || published(m2.traces, m2.uops, 1) != loop {
 		t.Fatal("a sibling's patch replaced the published closure")
 	}
 

@@ -391,12 +391,12 @@ func TestDifferentialPatchInTrace(t *testing.T) {
 	}
 	// The run published the loop head before its hook patched; the patch
 	// privatized the machine and must leave the published closure in place.
-	if img.traces[1].Load() == nil {
+	if published(img.traces, img.uops, 1) == nil {
 		t.Fatal("image lost the loop trace the run published before patching")
 	}
 	// The loop head's closure covered the patch: the patcher dropped it and
 	// rebuilt it from the patched text, never touching the image's.
-	if b.traces[1].Load() == img.traces[1].Load() {
+	if published(b.traces, b.uops, 1) == published(img.traces, img.uops, 1) {
 		t.Fatal("patcher kept the image's trace over the patched index")
 	}
 	if s := MachineTraceMismatch(b); s != "" {

@@ -116,14 +116,14 @@ func sharedTables(t *testing.T) []*asm.Program {
 // unchanged; only a deliberate change to the trace format, the item layout,
 // the fused shapes or the check sequences may move them, and it must say so.
 const (
-	wantTablesTraceDigest   = "39cdd28b952d19c900f8629c66033fdb990a84b9c72e4f79d4295c6e4143fdb3"
-	wantTablesClosureDigest = "fd302791c9db047fbe08fce64524e1a1969090b696cb30155fec7665ccf2e106"
+	wantTablesTraceDigest   = "3761f4ece80704437f83d9a8e95b69ecc8d248be29bc43beeafc92c1af1d5bbe"
+	wantTablesClosureDigest = "abcadd2d7af2d1512ed493befdb5abfc0d4aac7a74cda77785361f12782e3d9e"
 	wantTablesTextDigest    = "55389e17926717454edb8b4a74b130ca0a69238d9c3c92f7735382767baab14e"
 )
 
 // TestTablesTraceDigest pins the trace behind every image closure of the 130
 // table builds: head, entry, exit pc, line shift, pass length, every op
-// field, and every invalidation span. Every marked head is compiled through
+// field, and every invalidation span. Every head is compiled through
 // the first-entry path machines take, and each published head's trace is
 // then rebuilt by a fresh builder, since closures keep no op stream; the
 // digest was pinned when BuildImage still compiled and kept every trace

@@ -35,7 +35,7 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	if n := traceCount(img.traces); n != 0 {
 		t.Fatalf("BuildImage published %d traces, want none", n)
 	}
-	if !img.heads.has(1) {
+	if !isHead(img.uops, 1) {
 		t.Fatal("BuildImage did not mark the loop head")
 	}
 
@@ -51,7 +51,7 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	if _, _, err := m2.RunFor(50); err != nil {
 		t.Fatalf("first run of m2: %v", err)
 	}
-	loop := img.traces[1].Load()
+	loop := published(img.traces, img.uops, 1)
 	if loop == nil {
 		t.Fatal("the sibling's first run did not publish the loop head")
 	}
@@ -95,7 +95,7 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	// Neither the patch nor the patcher's private compiles reached the
 	// image: the published loop trace is the same object, and every
 	// published trace is still a compile of the original text.
-	if img.traces[1].Load() != loop {
+	if published(img.traces, img.uops, 1) != loop {
 		t.Fatal("the published loop trace was replaced")
 	}
 	if s := ImageTraceMismatch(img); s != "" {
@@ -146,7 +146,7 @@ func TestEngineSelection(t *testing.T) {
 }
 
 // TestLoadTextCompilesOnFirstEntry pins the one compile rule on private
-// text: LoadText marks the block heads, the first dispatch of a marked head
+// text: LoadText gives the block heads slots, the first dispatch of a head
 // compiles its closure, and every closure the machine holds at the end
 // equals a fresh compile of its head.
 func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
@@ -155,7 +155,7 @@ func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
 		m.SetEngine(e)
 		m.LoadText(countLoop(), 0)
 		for _, h := range []int32{0, 1, 5} { // entry, branch target, successor
-			if !m.heads.has(h) {
+			if !isHead(m.uops, h) {
 				t.Fatalf("%v: LoadText did not mark head %d", e, h)
 			}
 		}
@@ -167,14 +167,14 @@ func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
 		if _, _, err := m.RunFor(1); err != nil {
 			t.Fatal(err)
 		}
-		if m.traces[0].Load() == nil {
+		if published(m.traces, m.uops, 0) == nil {
 			t.Fatalf("%v: the first entry of head 0 compiled no trace", e)
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		// The loop head compiles when the entry trace first links to it.
-		if m.traces[1].Load() == nil {
+		if published(m.traces, m.uops, 1) == nil {
 			t.Fatalf("%v: the loop head was never compiled", e)
 		}
 		if s := MachineTraceMismatch(m); s != "" {
@@ -213,17 +213,17 @@ func TestPatchMarksNewHeads(t *testing.T) {
 		shared := New(cache.DefaultConfig, DefaultCosts)
 		shared.LoadImage(img)
 		for _, m := range []*Machine{private, shared} {
-			if m.heads.has(c.succ) || m.heads.has(c.tgt) {
+			if isHead(m.uops, c.succ) || isHead(m.uops, c.tgt) {
 				t.Fatalf("%s: straight-line text already marks %d or %d", c.name, c.succ, c.tgt)
 			}
 			if err := m.PatchInstr(c.at, c.patch); err != nil {
 				t.Fatal(err)
 			}
-			if !m.heads.has(c.succ) || !m.heads.has(c.tgt) {
+			if !isHead(m.uops, c.succ) || !isHead(m.uops, c.tgt) {
 				t.Fatalf("%s: patch at %d did not mark successor %d and target %d", c.name, c.at, c.succ, c.tgt)
 			}
 		}
-		if img.heads.has(c.succ) || img.heads.has(c.tgt) {
+		if isHead(img.uops, c.succ) || isHead(img.uops, c.tgt) {
 			t.Fatalf("%s: a privatized machine's patch marked the image's heads", c.name)
 		}
 	}

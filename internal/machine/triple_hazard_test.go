@@ -48,9 +48,9 @@ func diffRunCompiled(t *testing.T, ctx string, text []sparc.Instr, setup func(*M
 
 // wantWidths asserts the fusion tiling of a straight-line body so each test
 // is pinned to the triple shape it claims to exercise.
-func wantWidths(t *testing.T, body []sparc.Instr, want []int8) {
+func wantWidths(t *testing.T, body []sparc.Instr, want []int32) {
 	t.Helper()
-	if got := FusionPlan(body); !reflect.DeepEqual(got, want) {
+	if got := FusionPlan(body, 0, defaultLineShift()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fusion plan = %v, want %v (test no longer covers the intended triple)", got, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestDifferentialTripleSlotFaults(t *testing.T) {
 	cases := []struct {
 		name   string
 		mid    []sparc.Instr
-		widths []int8 // tiling of [counter add .. subcc] inclusive
+		widths []int32 // tiling of [counter add .. subcc] inclusive
 	}{
 		{"slot1 tLdSllAdd", []sparc.Instr{
 			sparc.RI(sparc.Sll, sparc.O5, 1, sparc.L1),
@@ -101,7 +101,7 @@ func TestDifferentialTripleSlotFaults(t *testing.T) {
 			{Op: sparc.Ld, Rd: sparc.O3, Rs1: sparc.L2, UseImm: true},
 			sparc.RI(sparc.Sll, sparc.O3, 2, sparc.O4),
 			sparc.RI(sparc.Add, sparc.O4, 0, sparc.O6),
-		}, []int8{1, 1, 2, 1, 3, 1}},
+		}, []int32{1, 1, 2, 1, 3, 1}},
 		{"slot1 tLdAddSt", []sparc.Instr{
 			sparc.RI(sparc.Sll, sparc.O5, 1, sparc.L1),
 			sparc.RR(sparc.Add, sparc.L0, sparc.L1, sparc.L2),
@@ -109,20 +109,20 @@ func TestDifferentialTripleSlotFaults(t *testing.T) {
 			{Op: sparc.Ld, Rd: sparc.O3, Rs1: sparc.L2, UseImm: true},
 			sparc.RI(sparc.Add, sparc.O3, 1, sparc.O3),
 			{Op: sparc.St, Rd: sparc.O3, Rs1: sparc.L2, UseImm: true},
-		}, []int8{1, 1, 2, 1, 3, 1}},
+		}, []int32{1, 1, 2, 1, 3, 1}},
 		{"slot2 tOrLdSll", []sparc.Instr{
 			sparc.RI(sparc.Sll, sparc.O5, 1, sparc.L1),
 			sparc.RR(sparc.Add, sparc.L0, sparc.L1, sparc.L2),
 			sparc.RI(sparc.Or, sparc.L2, 0, sparc.L3),
 			{Op: sparc.Ld, Rd: sparc.O3, Rs1: sparc.L3, UseImm: true},
 			sparc.RI(sparc.Sll, sparc.O3, 2, sparc.O4),
-		}, []int8{1, 1, 2, 3, 1}},
+		}, []int32{1, 1, 2, 3, 1}},
 		{"slot3 tSllAddLd", []sparc.Instr{
 			barrier, // keeps the sll window off the srl above
 			sparc.RI(sparc.Sll, sparc.O5, 1, sparc.L1),
 			sparc.RR(sparc.Add, sparc.L0, sparc.L1, sparc.L2),
 			{Op: sparc.Ld, Rd: sparc.O3, Rs1: sparc.L2, UseImm: true},
-		}, []int8{1, 1, 1, 3, 1}},
+		}, []int32{1, 1, 1, 3, 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,7 +150,7 @@ func TestDifferentialPatchInTripleStore(t *testing.T) {
 		sparc.Branch(sparc.BL, 1),
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
-	wantWidths(t, text[1:7], []int8{1, 3, 1, 1})
+	wantWidths(t, text[1:7], []int32{1, 3, 1, 1})
 	patched := sparc.RI(sparc.Add, sparc.O2, 7, sparc.O2)
 	setup := func(m *Machine) {
 		stores := 0
@@ -185,7 +185,7 @@ func TestDifferentialMonitoredClobberLoadInTriple(t *testing.T) {
 		sparc.Branch(sparc.BL, 1),
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
-	wantWidths(t, text[1:8], []int8{1, 1, 1, 3, 1})
+	wantWidths(t, text[1:8], []int32{1, 1, 1, 3, 1})
 
 	addrs := map[*Machine][]uint32{}
 	var ms []*Machine

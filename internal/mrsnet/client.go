@@ -286,7 +286,8 @@ func (s *ClientSession) CreateRegion(addr, size uint32) error {
 }
 
 // CreateRegionKind installs a monitored region delivering only hits of the
-// named access kind: "store", "load", or "all".
+// named access kind: "store", "load", or "all". The daemon refuses "load"
+// when the session's program carries no read checks.
 func (s *ClientSession) CreateRegionKind(addr, size uint32, kind string) error {
 	_, err := s.c.request(&Msg{Op: OpRegionC, SID: s.sid, Addr: addr, Size: size, Kind: kind})
 	return err

@@ -650,14 +650,20 @@ func (s *session) unregister() {
 }
 
 // createRegion maps an OpRegionC frame to the right monitor.Session region
-// call. An empty Kind keeps the legacy deliver-everything behavior.
-func createRegion(ms *monitor.Session, m *Msg) error {
+// call. An empty Kind keeps the legacy deliver-everything behavior. A load
+// region is refused when prog carries no read checks (no patch.CounterReads
+// counter): its loads trap nothing, so the region could never deliver a
+// hit.
+func createRegion(ms *monitor.Session, prog *asm.Program, m *Msg) error {
 	switch m.Kind {
 	case "", "all":
 		return ms.CreateRegion(m.Addr, m.Size)
 	case "store":
 		return ms.CreateRegionKind(m.Addr, m.Size, monitor.KindStore)
 	case "load":
+		if _, ok := prog.CounterIDs[patch.CounterReads]; !ok {
+			return fmt.Errorf("mrsnet: load region refused: the session's program has no read checks")
+		}
 		return ms.CreateRegionKind(m.Addr, m.Size, monitor.KindLoad)
 	case "transition":
 		pred, err := parsePred(m.Pred, m.PredArg)
@@ -686,7 +692,7 @@ func (cn *conn) handleSessionOp(m *Msg) {
 	}
 	switch m.Op {
 	case OpRegionC:
-		if err := createRegion(s.ms, m); err != nil {
+		if err := createRegion(s.ms, s.prog, m); err != nil {
 			cn.fail(m.Seq, "%v", err)
 			return
 		}

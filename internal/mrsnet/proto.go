@@ -48,7 +48,8 @@ type Msg struct {
 	// filtered by the value predicate in Pred/PredArg). Empty means "all" —
 	// the legacy behavior, so old clients are unaffected. Pred is one of
 	// "changed", "nonzero", "sign", "mask", "eq" (empty = "changed") and is
-	// honored only with Kind "transition".
+	// honored only with Kind "transition". A "load" region is refused with
+	// an error frame when the session's program carries no read checks.
 	Addr    uint32 `json:"addr,omitempty"`
 	Size    uint32 `json:"size,omitempty"`
 	Kind    string `json:"kind,omitempty"`
