@@ -85,7 +85,8 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "mrsd: serving on %s (%d shards, engine %s)\n", *addr, d.Shards(), eng)
 	return serve(d, ln, sig, os.Stderr, func() string {
 		st := cfg.Artifacts.Stats()
-		return fmt.Sprintf("artifact cache: %d entries, %d bytes, %d evictions", st.Entries, st.Bytes, st.Evictions)
+		return fmt.Sprintf("artifact cache: %d entries, %d bytes (%d in compiled closures), %d evictions",
+			st.Entries, st.Bytes, st.TraceBytes, st.Evictions)
 	})
 }
 

@@ -57,10 +57,11 @@ func TestConcurrentSessionStress(t *testing.T) {
 	}
 }
 
-// TestRunForMatchesRun pins the count identity monitor.Session.Run depends
-// on: executing a program in RunFor slices — of any size, including
-// pathological one-instruction slices — must produce exactly the cycles,
-// instructions, output, and exit code of an uninterrupted machine.Run.
+// TestRunForMatchesRun pins the count identity monitor.Session.Run's stops
+// depend on: executing a program in RunFor slices — of any size, including
+// pathological one-instruction slices, under every engine — must produce
+// exactly the cycles, instructions, output, and exit code of an
+// uninterrupted machine.Run, each slice retiring exactly its budget.
 func TestRunForMatchesRun(t *testing.T) {
 	src := `
 int fib(int n) {
@@ -120,21 +121,30 @@ int main() {
 	}
 	want := result{code, m.Cycles(), m.Instrs(), m.Output()}
 
-	for _, slice := range []int64{1, 7, 100, 4096} {
-		m, _ := newMonitored()
-		var got result
-		for {
-			code, halted, err := m.RunFor(slice)
-			if err != nil {
-				t.Fatalf("slice %d: %v", slice, err)
+	for _, e := range []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure} {
+		for _, slice := range []int64{1, 7, 100, 4095, 4096, 4097} {
+			m, _ := newMonitored()
+			m.SetEngine(e)
+			var got result
+			for {
+				before := m.Instrs()
+				code, halted, err := m.RunFor(slice)
+				if err != nil {
+					t.Fatalf("%v, slice %d: %v", e, slice, err)
+				}
+				if halted {
+					got = result{code, m.Cycles(), m.Instrs(), m.Output()}
+					break
+				}
+				// With no stop requested, every slice retires exactly its
+				// budget, however it cuts blocks and traces.
+				if n := m.Instrs() - before; n != slice {
+					t.Fatalf("%v, slice %d: RunFor at %d retired %d instructions", e, slice, before, n)
+				}
 			}
-			if halted {
-				got = result{code, m.Cycles(), m.Instrs(), m.Output()}
-				break
+			if got != want {
+				t.Errorf("%v, slice %d: got %+v, want %+v", e, slice, got, want)
 			}
-		}
-		if got != want {
-			t.Errorf("slice %d: got %+v, want %+v", slice, got, want)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type Config struct {
 	// Server, when non-nil, routes every monitored run through a
 	// monitor.Server session instead of a bare Service: the harness attaches
 	// each machine, performs region setup under the session lock, and
-	// executes in sliced RunFor steps. Counts are bit-identical either way
+	// executes through Session.Run. Counts are bit-identical either way
 	// (see machine.RunFor); the table drivers share one server across all
 	// worker goroutines, which is exactly the concurrent-session workload
 	// the stress harness checks.

@@ -167,8 +167,9 @@ func (m *Machine) invalidateBlock(idx int32) {
 // terminators (Br, Call) without leaving the function, so a whole loop
 // iteration of the simulated program typically costs one dispatch. It
 // returns nil (with state committed) when it needs Run to act: the MaxInstrs
-// budget is exhausted, pc left the text, or the next instruction is a
-// terminator only Step handles (jmpl, save/restore, traps, unimp).
+// budget is exhausted, a stop is requested (RequestStop), pc left the text,
+// or the next instruction is a terminator only Step handles (jmpl,
+// save/restore, traps, unimp).
 //
 // Cycle accounting matches Step exactly: the per-instruction
 // Base+PerInstrPenalty contribution is folded into one multiply per block,
@@ -199,6 +200,10 @@ dispatch:
 		if m.instrs >= m.MaxInstrs {
 			m.cache.NoteHits(cache.IFetch, ihits)
 			return nil // Run reports the budget error with this pc
+		}
+		if m.stops.Load() != 0 {
+			m.cache.NoteHits(cache.IFetch, ihits)
+			return nil // RunFor stops here
 		}
 		pc := m.pc
 		if uint32(pc) >= uint32(len(m.uops)) {

@@ -113,6 +113,12 @@ type closProg struct {
 	taken, mul, div, spill, memx int64
 }
 
+// chainCap is the budget RunFor gives one closure chain, bounding how long
+// a stop request waits. Every trace's pass is far shorter (the builder
+// stops near maxBlockLen instructions), so a chain the dispatcher entered
+// still fits its first pass.
+const chainCap = 4096
+
 // declined is the closure a head's slot holds once the trace builder
 // declined the head: its pass never fits a budget (fits), so the dispatcher
 // runs the head as a block and trace links return to the dispatcher, and
@@ -248,23 +254,6 @@ var chainKinds = [cCount + 1]bool{
 	// tBA is control but never side-exits (stitched unconditional branch:
 	// taken cost, keep walking), so it chains like a straight-line op.
 	tBA: true,
-}
-
-// fetchSlowV is the full-probe ifetch path for second (fused) fetches and
-// hook repairs, value-threaded so the hoisted trackers stay in registers at
-// the call site. Returns the new I-line, the (possibly alias-killed)
-// D-line, and the cycle charge.
-//
-//go:noinline
-func fetchSlowV(m *Machine, line, iaddr, curDL, imask uint32) (uint32, uint32, int64) {
-	cyc := int64(0)
-	if !m.cache.Access(iaddr, cache.IFetch) {
-		cyc = m.costs.MissPenalty
-	}
-	if (line^curDL)&imask == 0 {
-		curDL = noLine
-	}
-	return line, curDL, cyc
 }
 
 // dataSlowV is a memory item's full-probe data access (the known-hit fast
@@ -1581,6 +1570,25 @@ func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64,
 	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, it, 0, 0, badJumpFormat(dest), dest)
 }
 
+// fetchSlowV is the full-probe ifetch path for second (fused) fetches and
+// hook repairs, value-threaded so the hoisted trackers stay in registers at
+// the call site. Returns the new I-line, the (possibly alias-killed)
+// D-line, and the cycle charge. It sits below run with run's other cold
+// tails because the functions laid out ahead of run set the hot loop's
+// address mod 64 (EXPERIMENTS.md, "Stop requests").
+//
+//go:noinline
+func fetchSlowV(m *Machine, line, iaddr, curDL, imask uint32) (uint32, uint32, int64) {
+	cyc := int64(0)
+	if !m.cache.Access(iaddr, cache.IFetch) {
+		cyc = m.costs.MissPenalty
+	}
+	if (line^curDL)&imask == 0 {
+		curDL = noLine
+	}
+	return line, curDL, cyc
+}
+
 // execClosures runs a compiled closure, and the closures it links to, until
 // a side exit, a fault, a mid-trace patch, or the MaxInstrs budget. The
 // known-hit line trackers and the batched ifetch-hit count are threaded in
@@ -1598,9 +1606,16 @@ func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64,
 //     fault) and returned to the dispatcher otherwise. Known data hits
 //     batch in the cst and flush with the same discipline.
 //   - The caller guarantees MaxInstrs-instrs >= passInstrs on entry;
-//     back-edges and links re-check against s.rem.
+//     back-edges and links re-check against s.rem. Under RunFor s.rem is
+//     at most chainCap, so the chain returns to the dispatcher, where a
+//     stop request is seen, at a trace head: a looping trace at its own
+//     head, a link at its target's.
 func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32, ihits0 uint64) (uint32, uint32, uint64, error) {
 	_ = shift // geometry is compiled into the closures (syncTraceState gates on it)
+	rem := m.MaxInstrs - m.instrs
+	if m.capChains && rem > chainCap {
+		rem = chainCap
+	}
 	s := &m.cstate
 	*s = cst{
 		m:      m,
@@ -1609,7 +1624,7 @@ func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32
 		imask:  imask,
 		gen:    m.textGen,
 		base:   m.costs.Base + m.PerInstrPenalty,
-		rem:    m.MaxInstrs - m.instrs,
+		rem:    rem,
 	}
 	f, curIL, curDL, ihits, ccb := cp.entry, ciLine, cdLine, ihits0, m.ccb
 	for f != nil {

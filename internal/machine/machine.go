@@ -102,9 +102,11 @@ type Counters []uint64
 //
 // A Machine is NOT safe for concurrent use: every method — execution (Run,
 // RunFor, Step), debugger accesses (ReadWord, WriteWord, Reg, SetReg), and
-// text patching (PatchInstr) — must be externally serialized. The intended
-// multiplexing point is monitor.Session, whose per-machine mutex serializes
-// control operations against execution slices; see DESIGN.md §7. Distinct
+// text patching (PatchInstr) — must be externally serialized, except
+// RequestStop and WithdrawStop, which any goroutine may call while RunFor
+// runs. The intended multiplexing point is monitor.Session, whose
+// per-machine mutex serializes control operations against execution and
+// which stops a running RunFor before taking it; see DESIGN.md §7. Distinct
 // Machines share nothing and may run on any number of goroutines.
 type Machine struct {
 	text []sparc.Instr
@@ -124,6 +126,11 @@ type Machine struct {
 	// see image.go). LoadText always installs private arrays. img retains
 	// the attached image so the compiled tier can reach its closures.
 	imgShared bool
+	// capChains is set while RunFor runs: execClosures then caps a chain's
+	// budget at chainCap, so the dispatcher, which sees stop requests, is
+	// reached at least that often. It sits in imgShared's padding, as stops
+	// sits in engine's, so the interpreter's hot fields keep their offsets.
+	capChains bool
 	img       *Image
 	// engine selects the Run/RunFor execution strategy; the compiled-tier
 	// state below is maintained by syncTraceState (trace.go). traces[s],
@@ -134,6 +141,10 @@ type Machine struct {
 	// machine's own slots otherwise, filled the same way. Non-nil exactly
 	// when EngineClosure is active over non-empty text.
 	engine Engine
+	// stops counts the pending stop requests (RequestStop minus
+	// WithdrawStop); RunFor returns at its next dispatch boundary while it
+	// is nonzero.
+	stops  atomic.Int32
 	traces []atomic.Pointer[closProg]
 	// cstate is execClosures' reusable spill area (closure.go): dispatching
 	// a compiled closure chain must not allocate, and the pointer handed to
@@ -938,18 +949,25 @@ func (m *Machine) runStep() (int32, error) {
 }
 
 // RunFor executes at most n further instructions, then returns with the
-// machine ready to continue. It exists so a session scheduler can interleave
-// debugger control operations (region create/delete, PatchInstr) with
-// execution at block boundaries without holding a lock across a whole run.
+// machine ready to continue: exactly n unless the program exits or faults
+// first, or a stop is requested (RequestStop), which makes it return
+// (0, false, nil) at its next dispatch boundary. A session scheduler runs
+// the whole remaining budget this way and stops it to interleave debugger
+// control operations (region create/delete, PatchInstr) without holding a
+// lock across a whole run.
 //
-// Simulated cycle and instruction counts over a sequence of RunFor slices
-// are bit-identical to one uninterrupted Run: execBlocks clamps blocks
-// exactly at the budget and its per-slice line caches are conservative (a
-// cold re-entry re-probes the cache with identical hit/miss statistics).
+// Simulated cycle and instruction counts over a sequence of RunFor calls,
+// however each ends, are bit-identical to one uninterrupted Run: execBlocks
+// clamps blocks exactly at the budget and its per-call line caches are
+// conservative (a cold re-entry re-probes the cache with identical hit/miss
+// statistics). Stops land between blocks, at trace heads (RunFor gives a
+// closure chain at most chainCap instructions, so a looping trace returns
+// to the dispatcher at its own head), or under EngineStep between
+// instructions.
 //
 // RunFor returns halted=true when the program exited (exit code in code).
 // Exceeding the machine-wide MaxInstrs budget is an error, exactly as in
-// Run; exhausting only the slice is a normal return.
+// Run; exhausting only n is a normal return.
 func (m *Machine) RunFor(n int64) (code int32, halted bool, err error) {
 	if m.halted {
 		return m.exitCode, true, nil
@@ -957,19 +975,20 @@ func (m *Machine) RunFor(n int64) (code int32, halted bool, err error) {
 	if m.engine == EngineStep {
 		return m.runForStep(n)
 	}
-	limit := m.instrs + n
-	if limit > m.MaxInstrs {
-		limit = m.MaxInstrs
-	}
+	limit := m.forLimit(n)
 	saved := m.MaxInstrs
 	m.MaxInstrs = limit // execBlocks clamps block budgets against this
-	defer func() { m.MaxInstrs = saved }()
+	m.capChains = true
+	defer func() { m.MaxInstrs, m.capChains = saved, false }()
 	for !m.halted && m.instrs < limit {
 		if err := m.execBlocks(); err != nil {
 			return 0, false, err
 		}
 		if m.instrs >= limit {
 			break
+		}
+		if m.stops.Load() != 0 {
+			return 0, false, nil
 		}
 		if uint32(m.pc) >= uint32(len(m.text)) {
 			return 0, false, &Fault{PC: m.pc, Reason: "pc outside text"}
@@ -987,13 +1006,14 @@ func (m *Machine) RunFor(n int64) (code int32, halted bool, err error) {
 	return 0, false, nil
 }
 
-// runForStep is RunFor under EngineStep, with the same slice semantics.
+// runForStep is RunFor under EngineStep, with the same budget semantics; a
+// stop request lands between instructions.
 func (m *Machine) runForStep(n int64) (code int32, halted bool, err error) {
-	limit := m.instrs + n
-	if limit > m.MaxInstrs {
-		limit = m.MaxInstrs
-	}
+	limit := m.forLimit(n)
 	for !m.halted && m.instrs < limit {
+		if m.stops.Load() != 0 {
+			return 0, false, nil
+		}
 		if uint32(m.pc) >= uint32(len(m.text)) {
 			return 0, false, &Fault{PC: m.pc, Reason: "pc outside text"}
 		}
@@ -1009,3 +1029,23 @@ func (m *Machine) runForStep(n int64) (code int32, halted bool, err error) {
 	}
 	return 0, false, nil
 }
+
+// forLimit is the instruction count at which RunFor(n) stops: n past the
+// current count, clamped to MaxInstrs before the addition so a huge n (a
+// caller passing the whole remaining budget as math.MaxInt64) cannot wrap.
+func (m *Machine) forLimit(n int64) int64 {
+	if n < m.MaxInstrs-m.instrs {
+		return m.instrs + n
+	}
+	return m.MaxInstrs
+}
+
+// RequestStop asks a running RunFor to return at its next dispatch
+// boundary; a RunFor that starts while a request is pending returns at
+// once. Requests count: RunFor keeps stopping until each has been withdrawn
+// with WithdrawStop. Run does not return on a request: while one is
+// pending it executes through Step. Safe to call from any goroutine.
+func (m *Machine) RequestStop() { m.stops.Add(1) }
+
+// WithdrawStop withdraws one RequestStop. Safe to call from any goroutine.
+func (m *Machine) WithdrawStop() { m.stops.Add(-1) }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"databreak/internal/machine"
@@ -15,21 +16,27 @@ import (
 //
 // # Lock ordering (see DESIGN.md §7)
 //
-//	Server.mu  >  Session.mu  >  leaf locks (hit-queue mu, bitmap.Bitmap mu)
+//	Server.mu  >  Session.ctl  >  Session.mu  >  leaf locks (hit-queue mu, bitmap.Bitmap mu)
 //
 // Server.mu guards only the session registry; it is never held while a
 // session executes. Session.mu is THE per-machine serialization point the
-// machine and service docs demand: execution slices (RunFor), region
-// create/delete, PreMonitor/PostMonitor-style text patching (Do with
-// machine.PatchInstr), and debugger reads all take it. Hit delivery happens
-// while Session.mu is held (the trap fires inside RunFor), so the fan-in
-// queue must never deadlock: enqueue is O(1) under its own mutex and a pump
-// goroutine drains it to the Hits channel outside all session locks. With a
-// bounded queue (Options.QueueCap) enqueue may BLOCK when the consumer lags
-// — that stall is the backpressure contract: the producing session pauses
-// mid-slice until the pump frees a slot, throttling execution to the
-// delivery rate instead of growing an unbounded backlog. The pump never
-// takes a session lock, so a blocked producer always drains.
+// machine and service docs demand: execution (one RunFor over the whole
+// remaining budget), region create/delete, PreMonitor/PostMonitor-style
+// text patching (Do with machine.PatchInstr), and debugger reads all take
+// it. A control operation does not wait for the run to end: it first
+// requests a stop (machine.RequestStop), RunFor returns at its next
+// dispatch boundary, and the operation takes Session.mu. Session.ctl,
+// held from the request until the operation owns Session.mu, keeps the
+// stopped runner from retaking it first; the runner only passes through
+// ctl, and nothing takes ctl while holding Session.mu. Hit delivery happens while Session.mu is held (the trap
+// fires inside RunFor), so the fan-in queue must never deadlock: enqueue is
+// O(1) under its own mutex and a pump goroutine drains it to the Hits
+// channel outside all session locks. With a bounded queue
+// (Options.QueueCap) enqueue may BLOCK when the consumer lags — that stall
+// is the backpressure contract: the producing session pauses mid-run until
+// the pump frees a slot, throttling execution to the delivery rate instead
+// of growing an unbounded backlog. The pump never takes a session lock, so
+// a blocked producer always drains (and then sees a pending stop).
 
 // SessionHit is one monitor hit tagged with the session that produced it.
 type SessionHit struct {
@@ -42,7 +49,7 @@ type Options struct {
 	// QueueCap bounds the hit fan-in admission queue. 0 means unbounded
 	// (NewServer's behavior): hits never block a session, an unread backlog
 	// grows without limit. A positive cap applies backpressure: a session
-	// delivering a hit into a full queue blocks (inside its RunFor slice)
+	// delivering a hit into a full queue blocks (inside its RunFor call)
 	// until the pump drains a slot.
 	QueueCap int
 	// MaxSessions caps concurrently attached sessions; Attach beyond the
@@ -174,12 +181,12 @@ func (srv *Server) SessionCount() int {
 func (srv *Server) Close() { srv.shutdown(nil) }
 
 // Shutdown is the graceful form of Close: it stops admitting sessions,
-// detaches every live session (in-flight Run calls return a detached error
-// at their next slice boundary), then WAITS — until ctx expires — for the
-// hit queue to drain to the Hits consumer before closing the channel. With
-// a consumer reading Hits until it closes, no queued hit is lost. Returns
-// ctx.Err() if the drain deadline passed with hits still queued (they are
-// then dropped, matching Close).
+// detaches every live session (in-flight Run calls are stopped at a
+// dispatch boundary and return a detached error), then WAITS — until ctx
+// expires — for the hit queue to drain to the Hits consumer before closing
+// the channel. With a consumer reading Hits until it closes, no queued hit
+// is lost. Returns ctx.Err() if the drain deadline passed with hits still
+// queued (they are then dropped, matching Close).
 func (srv *Server) Shutdown(ctx context.Context) error { return srv.shutdown(ctx) }
 
 func (srv *Server) shutdown(ctx context.Context) error {
@@ -199,7 +206,7 @@ func (srv *Server) shutdown(ctx context.Context) error {
 	// Lift the queue bound first: a session blocked delivering a hit into a
 	// full queue holds its Session.mu, and Detach below needs that lock.
 	// Draining mode turns blocked puts into plain appends so every producer
-	// makes progress to its next slice boundary and observes the detach.
+	// makes progress to its next dispatch boundary and observes the stop.
 	srv.q.drainMode()
 	// Detach outside srv.mu: teardown takes Session.mu, and the lock order
 	// is Server.mu > Session.mu only for nested acquisition on the attach
@@ -227,25 +234,35 @@ func (srv *Server) drop(id int) {
 	srv.mu.Unlock()
 }
 
-// runSlice is how many instructions a session executes per lock acquisition.
-// Control operations from other goroutines interleave at these boundaries.
-// The value trades lock churn against control-op latency; it has NO effect
-// on simulated counts (RunFor slicing is count-identical by construction).
-const runSlice = 4096
-
 // Session is one (machine, service) pair multiplexed by a Server. Its mutex
-// is the per-machine serialization point: Run executes in runSlice-sized
-// locked slices, and every control surface (Do, CreateRegion, DeleteRegion)
-// takes the same mutex, so debugger edits land only at slice boundaries —
-// never inside a dispatched block.
+// is the per-machine serialization point: Run holds it while the machine
+// executes, and every control surface (Do, CreateRegion, DeleteRegion,
+// Detach) first asks the running machine to stop (machine.RequestStop),
+// which returns at its next dispatch boundary and releases the mutex, then
+// takes it. Debugger edits therefore land only at dispatch boundaries —
+// never inside a dispatched block or trace.
 type Session struct {
 	id  int
 	srv *Server
 
+	// ctl is held by a control operation from its stop request until it
+	// owns mu; Run passes through it before taking mu, so the stopped
+	// runner queues behind the operation instead of retaking mu first (and
+	// instead of spinning on the pending request).
+	ctl    sync.Mutex
 	mu     sync.Mutex
 	m      *machine.Machine
 	svc    *Service
 	closed bool
+}
+
+// lock takes mu for a control operation, stopping a running Run first.
+func (s *Session) lock() {
+	s.ctl.Lock()
+	s.m.RequestStop()
+	s.mu.Lock()
+	s.m.WithdrawStop()
+	s.ctl.Unlock()
 }
 
 // ID returns the session's server-unique id (tags its SessionHits).
@@ -258,7 +275,7 @@ func (s *Session) ID() int { return s.id }
 // call back into this Session, or block on another session's work (lock
 // ordering: Session.mu is held).
 func (s *Session) Do(fn func(m *machine.Machine, svc *Service) error) error {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("monitor: session %d is detached", s.id)
@@ -296,20 +313,27 @@ func (s *Session) DeleteRegion(addr, size uint32) error {
 	})
 }
 
-// Run executes the session's program to completion (or fault), releasing the
-// session lock between runSlice-instruction slices so concurrent control
-// operations can interleave. Simulated counts are bit-identical to an
-// uninterrupted machine.Run regardless of interleaving: debugger operations
-// are cycle-free by construction, and slicing itself does not perturb the
-// cost model (see machine.RunFor).
+// Run executes the session's program to completion (or fault). It runs the
+// whole remaining budget in one machine.RunFor call under the session lock;
+// a concurrent control operation stops it at a dispatch boundary, and Run
+// resumes once the operation has finished. Simulated counts are
+// bit-identical to an uninterrupted machine.Run regardless of
+// interleaving: debugger operations are cycle-free by construction, and
+// stopping does not perturb the cost model (see machine.RunFor).
 func (s *Session) Run() (int32, error) {
 	for {
+		// Wait out a control operation that stopped the previous call. The
+		// runner never holds ctl while it waits for mu, so a second Run of
+		// the same session cannot keep control operations from stopping
+		// the first.
+		s.ctl.Lock()
+		s.ctl.Unlock()
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("monitor: session %d is detached", s.id)
 		}
-		code, halted, err := s.m.RunFor(runSlice)
+		code, halted, err := s.m.RunFor(math.MaxInt64)
 		s.mu.Unlock()
 		if err != nil {
 			return 0, err
@@ -325,7 +349,7 @@ func (s *Session) Run() (int32, error) {
 // still drain to the Hits channel. Idempotent; operations after Detach
 // return errors.
 func (s *Session) Detach() {
-	s.mu.Lock()
+	s.lock()
 	if s.closed {
 		s.mu.Unlock()
 		return

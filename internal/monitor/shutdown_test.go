@@ -52,7 +52,7 @@ func TestShutdownDrainsQueuedHits(t *testing.T) {
 }
 
 // TestShutdownInterruptsRunningSessions: Shutdown called mid-run must detach
-// every session (Run returns a detached error at a slice boundary) and leave
+// every session (Run is stopped and returns a detached error) and leave
 // no goroutine blocked — the mid-run teardown the stress harness needs.
 func TestShutdownInterruptsRunningSessions(t *testing.T) {
 	srv := NewServerOpt(Options{QueueCap: 4})

@@ -34,7 +34,7 @@ import (
 //
 // # Hit path and backpressure
 //
-//	check code traps (under Session.mu, inside a RunFor slice)
+//	check code traps (under Session.mu, inside the session's RunFor)
 //	  → shard's bounded admission queue (monitor.Options.QueueCap;
 //	    a full queue BLOCKS the producing session — backpressure)
 //	  → shard pump → shard Hits channel
@@ -46,12 +46,13 @@ import (
 //	  → one length-prefixed frame on the wire
 //
 // Every stage is bounded, so a slow or dead client throttles only the
-// sessions it owns (their shard's queue fills and their RunFor slices
-// stall); it cannot grow daemon memory without limit.
+// sessions it owns (their shard's queue fills and their runs stall); it
+// cannot grow daemon memory without limit.
 //
 // # Lock ordering (see DESIGN.md §10)
 //
-// Daemon.mu > shard.mu > (monitor) Server.mu > Session.mu > leaf locks.
+// Daemon.mu > shard.mu > (monitor) Server.mu > Session.ctl > Session.mu >
+// leaf locks.
 // The router holds shard.mu only for the id→session lookup, never while
 // blocking on a connection queue... except it must not: lookup copies the
 // *session out, then enqueues outside the lock.
@@ -80,6 +81,12 @@ type Options struct {
 	// MaxSessionsPerShard caps sessions per shard (admission control);
 	// <= 0 means unlimited.
 	MaxSessionsPerShard int
+	// MaxRegionBytes bounds the size of one region+ request; a larger one
+	// is refused with an error frame. Creating a region walks every word
+	// of it under the session lock (and a transition region keeps a shadow
+	// copy), so the bound caps what one request can cost a shard. <= 0
+	// means 1 MiB.
+	MaxRegionBytes int
 	// Batch is the default hit-coalescing batch size per connection
 	// (overridable per connection via OpHello); <= 0 means 64. 1 disables
 	// coalescing: one frame per hit.
@@ -109,6 +116,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 4096
+	}
+	if o.MaxRegionBytes <= 0 {
+		o.MaxRegionBytes = 1 << 20
 	}
 	if o.Batch <= 0 {
 		o.Batch = 64
@@ -512,8 +522,8 @@ func (cn *conn) writeLoop() {
 }
 
 // readLoop parses request frames and dispatches them. Every operation that
-// can block on a session lock (attach builds, run, region ops behind an
-// executing slice) runs on its own goroutine so one slow session never
+// can block on a session lock (attach builds, run, region ops waiting for
+// a run to stop) runs on its own goroutine so one slow session never
 // stalls the connection's other sessions.
 func (cn *conn) readLoop() {
 	defer cn.d.wg.Done()
@@ -692,6 +702,10 @@ func (cn *conn) handleSessionOp(m *Msg) {
 	}
 	switch m.Op {
 	case OpRegionC:
+		if int64(m.Size) > int64(cn.d.opts.MaxRegionBytes) {
+			cn.fail(m.Seq, "mrsnet: region of %d bytes refused: the bound is %d bytes per request", m.Size, cn.d.opts.MaxRegionBytes)
+			return
+		}
 		if err := createRegion(s.ms, s.prog, m); err != nil {
 			cn.fail(m.Seq, "%v", err)
 			return
