@@ -4,10 +4,11 @@
 //
 // The paper's contribution — a monitored region service built on segmented
 // bitmap write checks and data-flow write-check elimination — lives in
-// internal/core (reusable Go API) and internal/monitor + internal/patch +
-// internal/elim (the instruction-level pipeline on the simulated SPARC
-// machine). See README.md for the architecture and EXPERIMENTS.md for the
-// reproduction of every table and figure.
+// internal/monitor + internal/patch + internal/elim (the instruction-level
+// pipeline on the simulated SPARC machine). internal/core offers the same
+// region interface to Go hosts that run the debuggee themselves. See
+// README.md for the architecture and EXPERIMENTS.md for the reproduction of
+// every table and figure.
 //
 // The benchmarks in bench_test.go regenerate the paper's evaluation:
 //

@@ -43,7 +43,8 @@ func main() {
 		svc.CheckWrite(w.addr, w.size)
 	}
 
-	// Loop pre-header range checks (§4.3): conservative, never misses.
+	// Loop pre-header range checks (§4.3): does an address range touch a
+	// monitored region?
 	fmt.Printf("range [0x0f00,0x10ff] may intersect: %v\n", svc.CheckRange(0x0f00, 0x10ff))
 	fmt.Printf("range [0x9000,0x9fff] may intersect: %v\n", svc.CheckRange(0x9000, 0x9fff))
 

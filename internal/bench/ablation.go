@@ -26,13 +26,6 @@ type AblationRow struct {
 	FlagsOn   float64 // flag bit in the entry: checks must mask it
 }
 
-// RunPatched patches with explicit options and runs (general form of
-// RunStrategy used by ablations). Uncached entry point; the ablation
-// driver uses runPatched.
-func (c Config) RunPatched(u *asm.Unit, popts patch.Options, disabled bool) (Run, error) {
-	return c.runPatched("", u, popts, disabled)
-}
-
 func (c Config) runPatched(src string, u *asm.Unit, popts patch.Options, disabled bool) (Run, error) {
 	effCfg := popts.Monitor
 	if effCfg.SegWords == 0 {

@@ -1,684 +1,191 @@
+// Package bitmap held a host-side copy of the paper's segmented bitmap, the
+// default back end of core. Core now keeps its regions in a list sorted by
+// address, and the simulated bitmap lives in internal/monitor; the host
+// bitmap's tests of the region contract stay here and run against core.
 package bitmap
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
+
+	"databreak/internal/core"
 )
 
+// hit reports whether an access of size bytes at addr hits a region of s:
+// a load when k is core.KindLoad, a store otherwise.
+func hit(s *core.Service, k core.Kind, addr, size uint32) bool {
+	before := s.Stats()
+	if k == core.KindLoad {
+		s.CheckRead(addr, size)
+		return s.Stats().ReadHits > before.ReadHits
+	}
+	s.CheckWrite(addr, size)
+	return s.Stats().Hits > before.Hits
+}
+
 func TestBasicAddLookupRemove(t *testing.T) {
-	b := New(DefaultConfig)
-	if b.Contains(0x1000) {
-		t.Fatal("empty bitmap must not contain anything")
+	s := core.New()
+	if hit(s, core.KindStore, 0x1000, 4) {
+		t.Fatal("an empty service must not hit")
 	}
-	if err := b.Add(0x1000, 8); err != nil {
+	r := core.Region{Addr: 0x1000, Size: 8}
+	if err := s.CreateMonitoredRegion(r); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []uint32{0x1000, 0x1004} {
-		if !b.Contains(a) {
-			t.Errorf("addr %#x must be monitored", a)
+	for a, want := range map[uint32]bool{0xffc: false, 0x1000: true, 0x1004: true, 0x1008: false} {
+		if hit(s, core.KindStore, a, 4) != want {
+			t.Errorf("store at %#x: hit must be %v", a, want)
 		}
 	}
-	for _, a := range []uint32{0xffc, 0x1008} {
-		if b.Contains(a) {
-			t.Errorf("addr %#x must not be monitored", a)
-		}
-	}
-	if err := b.Remove(0x1000, 8); err != nil {
+	if err := s.DeleteMonitoredRegion(r); err != nil {
 		t.Fatal(err)
 	}
-	if b.Contains(0x1000) || b.MonitoredWords() != 0 {
-		t.Fatal("remove must clear all bits")
+	if hit(s, core.KindStore, 0x1000, 4) || s.Regions() != 0 {
+		t.Fatal("delete must clear the region")
 	}
 }
 
 func TestAlignmentErrors(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.Add(0x1001, 4); err == nil {
-		t.Error("unaligned address must fail")
-	}
-	if err := b.Add(0x1000, 3); err == nil {
-		t.Error("non-word size must fail")
-	}
-	if err := b.Add(0x1000, 0); err == nil {
-		t.Error("zero size must fail")
-	}
-	if err := b.Add(0xFFFF_FFFC, 8); err == nil {
-		t.Error("region past end of address space must fail")
+	s := core.New()
+	for _, r := range []core.Region{
+		{Addr: 0x1001, Size: 4},      // unaligned address
+		{Addr: 0x1000, Size: 3},      // not a word multiple
+		{Addr: 0x1000, Size: 0},      // empty
+		{Addr: 0xFFFF_FFFC, Size: 8}, // past 2^32
+	} {
+		if s.CreateMonitoredRegion(r) == nil {
+			t.Errorf("create %v must fail", r)
+		}
 	}
 }
 
 func TestOverlapRejectedAtomically(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.Add(0x2000, 16); err != nil {
+	s := core.New()
+	if err := s.CreateMonitoredRegion(core.Region{Addr: 0x2000, Size: 16}); err != nil {
 		t.Fatal(err)
 	}
-	// Overlapping add must fail and must not set any bits.
-	if err := b.Add(0x1FF8, 16); err == nil {
-		t.Fatal("overlapping add must fail")
+	if s.CreateMonitoredRegion(core.Region{Addr: 0x1FF8, Size: 16}) == nil {
+		t.Fatal("overlapping create must fail")
 	}
-	if b.Contains(0x1FF8) || b.Contains(0x1FFC) {
-		t.Fatal("failed add must leave no bits behind")
+	if hit(s, core.KindStore, 0x1FF8, 4) || hit(s, core.KindStore, 0x1FFC, 4) || s.Regions() != 1 {
+		t.Fatal("a failed create must leave nothing behind")
 	}
-	if b.MonitoredWords() != 4 {
-		t.Fatalf("monitored words = %d, want 4", b.MonitoredWords())
+	if !hit(s, core.KindStore, 0x2000, 4) || !hit(s, core.KindStore, 0x200C, 4) {
+		t.Fatal("a failed create must keep the installed region")
 	}
 }
 
 func TestRemoveUnmonitoredFails(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.Remove(0x1000, 4); err == nil {
-		t.Fatal("removing unmonitored words must fail")
+	if core.New().DeleteMonitoredRegion(core.Region{Addr: 0x1000, Size: 4}) == nil {
+		t.Fatal("deleting an unmonitored region must fail")
 	}
 }
 
-func TestUnmonitoredFlagLifecycle(t *testing.T) {
-	b := New(DefaultConfig)
-	addr := uint32(0x4000)
-	if !b.SegmentUnmonitored(addr) {
-		t.Fatal("fresh segment must be unmonitored")
-	}
-	b.Add(addr, 4)
-	if b.SegmentUnmonitored(addr) {
-		t.Fatal("flag must clear on first region")
-	}
-	b.Add(addr+8, 4)
-	b.Remove(addr, 4)
-	if b.SegmentUnmonitored(addr) {
-		t.Fatal("flag must stay clear while any word is monitored")
-	}
-	b.Remove(addr+8, 4)
-	if !b.SegmentUnmonitored(addr) {
-		t.Fatal("flag must set when the last word is removed")
-	}
-	if b.SegmentCount(addr) != 0 {
-		t.Fatal("count must return to zero")
-	}
-}
-
-func TestSegmentRecycling(t *testing.T) {
-	b := New(DefaultConfig)
-	before := len(b.segs)
-	for i := 0; i < 100; i++ {
-		b.Add(0x8000, 4)
-		b.Remove(0x8000, 4)
-	}
-	if got := len(b.segs) - before; got > 1 {
-		t.Fatalf("repeated add/remove leaked %d segments", got)
-	}
-	// A recycled segment must come back zeroed.
-	b.Add(0x8000, 4)
-	b.Remove(0x8000, 4)
-	b.Add(0x8040, 4)
-	if b.Contains(0x8000) {
-		t.Fatal("recycled segment must be zeroed")
-	}
-}
-
-// TestOverlappingRegionRefcount is the regression test for the
-// double-counting bug: installing overlapping regions with AddRegion must
-// count each covered word once in the segment counts, and removing one of
-// the overlapping regions must not clear bits (or flip the unmonitored flag)
-// while another region still covers them.
-func TestOverlappingRegionRefcount(t *testing.T) {
-	b := New(DefaultConfig)
-	// [0x1000,0x1010) and [0x1008,0x1018) overlap on words 0x1008, 0x100c.
-	if err := b.AddRegion(0x1000, 16); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddRegion(0x1008, 16); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.SegmentCount(0x1000); got != 6 {
-		t.Fatalf("overlapping regions double-counted: SegmentCount = %d, want 6", got)
-	}
-	if got := b.MonitoredWords(); got != 6 {
-		t.Fatalf("MonitoredWords = %d, want 6", got)
-	}
-	// Removing the first region must keep the shared words monitored.
-	if err := b.RemoveRegion(0x1000, 16); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []uint32{0x1008, 0x100c, 0x1010, 0x1014} {
-		if !b.Contains(a) {
-			t.Errorf("word %#x lost its bit while a region still covers it", a)
-		}
-	}
-	for _, a := range []uint32{0x1000, 0x1004} {
-		if b.Contains(a) {
-			t.Errorf("word %#x must be clear after its only region went", a)
-		}
-	}
-	if b.SegmentUnmonitored(0x1008) {
-		t.Fatal("unmonitored flag flipped early with a region still installed")
-	}
-	if got := b.SegmentCount(0x1000); got != 4 {
-		t.Fatalf("SegmentCount = %d, want 4", got)
-	}
-	if err := b.RemoveRegion(0x1008, 16); err != nil {
-		t.Fatal(err)
-	}
-	if !b.SegmentUnmonitored(0x1008) || b.MonitoredWords() != 0 {
-		t.Fatal("all words removed but segment still flagged monitored")
-	}
-}
-
-// TestAdjacentRegions confirms adjacency is not treated as overlap.
 func TestAdjacentRegions(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.AddRegion(0x2000, 8); err != nil {
+	s := core.New()
+	a, b := core.Region{Addr: 0x2000, Size: 8}, core.Region{Addr: 0x2008, Size: 8}
+	if s.CreateMonitoredRegion(a) != nil || s.CreateMonitoredRegion(b) != nil {
+		t.Fatal("adjacent regions must both be accepted")
+	}
+	if err := s.DeleteMonitoredRegion(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddRegion(0x2008, 8); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.SegmentCount(0x2000); got != 4 {
-		t.Fatalf("SegmentCount = %d, want 4", got)
-	}
-	if err := b.RemoveRegion(0x2000, 8); err != nil {
-		t.Fatal(err)
-	}
-	if b.Contains(0x2004) || !b.Contains(0x2008) || !b.Contains(0x200c) {
-		t.Fatal("removing one adjacent region disturbed its neighbour")
-	}
-}
-
-// TestIdenticalRegionRefcount installs the same region twice.
-func TestIdenticalRegionRefcount(t *testing.T) {
-	b := New(DefaultConfig)
-	for i := 0; i < 2; i++ {
-		if err := b.AddRegion(0x3000, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.MonitoredWords(); got != 2 {
-		t.Fatalf("MonitoredWords = %d, want 2", got)
-	}
-	if err := b.RemoveRegion(0x3000, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Contains(0x3000) || !b.Contains(0x3004) {
-		t.Fatal("first removal of a doubly-installed region cleared the bits")
-	}
-	if err := b.RemoveRegion(0x3000, 8); err != nil {
-		t.Fatal(err)
-	}
-	if b.Contains(0x3000) || b.MonitoredWords() != 0 {
-		t.Fatal("second removal must clear the bits")
-	}
-	if err := b.RemoveRegion(0x3000, 8); err == nil {
-		t.Fatal("third removal must fail")
-	}
-}
-
-// TestRemoveRegionFailureAtomic: a RemoveRegion over a partly-unmonitored
-// range must fail without dropping refcounts on the covered prefix.
-func TestRemoveRegionFailureAtomic(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.AddRegion(0x4000, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RemoveRegion(0x4000, 16); err == nil {
-		t.Fatal("RemoveRegion over unmonitored words must fail")
-	}
-	if !b.Contains(0x4000) || !b.Contains(0x4004) {
-		t.Fatal("failed RemoveRegion must leave the bitmap untouched")
-	}
-}
-
-// TestConcurrentLookupDuringChurn exercises the lock-free lookup path while
-// regions churn: under -race this is the contract's proof obligation. A word
-// never covered must always read false; a word covered for the whole run
-// must always read true.
-func TestConcurrentLookupDuringChurn(t *testing.T) {
-	b := New(Config{AddrBits: 24, SegWords: 64})
-	if err := b.Add(0x10_0000, 16); err != nil { // pinned region
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if b.Contains(0x20_0000 + uint32(i%1024)*4) {
-					t.Error("never-monitored word read as monitored")
-					return
-				}
-				if !b.Contains(0x10_0000 + uint32(i%4)*4) {
-					t.Error("pinned word read as unmonitored")
-					return
-				}
-				b.SegmentUnmonitored(0x30_0000 + uint32(i%4096)*4)
-				b.ContainsAccess(0x30_0000+uint32(i%4096)*4, 8)
-			}
-		}(g)
-	}
-	churn := uint32(0x30_0000)
-	for i := 0; i < 2000; i++ {
-		a := churn + uint32(i%64)*512
-		if err := b.AddRegion(a, 32); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AddRegion(a+16, 32); err != nil { // overlapping
-			t.Fatal(err)
-		}
-		if err := b.RemoveRegion(a, 32); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.RemoveRegion(a+16, 32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestRegionSpanningSegments(t *testing.T) {
-	b := New(DefaultConfig)
-	segBytes := uint32(1) << b.SegShift()
-	start := segBytes*3 - 8
-	if err := b.Add(start, 16); err != nil {
-		t.Fatal(err)
-	}
-	for off := uint32(0); off < 16; off += 4 {
-		if !b.Contains(start + off) {
-			t.Errorf("word %#x must be monitored", start+off)
-		}
-	}
-	if b.SegmentUnmonitored(start) || b.SegmentUnmonitored(start+12) {
-		t.Fatal("both segments must be flagged monitored")
-	}
-	if err := b.Remove(start, 16); err != nil {
-		t.Fatal(err)
-	}
-	if !b.SegmentUnmonitored(start) || !b.SegmentUnmonitored(start+12) {
-		t.Fatal("both segments must return to unmonitored")
+	if hit(s, core.KindStore, 0x2004, 4) || !hit(s, core.KindStore, 0x2008, 4) || !hit(s, core.KindStore, 0x200c, 4) {
+		t.Fatal("deleting one adjacent region disturbed its neighbour")
 	}
 }
 
 func TestContainsAccessDoubleWord(t *testing.T) {
-	b := New(DefaultConfig)
-	b.Add(0x1004, 4)
-	if !b.ContainsAccess(0x1000, 8) {
+	s := core.New()
+	s.CreateMonitoredRegion(core.Region{Addr: 0x1004, Size: 4})
+	if !hit(s, core.KindStore, 0x1000, 8) {
 		t.Fatal("std spanning a monitored second word must hit")
 	}
-	if b.ContainsAccess(0x1008, 8) {
+	if hit(s, core.KindStore, 0x1008, 8) {
 		t.Fatal("std past the region must miss")
 	}
-	if !b.ContainsAccess(0x1004, 4) {
+	if !hit(s, core.KindStore, 0x1004, 4) {
 		t.Fatal("st of the monitored word must hit")
 	}
 }
 
-func TestSmallAddressSpace(t *testing.T) {
-	b := New(Config{AddrBits: 16, SegWords: 32})
-	if b.NumSegments() != (1<<16)/(32*4) {
-		t.Fatalf("NumSegments = %d", b.NumSegments())
+func TestKindPlanes(t *testing.T) {
+	s := core.New()
+	r := core.Region{Addr: 0x1000, Size: 8}
+	if err := s.CreateMonitoredRegionKind(r, core.KindLoad); err != nil {
+		t.Fatal(err)
 	}
-	b.Add(0x100, 4)
-	if !b.Contains(0x100) {
-		t.Fatal("lookup in small space failed")
+	if !hit(s, core.KindLoad, 0x1000, 4) || !hit(s, core.KindLoad, 0x1004, 4) || s.RegionKind(r) != core.KindLoad {
+		t.Fatal("loads must hit a load-kind region")
 	}
-	// Addresses are masked into the space.
-	if !b.Contains(0x10100) {
-		t.Fatal("addresses must be masked to AddrBits")
+	if hit(s, core.KindStore, 0x1000, 4) {
+		t.Fatal("stores must not hit a load-only region")
 	}
-}
-
-func TestGeometryValidation(t *testing.T) {
-	bad := []Config{
-		{AddrBits: 0, SegWords: 128},
-		{AddrBits: 33, SegWords: 128},
-		{AddrBits: 32, SegWords: 100},
-		{AddrBits: 32, SegWords: 16},
+	if !hit(s, core.KindLoad, 0x0FFC, 8) || hit(s, core.KindStore, 0x0FFC, 8) {
+		t.Fatal("a doubleword straddling in must hit for loads only")
 	}
-	for _, cfg := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) must panic", cfg)
-				}
-			}()
-			New(cfg)
-		}()
+	if err := s.DeleteMonitoredRegion(r); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMemoryOverhead(t *testing.T) {
-	b := New(DefaultConfig)
-	base := b.MemoryOverheadBytes()
-	// Table: 2^23 entries * 4B = 32MB; one shared zero segment.
-	if base < 32<<20 {
-		t.Fatalf("overhead %d too small for a full 32-bit table", base)
+	if hit(s, core.KindLoad, 0x1000, 4) {
+		t.Fatal("delete must clear every kind")
 	}
-	b.Add(0x1000, 4)
-	if b.MemoryOverheadBytes() <= base {
-		t.Fatal("allocating a private segment must grow the overhead")
+	// The kindless create uses the paper's store kind.
+	if err := s.CreateMonitoredRegion(core.Region{Addr: 0x2000, Size: 4}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestOracle drives the bitmap against a naive map of monitored words with
-// random region create/delete/lookup traffic.
-func TestOracle(t *testing.T) {
-	b := New(Config{AddrBits: 20, SegWords: 128})
-	oracle := make(map[uint32]bool)
-	type region struct{ addr, size uint32 }
-	var live []region
-	rng := rand.New(rand.NewSource(1))
-
-	overlapsOracle := func(addr, size uint32) bool {
-		for o := uint32(0); o < size; o += 4 {
-			if oracle[addr+o] {
-				return true
-			}
+	if !hit(s, core.KindStore, 0x2000, 4) || hit(s, core.KindLoad, 0x2000, 4) {
+		t.Fatal("kindless create must trigger on stores only")
+	}
+	for _, k := range []core.Kind{0, 0x80} {
+		if s.CreateMonitoredRegionKind(core.Region{Addr: 0x3000, Size: 4}, k) == nil {
+			t.Fatalf("kind %#x must be rejected", uint8(k))
 		}
-		return false
 	}
+}
 
+// TestOracle runs random creates, deletes and word stores over 256 KB
+// against a set of monitored words.
+func TestOracle(t *testing.T) {
+	s := core.New()
+	oracle := make(map[uint32]bool)
+	var live []core.Region
+	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 5000; step++ {
 		switch rng.Intn(4) {
-		case 0: // add
-			addr := uint32(rng.Intn(1<<18)) &^ 3
-			size := uint32(rng.Intn(16)+1) * 4
-			err := b.Add(addr, size)
-			if overlapsOracle(addr, size) {
-				if err == nil {
-					t.Fatalf("step %d: Add(%#x,%d) should have failed (overlap)", step, addr, size)
-				}
-			} else if err != nil {
-				t.Fatalf("step %d: Add(%#x,%d) failed: %v", step, addr, size, err)
-			} else {
-				for o := uint32(0); o < size; o += 4 {
-					oracle[addr+o] = true
-				}
-				live = append(live, region{addr, size})
+		case 0:
+			r := core.Region{Addr: uint32(rng.Intn(1<<18)) &^ 3, Size: uint32(rng.Intn(16)+1) * 4}
+			overlaps := false
+			for o := uint32(0); o < r.Size; o += 4 {
+				overlaps = overlaps || oracle[r.Addr+o]
 			}
-		case 1: // remove
+			if err := s.CreateMonitoredRegion(r); (err == nil) == overlaps {
+				t.Fatalf("step %d: create %v: err = %v, overlap %v", step, r, err, overlaps)
+			}
+			if !overlaps {
+				for o := uint32(0); o < r.Size; o += 4 {
+					oracle[r.Addr+o] = true
+				}
+				live = append(live, r)
+			}
+		case 1:
 			if len(live) == 0 {
 				continue
 			}
 			i := rng.Intn(len(live))
 			r := live[i]
-			if err := b.Remove(r.addr, r.size); err != nil {
-				t.Fatalf("step %d: Remove(%#x,%d) failed: %v", step, r.addr, r.size, err)
+			if err := s.DeleteMonitoredRegion(r); err != nil {
+				t.Fatalf("step %d: delete %v: %v", step, r, err)
 			}
-			for o := uint32(0); o < r.size; o += 4 {
-				delete(oracle, r.addr+o)
+			for o := uint32(0); o < r.Size; o += 4 {
+				delete(oracle, r.Addr+o)
 			}
 			live = append(live[:i], live[i+1:]...)
-		default: // lookup
+		default:
 			addr := uint32(rng.Intn(1<<18)) &^ 3
-			if got, want := b.Contains(addr), oracle[addr]; got != want {
-				t.Fatalf("step %d: Contains(%#x) = %v, oracle %v", step, addr, got, want)
+			if got, want := hit(s, core.KindStore, addr, 4), oracle[addr]; got != want {
+				t.Fatalf("step %d: store at %#x hit = %v, oracle %v", step, addr, got, want)
 			}
 		}
 	}
-	// Unmonitored flag must agree with per-segment truth everywhere we know.
-	for a := range oracle {
-		if b.SegmentUnmonitored(a) {
-			t.Fatalf("segment of %#x has a monitored word but flag says unmonitored", a)
-		}
-	}
-}
-
-func TestQuickLookupAfterAdd(t *testing.T) {
-	f := func(rawAddr uint32, nWords uint8) bool {
-		b := New(Config{AddrBits: 24, SegWords: 64})
-		addr := (rawAddr &^ 3) & 0x00FF_FF00
-		size := (uint32(nWords%16) + 1) * 4
-		if b.Add(addr, size) != nil {
-			return true // alignment/range rejection is fine
-		}
-		for o := uint32(0); o < size; o += 4 {
-			if !b.Contains(addr + o) {
-				return false
-			}
-		}
-		return !b.Contains(addr+size) && (addr == 0 || !b.Contains(addr-4))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkLookupMiss(b *testing.B) {
-	bm := New(DefaultConfig)
-	bm.Add(0x1000, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.Contains(uint32(0x8000_0000) + uint32(i%4096)*4)
-	}
-}
-
-func BenchmarkLookupHit(b *testing.B) {
-	bm := New(DefaultConfig)
-	bm.Add(0x1000, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.Contains(0x1000 + uint32(i%1024)*4)
-	}
-}
-
-func BenchmarkAddRemove(b *testing.B) {
-	bm := New(DefaultConfig)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.Add(0x1000, 64)
-		bm.Remove(0x1000, 64)
-	}
-}
-
-// TestContainsAccessSegmentStraddle is the regression test for doubleword
-// accesses that straddle a segment boundary on the lock-free path: each word
-// of the access must be resolved through its own segment-table entry, so a
-// hit in either segment is found even when the other segment is unmonitored
-// (or was never privately allocated).
-func TestContainsAccessSegmentStraddle(t *testing.T) {
-	b := New(DefaultConfig)
-	segBytes := uint32(1) << b.SegShift()
-	boundary := segBytes * 5
-	first := boundary - 4 // last word of segment 4
-	// Monitor only the word AFTER the boundary: segment 4 stays on the
-	// shared zero segment.
-	if err := b.Add(boundary, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !b.ContainsAccess(first, 8) {
-		t.Fatal("straddling access must find the hit in the second segment")
-	}
-	if b.ContainsAccess(first-8, 8) {
-		t.Fatal("access entirely inside the unmonitored segment must miss")
-	}
-	if err := b.Remove(boundary, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Now monitor only the word BEFORE the boundary.
-	if err := b.Add(first, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !b.ContainsAccess(first, 8) {
-		t.Fatal("straddling access must find the hit in the first segment")
-	}
-	if b.ContainsAccess(boundary, 8) {
-		t.Fatal("access entirely past the region must miss")
-	}
-}
-
-// TestRemoveSplitsStraddlingRegion removes the two middle words of a region
-// that crosses a segment boundary, splitting it into two single-word stubs
-// in different segments, and checks every per-word and per-access lookup
-// against the resulting shape.
-func TestRemoveSplitsStraddlingRegion(t *testing.T) {
-	b := New(DefaultConfig)
-	segBytes := uint32(1) << b.SegShift()
-	boundary := segBytes * 7
-	start := boundary - 8
-	// Four words: two on each side of the boundary.
-	if err := b.Add(start, 16); err != nil {
-		t.Fatal(err)
-	}
-	// Remove the straddling middle pair (one word in each segment).
-	if err := b.Remove(start+4, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Contains(start) || !b.Contains(start+12) {
-		t.Fatal("outer words must stay monitored")
-	}
-	if b.Contains(start+4) || b.Contains(start+8) {
-		t.Fatal("removed middle words must be clear")
-	}
-	if b.ContainsAccess(start+4, 8) {
-		t.Fatal("doubleword access covering only the removed words must miss")
-	}
-	if !b.ContainsAccess(start, 8) || !b.ContainsAccess(start+8, 8) {
-		t.Fatal("doubleword accesses touching a surviving word must hit")
-	}
-	if b.SegmentUnmonitored(start) || b.SegmentUnmonitored(boundary) {
-		t.Fatal("both segments still hold one monitored word")
-	}
-	if err := b.Remove(start, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Remove(start+12, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !b.SegmentUnmonitored(start) || !b.SegmentUnmonitored(boundary) {
-		t.Fatal("both segments must return to unmonitored")
-	}
-}
-
-func TestKindPlanes(t *testing.T) {
-	b := New(DefaultConfig)
-	if err := b.AddKind(0x1000, 8, KindLoad); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Contains(0x1000) {
-		t.Fatal("any-plane must cover a load-kind region")
-	}
-	if !b.ContainsKind(0x1000, KindLoad) || !b.ContainsKind(0x1004, KindAll) {
-		t.Fatal("load plane must cover the region")
-	}
-	if b.ContainsKind(0x1000, KindStore) {
-		t.Fatal("store plane must not cover a load-only region")
-	}
-	if !b.ContainsAccessKind(0x0FFC, 8, KindLoad) {
-		t.Fatal("doubleword load access must hit the load plane")
-	}
-	if b.ContainsAccessKind(0x0FFC, 8, KindStore) {
-		t.Fatal("doubleword store access must miss the load-only region")
-	}
-	if err := b.RemoveKind(0x1000, 8, KindLoad); err != nil {
-		t.Fatal(err)
-	}
-	if b.Contains(0x1000) || b.ContainsKind(0x1000, KindAll) {
-		t.Fatal("remove must clear every plane")
-	}
-	// Kindless API defaults to the paper's store kind.
-	if err := b.Add(0x2000, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !b.ContainsKind(0x2000, KindStore) || b.ContainsKind(0x2000, KindLoad) {
-		t.Fatal("kindless Add must populate only the store plane")
-	}
-	// Invalid kinds are rejected.
-	if err := b.AddKind(0x3000, 4, 0); err == nil {
-		t.Fatal("kind 0 must be rejected")
-	}
-	if err := b.AddKind(0x3000, 4, Kind(0x80)); err == nil {
-		t.Fatal("unknown kind bits must be rejected")
-	}
-}
-
-// TestKindRefcountOverlap overlaps refcounted regions of different kinds on
-// the same words and checks that each plane clears exactly when its own last
-// covering region goes.
-func TestKindRefcountOverlap(t *testing.T) {
-	b := New(DefaultConfig)
-	addr := uint32(0x5000)
-	if err := b.AddRegionKind(addr, 8, KindStore); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddRegionKind(addr, 8, KindStore); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddRegionKind(addr+4, 8, KindLoad); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RemoveRegionKind(addr, 8, KindStore); err != nil {
-		t.Fatal(err)
-	}
-	if !b.ContainsKind(addr, KindStore) || !b.ContainsKind(addr+4, KindStore) {
-		t.Fatal("store plane must survive while a store region remains")
-	}
-	if err := b.RemoveRegionKind(addr, 8, KindStore); err != nil {
-		t.Fatal(err)
-	}
-	if b.ContainsKind(addr, KindStore) || b.ContainsKind(addr+4, KindStore) {
-		t.Fatal("store plane must clear with the last store region")
-	}
-	if !b.Contains(addr+4) || !b.ContainsKind(addr+8, KindLoad) {
-		t.Fatal("load region must survive store removals")
-	}
-	if b.Contains(addr) {
-		t.Fatal("word covered only by removed store regions must clear")
-	}
-	if err := b.RemoveRegionKind(addr+4, 8, KindLoad); err != nil {
-		t.Fatal(err)
-	}
-	if b.Contains(addr+4) || b.ContainsKind(addr+8, KindAll) {
-		t.Fatal("all planes must clear when the last region goes")
-	}
-	if b.MonitoredWords() != 0 {
-		t.Fatalf("monitored words = %d, want 0", b.MonitoredWords())
-	}
-}
-
-// TestKindLookupDuringChurn hammers the kind-plane lock-free lookups while a
-// mutator churns regions of both kinds; run under -race this checks the
-// plane reads are properly atomic.
-func TestKindLookupDuringChurn(t *testing.T) {
-	b := New(Config{AddrBits: 20, SegWords: 128})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := uint32(r.Intn(1<<18)) &^ 3
-				k := Kind(1 + r.Intn(3))
-				_ = b.ContainsKind(a, k)
-				_ = b.ContainsAccessKind(a, 8, k)
-			}
-		}(int64(i))
-	}
-	for i := 0; i < 2000; i++ {
-		a := uint32((i*512)%(1<<18)) &^ 3
-		k := KindStore
-		if i%2 == 1 {
-			k = KindLoad
-		}
-		if err := b.AddRegionKind(a, 16, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.RemoveRegionKind(a, 16, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -124,12 +124,6 @@ func (c *Cache) LineShift() uint32 { return c.lineShift }
 // (a^b)&IndexMask() == 0 (equal lines "evict" conservatively).
 func (c *Cache) IndexMask() uint32 { return c.indexMask }
 
-// MayEvict reports whether an access to line a can evict line b: they map to
-// the same slot of the direct-mapped array. (a == b returns true; that
-// access would in fact keep b resident, so callers using MayEvict to guard a
-// known-hit fast path are conservative, never wrong.)
-func (c *Cache) MayEvict(a, b uint32) bool { return (a^b)&c.indexMask == 0 }
-
 // NoteHits records n statistics-only accesses of the given kind that the
 // caller has proven would hit (same line as a preceding access, with no
 // possibly-evicting access in between). The interpreter's block engine uses

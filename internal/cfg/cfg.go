@@ -388,13 +388,3 @@ func (f *Func) InstrItem(p int) int { return f.Instrs[p] }
 func (f *Func) Instruction(p int) sparc.Instr {
 	return f.Unit.Items[f.Instrs[p]].Instr
 }
-
-// LoopOf returns the innermost loop containing block b, or nil.
-func (f *Func) LoopOf(b int) *Loop {
-	for _, l := range f.Loops { // loops sorted inner-first
-		if l.Blocks[b] {
-			return l
-		}
-	}
-	return nil
-}

@@ -1,12 +1,12 @@
 // Package core provides the monitored region service (MRS) of "Practical
-// Data Breakpoints" (PLDI 1993) as a reusable Go library.
+// Data Breakpoints" (PLDI 1993) as a small Go library.
 //
 // A monitored region service detects writes to contiguous, word-aligned,
-// non-overlapping regions of a 32-bit address space. A host program — an
-// interpreter, a virtual machine, a simulator, or the instruction-patching
-// pipeline in this repository — calls CheckWrite on every store it executes;
-// the service invokes the registered notification callback on each monitor
-// hit. The interface follows §2 of the paper:
+// non-overlapping regions of a 32-bit address space. A host program that
+// executes the debuggee itself — an interpreter, a virtual machine, a
+// simulator — calls CheckWrite on every store it executes; the service
+// invokes the registered notification callback on each monitor hit. The
+// interface follows §2 of the paper:
 //
 //	CreateMonitoredRegion(region)
 //	DeleteMonitoredRegion(region)
@@ -16,17 +16,20 @@
 // insertion and deletion of eliminated write checks through a client
 // supplied Patcher.
 //
-// Address lookup is pluggable: the segmented bitmap (the paper's choice) or
-// the hash table from the pilot study. A hierarchical range index answers
-// the loop pre-header range checks of §4.3.
+// The service keeps its regions in a slice sorted by address and answers
+// every check by binary search; hosts watch a handful of regions. The
+// instruction-patching pipeline does not use this package: its inserted
+// checks read the segmented bitmap that internal/monitor keeps in the
+// debuggee's memory.
 package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
-	"databreak/internal/bitmap"
-	"databreak/internal/hashtable"
-	"databreak/internal/rangecheck"
+	"databreak/internal/monitor"
 )
 
 // Region is a contiguous monitored region: word aligned, non-overlapping.
@@ -38,6 +41,10 @@ type Region struct {
 // End returns the exclusive upper bound of the region.
 func (r Region) End() uint32 { return r.Addr + r.Size }
 
+// last is the region's last byte; unlike End it cannot wrap for a region
+// that ends at 2^32.
+func (r Region) last() uint32 { return r.Addr + r.Size - 1 }
+
 func (r Region) String() string {
 	return fmt.Sprintf("[%#x,+%d)", r.Addr, r.Size)
 }
@@ -47,48 +54,16 @@ func (r Region) String() string {
 type HitFunc func(addr uint32, size uint32)
 
 // Kind is a region's access-kind mask: which access kinds trigger a hit.
-// It aliases the bitmap package's kind so the two layers share constants.
-type Kind = bitmap.Kind
+// It aliases the monitor package's kind so the two services share constants.
+type Kind = monitor.Kind
 
 const (
 	// KindStore triggers on stores — the paper's only kind.
-	KindStore = bitmap.KindStore
+	KindStore = monitor.KindStore
 	// KindLoad triggers on loads (read watchpoints).
-	KindLoad = bitmap.KindLoad
+	KindLoad = monitor.KindLoad
 	// KindAll triggers on both.
-	KindAll = bitmap.KindAll
-)
-
-// Lookup abstracts the address-lookup data structure.
-type Lookup interface {
-	// Add marks the region as monitored; it fails on overlap or misalignment.
-	Add(addr, size uint32) error
-	// Remove unmarks a region previously added with exactly these bounds.
-	Remove(addr, size uint32) error
-	// Contains reports whether the word containing addr is monitored.
-	Contains(addr uint32) bool
-	// ContainsAccess reports whether a size-byte store at addr hits.
-	ContainsAccess(addr, size uint32) bool
-}
-
-// KindLookup is the optional kind-aware extension of Lookup. A lookup that
-// implements it tracks per-kind coverage itself (the segmented bitmap's kind
-// planes); for one that does not, the service falls back to its region table
-// to filter hits by kind.
-type KindLookup interface {
-	Lookup
-	// AddKind is Add with an explicit access-kind mask.
-	AddKind(addr, size uint32, k Kind) error
-	// RemoveKind is Remove for a region added with kind k.
-	RemoveKind(addr, size uint32, k Kind) error
-	// ContainsAccessKind reports whether a size-byte access of kind k at
-	// addr touches a word monitored for that kind.
-	ContainsAccessKind(addr, size uint32, k Kind) bool
-}
-
-var (
-	_ Lookup     = (*hashtable.Table)(nil)
-	_ KindLookup = (*bitmap.Bitmap)(nil)
+	KindAll = monitor.KindAll
 )
 
 // Patcher re-inserts and removes eliminated write checks at run time
@@ -108,15 +83,11 @@ type Stats struct {
 	ReadChecks  uint64 // CheckRead calls
 	ReadHits    uint64 // read-watchpoint hits delivered
 	RangeChecks uint64 // CheckRange calls
-	RangeHits   uint64 // conservative range intersections reported
+	RangeHits   uint64 // CheckRange calls that found an intersection
 }
 
 // Option configures New.
 type Option func(*Service)
-
-// WithLookup selects the address-lookup structure (default: segmented
-// bitmap with the paper's 128-word segments).
-func WithLookup(l Lookup) Option { return func(s *Service) { s.lookup = l } }
 
 // WithCallback sets the notification callback.
 func WithCallback(f HitFunc) Option { return func(s *Service) { s.callback = f } }
@@ -129,30 +100,25 @@ func WithPatcher(p Patcher) Option { return func(s *Service) { s.patcher = p } }
 // safe for concurrent use; the debuggee it monitors is single-threaded, as
 // in the paper.
 type Service struct {
-	lookup   Lookup
-	ranges   *rangecheck.Index
+	regions  []monitored // disjoint, sorted by address
 	callback HitFunc
 	patcher  Patcher
-	regions  map[Region]Kind
-	storable int               // regions whose kind includes KindStore
-	loadable int               // regions whose kind includes KindLoad
 	symbols  map[string]Region // PreMonitor'd symbol -> its region
 	stats    Stats
 }
 
-// New builds a service. With no options it uses a segmented bitmap over the
-// full 32-bit address space and a callback that does nothing.
+// monitored is an installed region and the access kinds it triggers on.
+type monitored struct {
+	Region
+	kind Kind
+}
+
+// New builds a service. With no options it has no patcher and a callback
+// that does nothing.
 func New(opts ...Option) *Service {
-	s := &Service{
-		ranges:  rangecheck.New(),
-		regions: make(map[Region]Kind),
-		symbols: make(map[string]Region),
-	}
+	s := &Service{symbols: make(map[string]Region)}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.lookup == nil {
-		s.lookup = bitmap.New(bitmap.DefaultConfig)
 	}
 	if s.callback == nil {
 		s.callback = func(uint32, uint32) {}
@@ -175,82 +141,85 @@ func (s *Service) CreateMonitoredRegion(r Region) error {
 }
 
 // CreateMonitoredRegionKind installs r triggering on the access kinds in k.
+// A region that is not word aligned, is empty, extends past 2^32 or
+// overlaps an installed region of any kind is refused, and the service is
+// left as it was.
 func (s *Service) CreateMonitoredRegionKind(r Region, k Kind) error {
-	if k == 0 || k&^KindAll != 0 {
+	switch {
+	case k == 0 || k&^KindAll != 0:
 		return fmt.Errorf("core: invalid region kind %v", k)
+	case r.Addr&3 != 0 || r.Size == 0 || r.Size&3 != 0:
+		return fmt.Errorf("core: region %v is empty or not word aligned", r)
+	case uint64(r.Addr)+uint64(r.Size) > 1<<32:
+		return fmt.Errorf("core: region %v extends past 2^32", r)
 	}
-	if _, dup := s.regions[r]; dup {
-		return fmt.Errorf("core: region %v already monitored", r)
+	i := s.first(r.Addr)
+	if i < len(s.regions) && s.regions[i].Addr <= r.last() {
+		return fmt.Errorf("core: region %v overlaps monitored region %v", r, s.regions[i].Region)
 	}
-	if kl, ok := s.lookup.(KindLookup); ok {
-		if err := kl.AddKind(r.Addr, r.Size, k); err != nil {
-			return err
-		}
-	} else if err := s.lookup.Add(r.Addr, r.Size); err != nil {
-		return err
-	}
-	if err := s.ranges.Add(r.Addr, r.Size); err != nil {
-		// Keep lookup and range index in sync even on failure.
-		_ = s.removeFromLookup(r, k)
-		return err
-	}
-	s.regions[r] = k
-	if k&KindStore != 0 {
-		s.storable++
-	}
-	if k&KindLoad != 0 {
-		s.loadable++
-	}
+	s.regions = slices.Insert(s.regions, i, monitored{r, k})
 	return nil
 }
 
-func (s *Service) removeFromLookup(r Region, k Kind) error {
-	if kl, ok := s.lookup.(KindLookup); ok {
-		return kl.RemoveKind(r.Addr, r.Size, k)
+// first returns the index of the first region whose last byte is at or
+// above addr. The regions are disjoint, so their ends ascend with their
+// starts.
+func (s *Service) first(addr uint32) int {
+	return sort.Search(len(s.regions), func(i int) bool { return s.regions[i].last() >= addr })
+}
+
+// find returns the index of the region installed with exactly r's bounds,
+// or -1.
+func (s *Service) find(r Region) int {
+	if i := s.first(r.Addr); i < len(s.regions) && s.regions[i].Region == r {
+		return i
 	}
-	return s.lookup.Remove(r.Addr, r.Size)
+	return -1
 }
 
 // DeleteMonitoredRegion removes a region previously created with exactly
 // these bounds (any kind).
 func (s *Service) DeleteMonitoredRegion(r Region) error {
-	k, ok := s.regions[r]
-	if !ok {
+	i := s.find(r)
+	if i < 0 {
 		return fmt.Errorf("core: region %v is not monitored", r)
 	}
-	if err := s.removeFromLookup(r, k); err != nil {
-		return err
-	}
-	if err := s.ranges.Remove(r.Addr, r.Size); err != nil {
-		return err
-	}
-	delete(s.regions, r)
-	if k&KindStore != 0 {
-		s.storable--
-	}
-	if k&KindLoad != 0 {
-		s.loadable--
-	}
+	s.regions = slices.Delete(s.regions, i, i+1)
 	return nil
 }
 
 // RegionKind returns the kind of an installed region, or 0 if r is not
 // monitored.
-func (s *Service) RegionKind(r Region) Kind { return s.regions[r] }
+func (s *Service) RegionKind(r Region) Kind {
+	if i := s.find(r); i >= 0 {
+		return s.regions[i].kind
+	}
+	return 0
+}
 
-// regionsHit reports whether any installed region with a kind bit in k
-// covers a word of the size-byte access at addr. This is the kind filter for
-// lookups without per-kind coverage (the hash table); region counts are
-// small, so a linear scan on the hit path is fine.
-func (s *Service) regionsHit(addr, size uint32, k Kind) bool {
-	first := addr &^ 3
-	last := (addr + size - 1) &^ 3
-	for r, rk := range s.regions {
-		if rk&k != 0 && first < r.End() && last >= r.Addr {
+// intersects reports whether a region with a kind bit in k holds a byte of
+// the inclusive interval [lo, hi], lo <= hi.
+func (s *Service) intersects(lo, hi uint32, k Kind) bool {
+	for _, m := range s.regions[s.first(lo):] {
+		if m.Addr > hi {
+			return false
+		}
+		if m.kind&k != 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// touches reports whether a size-byte access at addr touches a word of a
+// region with a kind bit in k. Regions are whole words, so the access's
+// bytes decide; like the address, they wrap at 2^32.
+func (s *Service) touches(addr, size uint32, k Kind) bool {
+	last := addr + size - 1
+	if last < addr {
+		return s.intersects(addr, math.MaxUint32, k) || s.intersects(0, last, k)
+	}
+	return s.intersects(addr, last, k)
 }
 
 // Disabled reports whether no regions are installed — the paper's global
@@ -264,17 +233,7 @@ func (s *Service) Regions() int { return len(s.regions) }
 // size bytes at addr. On a monitor hit the notification callback runs.
 func (s *Service) CheckWrite(addr, size uint32) {
 	s.stats.Checks++
-	if s.storable == 0 {
-		return
-	}
-	if kl, ok := s.lookup.(KindLookup); ok {
-		if kl.ContainsAccessKind(addr, size, KindStore) {
-			s.stats.Hits++
-			s.callback(addr, size)
-		}
-		return
-	}
-	if s.lookup.ContainsAccess(addr, size) && s.regionsHit(addr, size, KindStore) {
+	if s.touches(addr, size, KindStore) {
 		s.stats.Hits++
 		s.callback(addr, size)
 	}
@@ -285,31 +244,21 @@ func (s *Service) CheckWrite(addr, size uint32) {
 // callback runs.
 func (s *Service) CheckRead(addr, size uint32) {
 	s.stats.ReadChecks++
-	if s.loadable == 0 {
-		return
-	}
-	if kl, ok := s.lookup.(KindLookup); ok {
-		if kl.ContainsAccessKind(addr, size, KindLoad) {
-			s.stats.ReadHits++
-			s.callback(addr, size)
-		}
-		return
-	}
-	if s.lookup.ContainsAccess(addr, size) && s.regionsHit(addr, size, KindLoad) {
+	if s.touches(addr, size, KindLoad) {
 		s.stats.ReadHits++
 		s.callback(addr, size)
 	}
 }
 
-// CheckRange is the loop pre-header range check of §4.3: it conservatively
-// reports whether the inclusive interval [lo, hi] may intersect a monitored
-// region. A true result never misses a real intersection.
+// CheckRange is the loop pre-header range check of §4.3: it reports whether
+// the inclusive byte interval between lo and hi, given in either order,
+// intersects a monitored region of any kind. The answer is exact.
 func (s *Service) CheckRange(lo, hi uint32) bool {
 	s.stats.RangeChecks++
-	if len(s.regions) == 0 {
-		return false
+	if hi < lo {
+		lo, hi = hi, lo
 	}
-	if s.ranges.Intersects(lo, hi) {
+	if s.intersects(lo, hi, KindAll) {
 		s.stats.RangeHits++
 		return true
 	}

@@ -1,113 +1,96 @@
+// Package hashtable held the hash-table region lookup from Wahbe's pilot
+// study, once an alternative back end of core. Core now keeps one sorted
+// region list; the table's tests stay here and run against core.
 package hashtable
 
 import (
 	"math/rand"
 	"testing"
+
+	"databreak/internal/core"
 )
 
+// hits reports whether a store of size bytes at addr hits a region of s.
+func hits(s *core.Service, addr, size uint32) bool {
+	n := s.Stats().Hits
+	s.CheckWrite(addr, size)
+	return s.Stats().Hits > n
+}
+
 func TestBasicAddContainsRemove(t *testing.T) {
-	h := New(256)
-	if h.Contains(0x1000) {
-		t.Fatal("empty table must not contain anything")
+	s := core.New()
+	if hits(s, 0x1000, 4) {
+		t.Fatal("an empty service must not hit")
 	}
-	if err := h.Add(0x1000, 8); err != nil {
+	r := core.Region{Addr: 0x1000, Size: 8}
+	if err := s.CreateMonitoredRegion(r); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Contains(0x1000) || !h.Contains(0x1004) {
-		t.Fatal("added words must be found")
+	if !hits(s, 0x1000, 4) || !hits(s, 0x1004, 4) {
+		t.Fatal("created words must hit")
 	}
-	if h.Contains(0x1008) || h.Contains(0xffc) {
-		t.Fatal("neighbors must not be found")
+	if hits(s, 0x1008, 4) || hits(s, 0xffc, 4) {
+		t.Fatal("neighbours must not hit")
 	}
-	if err := h.Remove(0x1000, 8); err != nil {
+	if err := s.DeleteMonitoredRegion(r); err != nil {
 		t.Fatal(err)
 	}
-	if h.Contains(0x1000) || h.Regions() != 0 {
-		t.Fatal("remove must clear the region")
+	if hits(s, 0x1000, 4) || s.Regions() != 0 {
+		t.Fatal("delete must clear the region")
 	}
 }
 
 func TestOverlapRejected(t *testing.T) {
-	h := New(64)
-	h.Add(0x2000, 16)
-	if err := h.Add(0x2008, 8); err == nil {
+	s := core.New()
+	s.CreateMonitoredRegion(core.Region{Addr: 0x2000, Size: 16})
+	if s.CreateMonitoredRegion(core.Region{Addr: 0x2008, Size: 8}) == nil {
 		t.Fatal("overlapping region must be rejected")
 	}
-	if err := h.Add(0x1FF8, 16); err == nil {
+	if s.CreateMonitoredRegion(core.Region{Addr: 0x1FF8, Size: 16}) == nil {
 		t.Fatal("straddling region must be rejected")
 	}
 }
 
-func TestRegionSpanningGranules(t *testing.T) {
-	h := New(64)
-	// 32-byte granules: a 96-byte region spans several.
-	if err := h.Add(0x3010, 96); err != nil {
-		t.Fatal(err)
-	}
-	for off := uint32(0); off < 96; off += 4 {
-		if !h.Contains(0x3010 + off) {
-			t.Fatalf("word %#x must be found", 0x3010+off)
-		}
-	}
-	if err := h.Remove(0x3010, 96); err != nil {
-		t.Fatal(err)
-	}
-	for off := uint32(0); off < 96; off += 4 {
-		if h.Contains(0x3010 + off) {
-			t.Fatalf("word %#x must be gone", 0x3010+off)
-		}
-	}
-}
-
 func TestRemoveUnknownFails(t *testing.T) {
-	h := New(64)
-	if err := h.Remove(0x1000, 4); err == nil {
-		t.Fatal("removing absent region must fail")
+	if core.New().DeleteMonitoredRegion(core.Region{Addr: 0x1000, Size: 4}) == nil {
+		t.Fatal("deleting an absent region must fail")
 	}
 }
 
 func TestContainsAccess(t *testing.T) {
-	h := New(64)
-	h.Add(0x1004, 4)
-	if !h.ContainsAccess(0x1000, 8) {
+	s := core.New()
+	s.CreateMonitoredRegion(core.Region{Addr: 0x1004, Size: 4})
+	if !hits(s, 0x1000, 8) {
 		t.Fatal("double-word store overlapping region must hit")
 	}
-	if h.ContainsAccess(0x1008, 8) {
+	if hits(s, 0x1008, 8) {
 		t.Fatal("store past region must miss")
 	}
 }
 
+// TestOracle runs random creates, deletes and word stores over 64 KB
+// against a set of monitored words.
 func TestOracle(t *testing.T) {
-	h := New(128)
+	s := core.New()
 	oracle := make(map[uint32]bool)
-	type region struct{ addr, size uint32 }
-	var live []region
+	var live []core.Region
 	rng := rand.New(rand.NewSource(2))
-	overlaps := func(addr, size uint32) bool {
-		for o := uint32(0); o < size; o += 4 {
-			if oracle[addr+o] {
-				return true
-			}
-		}
-		return false
-	}
 	for step := 0; step < 3000; step++ {
 		switch rng.Intn(4) {
 		case 0:
-			addr := uint32(rng.Intn(1<<16)) &^ 3
-			size := (uint32(rng.Intn(20)) + 1) * 4
-			err := h.Add(addr, size)
-			if overlaps(addr, size) {
-				if err == nil {
-					t.Fatalf("step %d: overlap not rejected", step)
+			r := core.Region{Addr: uint32(rng.Intn(1<<16)) &^ 3, Size: uint32(rng.Intn(20)+1) * 4}
+			overlaps := false
+			for o := uint32(0); o < r.Size; o += 4 {
+				overlaps = overlaps || oracle[r.Addr+o]
+			}
+			if err := s.CreateMonitoredRegion(r); (err == nil) == overlaps {
+				t.Fatalf("step %d: create %v: err = %v, overlap %v", step, r, err, overlaps)
+			}
+			if !overlaps {
+				for o := uint32(0); o < r.Size; o += 4 {
+					oracle[r.Addr+o] = true
 				}
-			} else if err != nil {
-				t.Fatalf("step %d: add failed: %v", step, err)
-			} else {
-				for o := uint32(0); o < size; o += 4 {
-					oracle[addr+o] = true
-				}
-				live = append(live, region{addr, size})
+				live = append(live, r)
 			}
 		case 1:
 			if len(live) == 0 {
@@ -115,56 +98,18 @@ func TestOracle(t *testing.T) {
 			}
 			i := rng.Intn(len(live))
 			r := live[i]
-			if err := h.Remove(r.addr, r.size); err != nil {
-				t.Fatalf("step %d: remove failed: %v", step, err)
+			if err := s.DeleteMonitoredRegion(r); err != nil {
+				t.Fatalf("step %d: delete %v: %v", step, r, err)
 			}
-			for o := uint32(0); o < r.size; o += 4 {
-				delete(oracle, r.addr+o)
+			for o := uint32(0); o < r.Size; o += 4 {
+				delete(oracle, r.Addr+o)
 			}
 			live = append(live[:i], live[i+1:]...)
 		default:
 			addr := uint32(rng.Intn(1<<16)) &^ 3
-			if got, want := h.Contains(addr), oracle[addr]; got != want {
-				t.Fatalf("step %d: Contains(%#x)=%v oracle=%v", step, addr, got, want)
+			if got, want := hits(s, addr, 4), oracle[addr]; got != want {
+				t.Fatalf("step %d: store at %#x hit = %v, oracle %v", step, addr, got, want)
 			}
 		}
-	}
-}
-
-func TestChainLengthGrowsWithRegions(t *testing.T) {
-	h := New(16) // few buckets: force chains
-	for i := uint32(0); i < 64; i++ {
-		if err := h.Add(0x1000+i*64, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	long := 0
-	for i := uint32(0); i < 64; i++ {
-		if h.ChainLength(0x1000+i*64) > 1 {
-			long++
-		}
-	}
-	if long == 0 {
-		t.Fatal("with 64 regions in 16 buckets some chains must exceed length 1")
-	}
-}
-
-func BenchmarkContainsMiss(b *testing.B) {
-	h := New(256)
-	for i := uint32(0); i < 32; i++ {
-		h.Add(0x1000+i*64, 4)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Contains(0x8000_0000 + uint32(i%4096)*4)
-	}
-}
-
-func BenchmarkContainsHit(b *testing.B) {
-	h := New(256)
-	h.Add(0x1000, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Contains(0x1000 + uint32(i%1024)*4)
 	}
 }

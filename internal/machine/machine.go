@@ -301,12 +301,6 @@ func (m *Machine) LoadText(text []sparc.Instr, entry int32) {
 	m.syncTraceState()
 }
 
-// SetEntry sets the initial pc (text index).
-func (m *Machine) SetEntry(entry int32) { m.pc = entry }
-
-// TextLen returns the number of instructions loaded.
-func (m *Machine) TextLen() int { return len(m.text) }
-
 // InstrAt returns the instruction at text index idx. ok is false when idx is
 // outside the loaded text (the debugger asked for an address that is not
 // code); no fault is raised, since this is a debugger-side read.

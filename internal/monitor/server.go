@@ -16,7 +16,7 @@ import (
 //
 // # Lock ordering (see DESIGN.md §7)
 //
-//	Server.mu  >  Session.ctl  >  Session.mu  >  leaf locks (hit-queue mu, bitmap.Bitmap mu)
+//	Server.mu  >  Session.ctl  >  Session.mu  >  leaf lock (hit-queue mu)
 //
 // Server.mu guards only the session registry; it is never held while a
 // session executes. Session.mu is THE per-machine serialization point the

@@ -3,23 +3,34 @@ package monitor
 import (
 	"fmt"
 
-	"databreak/internal/bitmap"
 	"databreak/internal/machine"
 	"databreak/internal/sparc"
 )
 
-// Kind is a region's access-kind mask, shared with the bitmap layer.
-type Kind = bitmap.Kind
+// Kind is a region's access-kind mask: which access kinds deliver a hit.
+type Kind uint8
 
 const (
 	// KindStore delivers store (write) hits only.
-	KindStore = bitmap.KindStore
+	KindStore Kind = 1 << iota
 	// KindLoad delivers load (read) hits only. Read hits reach the debugger
 	// only when the program was patched with CheckReads.
-	KindLoad = bitmap.KindLoad
+	KindLoad
 	// KindAll delivers both — the legacy CreateRegion behavior.
-	KindAll = bitmap.KindAll
+	KindAll = KindStore | KindLoad
 )
+
+func (k Kind) String() string {
+	switch k {
+	case KindStore:
+		return "store"
+	case KindLoad:
+		return "load"
+	case KindAll:
+		return "all"
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
 
 // PredKind selects a transition predicate: a function of the stored value
 // whose result change is what fires a transition watchpoint.

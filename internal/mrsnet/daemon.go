@@ -270,15 +270,6 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// ListenAndServe listens on addr (TCP) and serves until Close.
-func (d *Daemon) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return d.Serve(ln)
-}
-
 // Serve accepts connections from ln until Close (or a permanent accept
 // error). Each connection is served on its own goroutines.
 func (d *Daemon) Serve(ln net.Listener) error {

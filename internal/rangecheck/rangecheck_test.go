@@ -1,165 +1,110 @@
+// Package rangecheck held the §4.3 range-check index: stacked summary
+// bitmaps that answered core's CheckRange conservatively. Core now keeps its
+// regions sorted by address and answers ranges exactly; the index's tests
+// stay here and run against core.
 package rangecheck
 
 import (
 	"math/rand"
 	"testing"
+
+	"databreak/internal/core"
 )
 
 func TestEmptyIndexNeverIntersects(t *testing.T) {
-	x := New()
-	if x.Intersects(0, 0xFFFF_FFFF) {
-		t.Fatal("empty index must not intersect anything")
+	if core.New().CheckRange(0, 0xFFFF_FFFF) {
+		t.Fatal("a service without regions must not intersect anything")
 	}
 }
 
 func TestExactIntersection(t *testing.T) {
-	x := New()
-	if err := x.Add(0x10000, 64); err != nil {
+	s := core.New()
+	if err := s.CreateMonitoredRegion(core.Region{Addr: 0x10000, Size: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if !x.Intersects(0x10000, 0x1003F) {
-		t.Fatal("range equal to region must intersect")
-	}
-	if !x.Intersects(0, 0xFFFF_FFFF) {
-		t.Fatal("whole-space range must intersect")
-	}
-	if !x.Intersects(0x1003C, 0x20000) {
-		t.Fatal("range touching region tail must intersect")
+	for _, c := range []struct {
+		lo, hi uint32
+		want   bool
+	}{
+		{0x10000, 0x1003F, true}, // the region itself
+		{0, 0xFFFF_FFFF, true},
+		{0x1003C, 0x20000, true},  // touches the region's last word
+		{0x10040, 0x20000, false}, // starts just past it
+		{0, 0xFFFF, false},        // ends just before it
+	} {
+		if got := s.CheckRange(c.lo, c.hi); got != c.want {
+			t.Errorf("CheckRange(%#x, %#x) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
 	}
 }
 
+// TestNoFalseNegatives checks random ranges against fifty random regions.
+// CheckRange is exact, so it must report a hit exactly when one exists.
 func TestNoFalseNegatives(t *testing.T) {
-	x := New()
+	s := core.New()
 	rng := rand.New(rand.NewSource(7))
-	type region struct{ addr, size uint32 }
-	var regions []region
-	for i := 0; i < 50; i++ {
-		r := region{uint32(rng.Intn(1<<26)) &^ 3, (uint32(rng.Intn(64)) + 1) * 4}
-		if err := x.Add(r.addr, r.size); err != nil {
-			t.Fatal(err)
+	var regions []core.Region
+	for len(regions) < 50 {
+		r := core.Region{Addr: uint32(rng.Intn(1<<26)) &^ 3, Size: uint32(rng.Intn(64)+1) * 4}
+		if s.CreateMonitoredRegion(r) == nil {
+			regions = append(regions, r)
 		}
-		regions = append(regions, r)
 	}
 	for trial := 0; trial < 2000; trial++ {
 		lo := uint32(rng.Intn(1 << 26))
 		hi := lo + uint32(rng.Intn(1<<20))
-		truth := false
+		want := false
 		for _, r := range regions {
-			if r.addr <= hi && lo < r.addr+r.size {
-				truth = true
-				break
-			}
+			want = want || r.Addr <= hi && lo < r.End()
 		}
-		got := x.Intersects(lo, hi)
-		if truth && !got {
-			t.Fatalf("false negative: [%#x,%#x] intersects %+v regions", lo, hi, regions)
+		if got := s.CheckRange(lo, hi); got != want {
+			t.Fatalf("CheckRange(%#x, %#x) = %v, want %v", lo, hi, got, want)
 		}
 	}
 }
 
 func TestRemoveRestoresEmpty(t *testing.T) {
-	x := New()
-	x.Add(0x5000, 32)
-	x.Add(0x5100, 32)
-	x.Remove(0x5000, 32)
-	if !x.Intersects(0x5100, 0x511F) {
-		t.Fatal("remaining region must still intersect")
+	s := core.New()
+	a, b := core.Region{Addr: 0x5000, Size: 32}, core.Region{Addr: 0x5100, Size: 32}
+	if s.CreateMonitoredRegion(a) != nil || s.CreateMonitoredRegion(b) != nil || s.DeleteMonitoredRegion(a) != nil {
+		t.Fatal("create a, create b, delete a must succeed")
 	}
-	x.Remove(0x5100, 32)
-	if x.Intersects(0, 0xFFFF_FFFF) {
-		t.Fatal("after removing all regions nothing must intersect")
+	if s.CheckRange(0x5000, 0x501F) || !s.CheckRange(0x5100, 0x511F) {
+		t.Fatal("only the remaining region may intersect")
+	}
+	if err := s.DeleteMonitoredRegion(b); err != nil {
+		t.Fatal(err)
+	}
+	if s.CheckRange(0, 0xFFFF_FFFF) {
+		t.Fatal("after deleting every region nothing may intersect")
 	}
 }
 
 func TestRemoveUnknownFails(t *testing.T) {
-	x := New()
-	if err := x.Remove(0x1000, 4); err == nil {
-		t.Fatal("removing an absent region must fail")
+	s := core.New()
+	if s.DeleteMonitoredRegion(core.Region{Addr: 0x1000, Size: 4}) == nil {
+		t.Fatal("deleting an absent region must fail")
 	}
-	x.Add(0x1000, 8)
-	if err := x.Remove(0x1000, 16); err == nil {
-		t.Fatal("removing with wrong bounds must fail")
-	}
-}
-
-func TestSharedSummaryBitCounts(t *testing.T) {
-	// Two regions under one coarse summary bit: removing one must keep the
-	// bit set.
-	x := New()
-	x.Add(0x100, 4)
-	x.Add(0x180, 4) // same 512-byte granule
-	x.Remove(0x100, 4)
-	if !x.Intersects(0x180, 0x183) {
-		t.Fatal("summary bit cleared while a sibling region remains")
-	}
-	x.Remove(0x180, 4)
-	if x.Intersects(0x0, 0x1FF) {
-		t.Fatal("summary bit must clear with the last region")
-	}
-}
-
-func TestAccessBoundForPaperRanges(t *testing.T) {
-	x := New()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5000; trial++ {
-		lo := uint32(rng.Int63()) & 0xFFFF_FFFF
-		span := uint32(rng.Intn(MaxRangeBytes))
-		hi := lo + span
-		if hi < lo {
-			hi = 0xFFFF_FFFF
-		}
-		if n := x.AccessesFor(lo, hi); n > 3 {
-			t.Fatalf("range [%#x,%#x] (span %d) needs %d accesses, paper bound is 3",
-				lo, hi, span, n)
-		}
-	}
-}
-
-func TestLargeRangesStillAnswer(t *testing.T) {
-	x := New()
-	x.Add(0xF000_0000, 4)
-	if !x.Intersects(0, 0xFFFF_FFFF) {
-		t.Fatal("full-space query must find the region")
-	}
-	// Whole-space span exceeds the paper bound but must still be bounded by
-	// the coarsest level's word count.
-	if n := x.AccessesFor(0, 0xFFFF_FFFF); n > 4 {
-		t.Fatalf("full-space query needs %d accesses", n)
+	s.CreateMonitoredRegion(core.Region{Addr: 0x1000, Size: 8})
+	if s.DeleteMonitoredRegion(core.Region{Addr: 0x1000, Size: 16}) == nil || s.Regions() != 1 {
+		t.Fatal("deleting with wrong bounds must fail and keep the region")
 	}
 }
 
 func TestAlignmentValidation(t *testing.T) {
-	x := New()
-	if err := x.Add(0x1001, 4); err == nil {
-		t.Fatal("unaligned add must fail")
+	s := core.New()
+	if s.CreateMonitoredRegion(core.Region{Addr: 0x1001, Size: 4}) == nil {
+		t.Fatal("unaligned create must fail")
 	}
-	if err := x.Add(0x1000, 5); err == nil {
+	if s.CreateMonitoredRegion(core.Region{Addr: 0x1000, Size: 5}) == nil {
 		t.Fatal("non-word size must fail")
 	}
 }
 
 func TestReversedBoundsNormalized(t *testing.T) {
-	x := New()
-	x.Add(0x2000, 4)
-	if !x.Intersects(0x3000, 0x1000) {
+	s := core.New()
+	s.CreateMonitoredRegion(core.Region{Addr: 0x2000, Size: 4})
+	if !s.CheckRange(0x3000, 0x1000) {
 		t.Fatal("reversed bounds must be normalized")
-	}
-}
-
-func BenchmarkIntersectsMiss(b *testing.B) {
-	x := New()
-	x.Add(0x1000, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Intersects(0x8000_0000, 0x8100_0000)
-	}
-}
-
-func BenchmarkAddRemove(b *testing.B) {
-	x := New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Add(0x4000, 256)
-		x.Remove(0x4000, 256)
 	}
 }
