@@ -163,13 +163,14 @@ func (m *Machine) invalidateBlock(idx int32) {
 }
 
 // execBlocks is the block-dispatch engine proper. It executes straight-line
-// blocks in a tight predecoded loop and chains through the two fault-free
-// terminators (Br, Call) without leaving the function, so a whole loop
+// blocks in a tight predecoded loop, enters compiled closures at block heads
+// under EngineClosure, and chains through the fault-free terminators (Br,
+// Call, a well-formed Jmpl) without leaving the function, so a whole loop
 // iteration of the simulated program typically costs one dispatch. It
-// returns nil (with state committed) when it needs Run to act: the MaxInstrs
-// budget is exhausted, a stop is requested (RequestStop), pc left the text,
-// or the next instruction is a terminator only Step handles (jmpl,
-// save/restore, traps, unimp).
+// returns nil (with state committed) when it needs run to act: the
+// MaxInstrs budget is exhausted, a stop is requested (RequestStop), pc left
+// the text, or the next instruction is a terminator only Step handles (a
+// faulting jmpl, save/restore, traps, unimp).
 //
 // Cycle accounting matches Step exactly: the per-instruction
 // Base+PerInstrPenalty contribution is folded into one multiply per block,
@@ -199,19 +200,42 @@ dispatch:
 	for {
 		if m.instrs >= m.MaxInstrs {
 			m.cache.NoteHits(cache.IFetch, ihits)
-			return nil // Run reports the budget error with this pc
+			return nil // run reports the budget error with this pc
 		}
 		if m.stops.Load() != 0 {
 			m.cache.NoteHits(cache.IFetch, ihits)
-			return nil // RunFor stops here
+			return nil // RunFor stops here; Run takes one Step
 		}
 		pc := m.pc
 		if uint32(pc) >= uint32(len(m.uops)) {
 			m.cache.NoteHits(cache.IFetch, ihits)
-			return nil // Run raises the out-of-text fault
+			return nil // run raises the out-of-text fault
 		}
 		head := &m.uops[pc]
 		n := int64(head.bl)
+		// Compiled tier (closure.go): m.traces is non-nil exactly when the
+		// closure engine is active, so the whole tier costs one nil check
+		// under EngineBlock. A head's closure is entered only when a full
+		// pass fits in the remaining budget; a declined head's sentinel
+		// never fits. Only a straight-line head compiles on first entry and
+		// re-dispatches to enter it. A terminator head compiles as a link
+		// target, and a chain that returns there (at the chain cap, or at a
+		// link that did not fit the budget) is re-entered there.
+		if ts := m.traces; ts != nil && head.slot >= 0 {
+			if cp := ts[head.slot].Load(); cp != nil {
+				if cp.fits(m.MaxInstrs - m.instrs) {
+					var err error
+					curILine, curDLine, ihits, err = m.execClosures(cp, imask, curILine, curDLine, ihits)
+					if err != nil {
+						return err
+					}
+					continue
+				}
+			} else if n > 0 {
+				m.compileHead(pc)
+				continue
+			}
+		}
 		if n == 0 {
 			// Terminator. Br, Call, and a well-formed Jmpl cannot fault or
 			// halt: dispatch them here (from the predecoded fields) and keep
@@ -264,28 +288,6 @@ dispatch:
 			}
 			m.pc = next
 			continue
-		}
-		// Compiled tier (closure.go): m.traces is non-nil exactly when the
-		// closure engine is active, so the whole tier costs one nil check
-		// under EngineBlock. A closure is entered only when a full pass fits
-		// in the remaining budget — otherwise the block path below clamps the
-		// tail bit-exactly; a declined head's sentinel never fits. A head
-		// with an empty slot compiles on this first entry and re-dispatches
-		// to enter it.
-		if ts := m.traces; ts != nil && head.slot >= 0 {
-			if cp := ts[head.slot].Load(); cp != nil {
-				if cp.fits(m.MaxInstrs - m.instrs) {
-					var err error
-					curILine, curDLine, ihits, err = m.execClosures(cp, shift, imask, curILine, curDLine, ihits)
-					if err != nil {
-						return err
-					}
-					continue
-				}
-			} else {
-				m.compileHead(pc)
-				continue
-			}
 		}
 		// Clamp to the MaxInstrs budget; the instrs check above guarantees
 		// at least one instruction of headroom, and straight-line

@@ -113,10 +113,10 @@ type closProg struct {
 	taken, mul, div, spill, memx int64
 }
 
-// chainCap is the budget RunFor gives one closure chain, bounding how long
-// a stop request waits. Every trace's pass is far shorter (the builder
-// stops near maxBlockLen instructions), so a chain the dispatcher entered
-// still fits its first pass.
+// chainCap is the most budget execClosures gives one closure chain,
+// bounding how long a stop request waits. Every trace's pass is far shorter
+// (the builder stops near maxBlockLen instructions), so a chain the
+// dispatcher entered still fits its first pass.
 const chainCap = 4096
 
 // declined is the closure a head's slot holds once the trace builder
@@ -1547,19 +1547,6 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 	}
 }
 
-// stop commits n instructions (cyc dynamic cycles plus the folded base) and
-// returns control to the dispatcher at npc — budget exhaustion and
-// store-boundary patch exits.
-//
-//go:noinline
-func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {
-	s.inst += n
-	s.cycs += cyc + s.base*n
-	s.rem -= n
-	s.npc = npc
-	return nil, curIL, curDL, ihits, ccb
-}
-
 // jmplFault faults a settled jmpl item whose target leaves the text: the
 // jmpl has been fetched and counted, so it commits as Step does, the rd
 // write and then the fault.
@@ -1606,16 +1593,11 @@ func fetchSlowV(m *Machine, line, iaddr, curDL, imask uint32) (uint32, uint32, i
 //     fault) and returned to the dispatcher otherwise. Known data hits
 //     batch in the cst and flush with the same discipline.
 //   - The caller guarantees MaxInstrs-instrs >= passInstrs on entry;
-//     back-edges and links re-check against s.rem. Under RunFor s.rem is
-//     at most chainCap, so the chain returns to the dispatcher, where a
-//     stop request is seen, at a trace head: a looping trace at its own
-//     head, a link at its target's.
-func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32, ihits0 uint64) (uint32, uint32, uint64, error) {
-	_ = shift // geometry is compiled into the closures (syncTraceState gates on it)
-	rem := m.MaxInstrs - m.instrs
-	if m.capChains && rem > chainCap {
-		rem = chainCap
-	}
+//     back-edges and links re-check against s.rem, which is at most
+//     chainCap, so the chain returns to the dispatcher, where a stop
+//     request is seen, at a trace head: a looping trace at its own head, a
+//     link at its target's. The dispatcher re-enters the closure there.
+func (m *Machine) execClosures(cp *closProg, imask, ciLine, cdLine uint32, ihits0 uint64) (uint32, uint32, uint64, error) {
 	s := &m.cstate
 	*s = cst{
 		m:      m,
@@ -1624,7 +1606,7 @@ func (m *Machine) execClosures(cp *closProg, shift, imask, ciLine, cdLine uint32
 		imask:  imask,
 		gen:    m.textGen,
 		base:   m.costs.Base + m.PerInstrPenalty,
-		rem:    rem,
+		rem:    min(m.MaxInstrs-m.instrs, chainCap),
 	}
 	f, curIL, curDL, ihits, ccb := cp.entry, ciLine, cdLine, ihits0, m.ccb
 	for f != nil {
@@ -2508,4 +2490,18 @@ func (cp *closProg) runOutlinedDW(m *Machine, it *ritem, curIL, curDL uint32, ih
 		m.storeWord(ea+4, m.regs[it.rd+1])
 	}
 	return nil, curIL, curDL, ihits, ccb, cyc, false
+}
+
+// stop commits n instructions (cyc dynamic cycles plus the folded base) and
+// returns control to the dispatcher at npc — budget exhaustion and
+// store-boundary patch exits. It sits last because the functions laid out
+// ahead of runOutlined set its address mod 64.
+//
+//go:noinline
+func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {
+	s.inst += n
+	s.cycs += cyc + s.base*n
+	s.rem -= n
+	s.npc = npc
+	return nil, curIL, curDL, ihits, ccb
 }

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"databreak/internal/cache"
@@ -103,8 +104,8 @@ type Counters []uint64
 // A Machine is NOT safe for concurrent use: every method — execution (Run,
 // RunFor, Step), debugger accesses (ReadWord, WriteWord, Reg, SetReg), and
 // text patching (PatchInstr) — must be externally serialized, except
-// RequestStop and WithdrawStop, which any goroutine may call while RunFor
-// runs. The intended multiplexing point is monitor.Session, whose
+// RequestStop and WithdrawStop, which any goroutine may call while Run or
+// RunFor runs. The intended multiplexing point is monitor.Session, whose
 // per-machine mutex serializes control operations against execution and
 // which stops a running RunFor before taking it; see DESIGN.md §7. Distinct
 // Machines share nothing and may run on any number of goroutines.
@@ -126,11 +127,6 @@ type Machine struct {
 	// see image.go). LoadText always installs private arrays. img retains
 	// the attached image so the compiled tier can reach its closures.
 	imgShared bool
-	// capChains is set while RunFor runs: execClosures then caps a chain's
-	// budget at chainCap, so the dispatcher, which sees stop requests, is
-	// reached at least that often. It sits in imgShared's padding, as stops
-	// sits in engine's, so the interpreter's hot fields keep their offsets.
-	capChains bool
 	img       *Image
 	// engine selects the Run/RunFor execution strategy; the compiled-tier
 	// state below is maintained by syncTraceState (trace.go). traces[s],
@@ -143,7 +139,8 @@ type Machine struct {
 	engine Engine
 	// stops counts the pending stop requests (RequestStop minus
 	// WithdrawStop); RunFor returns at its next dispatch boundary while it
-	// is nonzero.
+	// is nonzero. It sits in engine's padding, so the interpreter's hot
+	// fields keep their offsets.
 	stops  atomic.Int32
 	traces []atomic.Pointer[closProg]
 	// cstate is execClosures' reusable spill area (closure.go): dispatching
@@ -557,7 +554,7 @@ func (m *Machine) setCCLogic(r int32) {
 // ea and ea+4 always share a line and the second word's probe would be a
 // guaranteed hit. dataAccess2 preserves the accounting when lines are
 // narrower than a doubleword (then the second word always has its own line
-// and IS probed). All four engines implement the same split.
+// and IS probed). All three engines implement the same split.
 func (m *Machine) dataAccess(addr uint32, kind cache.Kind) {
 	m.cycles += m.costs.MemExtra
 	if !m.cache.Access(addr, kind) {
@@ -893,51 +890,18 @@ func (m *Machine) alloc(size uint32) uint32 {
 	return ptr
 }
 
-// Run executes until the program exits, faults, or exceeds MaxInstrs.
+// Run executes until the program exits, faults, or exceeds MaxInstrs, and
+// returns the exit code. It never returns on a stop request (RequestStop):
+// while one is pending, it advances one Step per dispatch.
 //
 // Under the default closure engine it dispatches a block at a time
 // (blocks.go) and enters compiled closures at block heads (closure.go);
-// EngineBlock skips the compiled tier; EngineStep runs the reference one-instruction loop. Simulated
-// cycle and instruction counts are bit-identical across all three; only host
-// time changes.
+// EngineBlock skips the compiled tier; EngineStep runs the reference
+// one-instruction loop. Simulated cycle and instruction counts are
+// bit-identical across all three; only host time changes.
 func (m *Machine) Run() (int32, error) {
-	if m.engine == EngineStep {
-		return m.runStep()
-	}
-	for !m.halted {
-		if err := m.execBlocks(); err != nil {
-			return 0, err
-		}
-		// execBlocks returned without error: budget exhausted, pc outside
-		// text, or a terminator it does not handle. The checks below mirror
-		// the order the single-Step loop applied them.
-		if m.instrs >= m.MaxInstrs {
-			return 0, fmt.Errorf("machine: exceeded MaxInstrs=%d at pc=%d", m.MaxInstrs, m.pc)
-		}
-		if uint32(m.pc) >= uint32(len(m.text)) {
-			return 0, &Fault{PC: m.pc, Reason: "pc outside text"}
-		}
-		if err := m.Step(); err != nil {
-			return 0, err
-		}
-	}
-	return m.exitCode, nil
-}
-
-// runStep is Run under EngineStep: the single-instruction reference loop,
-// with the budget and bounds errors raised at exactly the points the block
-// engines raise them.
-func (m *Machine) runStep() (int32, error) {
-	for !m.halted {
-		if m.instrs >= m.MaxInstrs {
-			return 0, fmt.Errorf("machine: exceeded MaxInstrs=%d at pc=%d", m.MaxInstrs, m.pc)
-		}
-		if uint32(m.pc) >= uint32(len(m.text)) {
-			return 0, &Fault{PC: m.pc, Reason: "pc outside text"}
-		}
-		if err := m.Step(); err != nil {
-			return 0, err
-		}
+	if err := m.run(math.MaxInt64, false); err != nil {
+		return 0, err
 	}
 	return m.exitCode, nil
 }
@@ -954,91 +918,68 @@ func (m *Machine) runStep() (int32, error) {
 // however each ends, are bit-identical to one uninterrupted Run: execBlocks
 // clamps blocks exactly at the budget and its per-call line caches are
 // conservative (a cold re-entry re-probes the cache with identical hit/miss
-// statistics). Stops land between blocks, at trace heads (RunFor gives a
-// closure chain at most chainCap instructions, so a looping trace returns
-// to the dispatcher at its own head), or under EngineStep between
-// instructions.
+// statistics). Calls that end only on stops also compile exactly Run's
+// closures, as a stop lands only at a boundary Run dispatches; an n that
+// ends mid-trace does not.
 //
 // RunFor returns halted=true when the program exited (exit code in code).
 // Exceeding the machine-wide MaxInstrs budget is an error, exactly as in
 // Run; exhausting only n is a normal return.
 func (m *Machine) RunFor(n int64) (code int32, halted bool, err error) {
-	if m.halted {
-		return m.exitCode, true, nil
+	if err := m.run(n, true); err != nil || !m.halted {
+		return 0, false, err
 	}
-	if m.engine == EngineStep {
-		return m.runForStep(n)
-	}
-	limit := m.forLimit(n)
+	return m.exitCode, true, nil
+}
+
+// run is the one loop behind Run and RunFor, under every engine. It
+// executes until the program halts or faults, n more instructions retire
+// or, when stoppable, a stop is requested. Each pass lets execBlocks
+// (skipped under EngineStep) run as far as it can, then applies the budget,
+// stop and pc-bounds checks, in that order, and executes one instruction
+// through Step. MaxInstrs holds the limit meanwhile, so execBlocks clamps
+// blocks exactly at it; reaching the machine-wide MaxInstrs is an error,
+// retiring n is not.
+//
+// Stops land between blocks, at closure heads (execClosures caps a chain at
+// chainCap instructions, so a looping trace returns to the dispatcher at
+// its own head), or under EngineStep between instructions.
+func (m *Machine) run(n int64, stoppable bool) error {
 	saved := m.MaxInstrs
-	m.MaxInstrs = limit // execBlocks clamps block budgets against this
-	m.capChains = true
-	defer func() { m.MaxInstrs, m.capChains = saved, false }()
-	for !m.halted && m.instrs < limit {
-		if err := m.execBlocks(); err != nil {
-			return 0, false, err
+	defer func() { m.MaxInstrs = saved }()
+	if n < saved-m.instrs { // compared before the addition, which cannot wrap
+		m.MaxInstrs = m.instrs + n
+	}
+	for !m.halted {
+		if m.engine != EngineStep {
+			if err := m.execBlocks(); err != nil {
+				return err
+			}
 		}
-		if m.instrs >= limit {
+		if m.instrs >= m.MaxInstrs {
 			break
 		}
-		if m.stops.Load() != 0 {
-			return 0, false, nil
+		if stoppable && m.stops.Load() != 0 {
+			return nil
 		}
 		if uint32(m.pc) >= uint32(len(m.text)) {
-			return 0, false, &Fault{PC: m.pc, Reason: "pc outside text"}
+			return &Fault{PC: m.pc, Reason: "pc outside text"}
 		}
 		if err := m.Step(); err != nil {
-			return 0, false, err
+			return err
 		}
 	}
-	if m.halted {
-		return m.exitCode, true, nil
+	if !m.halted && m.instrs >= saved {
+		return fmt.Errorf("machine: exceeded MaxInstrs=%d at pc=%d", saved, m.pc)
 	}
-	if m.instrs >= saved {
-		return 0, false, fmt.Errorf("machine: exceeded MaxInstrs=%d at pc=%d", saved, m.pc)
-	}
-	return 0, false, nil
-}
-
-// runForStep is RunFor under EngineStep, with the same budget semantics; a
-// stop request lands between instructions.
-func (m *Machine) runForStep(n int64) (code int32, halted bool, err error) {
-	limit := m.forLimit(n)
-	for !m.halted && m.instrs < limit {
-		if m.stops.Load() != 0 {
-			return 0, false, nil
-		}
-		if uint32(m.pc) >= uint32(len(m.text)) {
-			return 0, false, &Fault{PC: m.pc, Reason: "pc outside text"}
-		}
-		if err := m.Step(); err != nil {
-			return 0, false, err
-		}
-	}
-	if m.halted {
-		return m.exitCode, true, nil
-	}
-	if m.instrs >= m.MaxInstrs {
-		return 0, false, fmt.Errorf("machine: exceeded MaxInstrs=%d at pc=%d", m.MaxInstrs, m.pc)
-	}
-	return 0, false, nil
-}
-
-// forLimit is the instruction count at which RunFor(n) stops: n past the
-// current count, clamped to MaxInstrs before the addition so a huge n (a
-// caller passing the whole remaining budget as math.MaxInt64) cannot wrap.
-func (m *Machine) forLimit(n int64) int64 {
-	if n < m.MaxInstrs-m.instrs {
-		return m.instrs + n
-	}
-	return m.MaxInstrs
+	return nil
 }
 
 // RequestStop asks a running RunFor to return at its next dispatch
 // boundary; a RunFor that starts while a request is pending returns at
 // once. Requests count: RunFor keeps stopping until each has been withdrawn
-// with WithdrawStop. Run does not return on a request: while one is
-// pending it executes through Step. Safe to call from any goroutine.
+// with WithdrawStop. Run does not return on a request (see Run). Safe to
+// call from any goroutine.
 func (m *Machine) RequestStop() { m.stops.Add(1) }
 
 // WithdrawStop withdraws one RequestStop. Safe to call from any goroutine.

@@ -77,10 +77,28 @@ func TestRunForWholeBudget(t *testing.T) {
 
 // TestRunForStopRequest: a RunFor that starts with a stop pending returns
 // (0, false, nil) at once, requests count until each is withdrawn, and
-// once none is pending RunFor keeps its exact contract.
+// once none is pending RunFor keeps its exact contract. Run never returns
+// on a request: with one pending it runs to a plain Run's counts.
 func TestRunForStopRequest(t *testing.T) {
 	prog := workloadProgram(t, "eqntott")
+	ref := machine.New(cache.DefaultConfig, machine.DefaultCosts)
+	prog.Load(ref)
+	code, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := countsOf(ref, code)
 	for _, e := range engines {
+		stopped := machine.New(cache.DefaultConfig, machine.DefaultCosts)
+		prog.Load(stopped)
+		stopped.SetEngine(e)
+		stopped.RequestStop()
+		code, err := stopped.Run()
+		if got := countsOf(stopped, code); err != nil || got != want {
+			t.Errorf("%v: Run with a stop pending: err %v, got %+v, want %+v", e, err, got, want)
+		}
+		stopped.WithdrawStop()
+
 		m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
 		prog.Load(m)
 		m.SetEngine(e)

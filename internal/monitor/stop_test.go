@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -43,16 +44,7 @@ func TestStopCountNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
-		prog.LoadShared(m)
-		svc, err := monitor.NewService(monitor.DefaultConfig, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.NoHitLog = true
-		if err := svc.CreateRegion(bench.HitRegion, bench.HitRegionSize); err != nil {
-			t.Fatal(err)
-		}
+		m, svc := watchedMachine(t, prog)
 		code, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -65,6 +57,72 @@ func TestStopCountNeutral(t *testing.T) {
 			}
 			stops += n
 		}
+	}
+	if stops == 0 {
+		t.Error("no Do landed mid-run: the test stopped nothing")
+	}
+}
+
+// watchedMachine loads prog's shared image into a fresh closure-engine
+// machine whose monitor service watches bench.HitRegion, as a session does.
+func watchedMachine(t *testing.T, prog *asm.Program) (*machine.Machine, *monitor.Service) {
+	t.Helper()
+	m := machine.New(cache.DefaultConfig, machine.DefaultCosts)
+	prog.LoadShared(m)
+	svc, err := monitor.NewService(monitor.DefaultConfig, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.NoHitLog = true
+	if err := svc.CreateRegion(bench.HitRegion, bench.HitRegionSize); err != nil {
+		t.Fatal(err)
+	}
+	return m, svc
+}
+
+// TestStopCompilesLikeRun builds each workload's session build afresh for
+// three runs with bench.HitRegion watched: a plain machine.Run, one
+// RunFor(math.MaxInt64), and a Session.Run that read-only Do calls stop at
+// random moments. Run and RunFor share one loop, and a stop lands only at a
+// dispatch boundary an uninterrupted run dispatches, so the two other images
+// must hold exactly the closures (TraceBytes) the plain Run compiled. -short
+// keeps to eqntott and li.
+func TestStopCompilesLikeRun(t *testing.T) {
+	src := bench.DefaultConfig().ProgramSource()
+	build := func(name string) *asm.Program {
+		prog, err := src(name, 1, patch.BitmapInlineRegisters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	stops := 0
+	for _, p := range workload.All(1) {
+		if testing.Short() && p.Name != "eqntott" && p.Name != "li" {
+			continue
+		}
+		plain := build(p.Name)
+		m, _ := watchedMachine(t, plain)
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want, total := plain.TraceBytes(), m.Instrs()
+
+		whole := build(p.Name)
+		m, _ = watchedMachine(t, whole)
+		if _, halted, err := m.RunFor(math.MaxInt64); err != nil || !halted {
+			t.Fatalf("%s: RunFor(MaxInt64) = halted %v, err %v", p.Name, halted, err)
+		}
+		if got := whole.TraceBytes(); got != want {
+			t.Errorf("%s: RunFor(MaxInt64) compiled %d B of closures, Run %d B", p.Name, got, want)
+		}
+
+		stopped := build(p.Name)
+		_, n := runInterrupted(t, stopped, machine.EngineClosure, total)
+		if got := stopped.TraceBytes(); got != want {
+			t.Errorf("%s: a session run with %d stops compiled %d B of closures, Run %d B", p.Name, n, got, want)
+		}
+		stops += n
 	}
 	if stops == 0 {
 		t.Error("no Do landed mid-run: the test stopped nothing")
