@@ -29,18 +29,18 @@ type SeqCount struct {
 // Build is "baseline" (unchecked) or "nops32" (Table 1's 32-nop σ point,
 // whose padding runs FusionPlan tiles per I-line). Instrs counts retired
 // instructions; Items the dispatch items the closure tier would retire for
-// them; Fused2/Fused3 the instructions retired inside two- and three-wide
-// fused items, NopRun those inside padding-nop runs. ItemsPerInstr =
-// Items/Instrs is the dispatch density the closure tier's hot loop actually
-// pays; FusedPct = (Fused2+Fused3)/Instrs is the share of retirement covered
-// by fused ops.
+// them; Fused2 the instructions retired inside two-wide fused items, NopRun
+// those inside padding-nop runs. ItemsPerInstr = Items/Instrs is the
+// dispatch density the closure tier's hot loop actually pays; FusedPct =
+// Fused2/Instrs is the share of retirement covered by fused ops. TopTriples
+// are dynamic sequence counts, not fused shapes: the data a fusion proposal
+// would start from.
 type TraceStatsRow struct {
 	Program       string     `json:"program"`
 	Build         string     `json:"build"`
 	Instrs        int64      `json:"instrs"`
 	Items         int64      `json:"items"`
 	Fused2        int64      `json:"fused2_instrs"`
-	Fused3        int64      `json:"fused3_instrs"`
 	NopRun        int64      `json:"nop_run_instrs"`
 	FusedPct      float64    `json:"fused_pct"`
 	ItemsPerInstr float64    `json:"items_per_instr"`
@@ -117,8 +117,6 @@ func (cfg Config) traceStatsRow(prog *asm.Program, shift uint32) (TraceStatsRow,
 				row.NopRun += int64(w)
 			case w == 2:
 				row.Fused2 += 2
-			case w == 3:
-				row.Fused3 += 3
 			}
 			k += w
 		}
@@ -149,7 +147,7 @@ func (cfg Config) traceStatsRow(prog *asm.Program, shift uint32) (TraceStatsRow,
 	flush()
 
 	if row.Instrs > 0 {
-		row.FusedPct = 100 * float64(row.Fused2+row.Fused3) / float64(row.Instrs)
+		row.FusedPct = 100 * float64(row.Fused2) / float64(row.Instrs)
 		row.ItemsPerInstr = float64(row.Items) / float64(row.Instrs)
 	}
 	row.TopPairs = topSeqs(pairs, traceStatsTop)
@@ -192,11 +190,11 @@ func topSeqs[K interface{ ~[2]sparc.Op | ~[3]sparc.Op }](m map[K]int64, n int) [
 // prints for -trace-stats.
 func FormatTraceStats(rows []TraceStatsRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %9s %9s %9s %8s %10s\n",
-		"program", "build", "instrs", "items", "fused2", "fused3", "nop-runs", "fused%", "items/in")
+	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %9s %9s %8s %10s\n",
+		"program", "build", "instrs", "items", "fused2", "nop-runs", "fused%", "items/in")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-8s %12d %12d %9d %9d %9d %7.1f%% %10.3f\n",
-			r.Program, r.Build, r.Instrs, r.Items, r.Fused2, r.Fused3, r.NopRun,
+		fmt.Fprintf(&b, "%-10s %-8s %12d %12d %9d %9d %7.1f%% %10.3f\n",
+			r.Program, r.Build, r.Instrs, r.Items, r.Fused2, r.NopRun,
 			r.FusedPct, r.ItemsPerInstr)
 	}
 	b.WriteString("\ntop adjacent sequences (dynamic, straight-line):\n")

@@ -1,14 +1,14 @@
 // Closure-compiled (threaded-code) execution tier: the only compiled tier.
 //
-// The trace builder (trace.go) stitches superblocks, fuses pairs and
-// triples, and marks the compile-time I-line boundaries. This file threads
-// each trace it emits, at once, into ONE closure per trace (closProg),
-// whose body is a loop over items that map 1:1 onto trace-ops but carry
-// their accounting pre-resolved — the fetch check collapses to a two-bit
-// dispatch code, known-hit fetches and static cycles collapse to per-batch
-// prefix sums settled in one addition at each control op, the condition
-// codes live in a closure-local byte, and counted ops become (rare)
-// dedicated counter items so the hot dispatch never sees them. Control
+// The trace builder (trace.go) stitches superblocks, fuses pairs, and marks
+// the compile-time I-line boundaries. This file threads each trace it
+// emits, at once, into ONE closure per trace (closProg), whose body is a
+// loop over items that map 1:1 onto trace-ops but carry their accounting
+// pre-resolved — the fetch check collapses to a two-bit dispatch code,
+// known-hit fetches and static cycles collapse to per-batch prefix sums
+// settled in one addition at each control op, the condition codes live in
+// a closure-local byte, and counted ops become (rare) dedicated counter
+// items so the hot dispatch never sees them. Control
 // transfers are evaluated inline; the trace back-edge is a pointer reset,
 // not a dispatch. Per-pass hot state (both line trackers, hit/cycle
 // accumulators, the CC byte) stays in locals and spills to the shared cst
@@ -31,7 +31,11 @@
 // fused pairs into separate items and emitted explicit per-run fetch items
 // lands at ~14.5ms — item count per retired instruction, not arithmetic, is
 // what the loop's cost tracks, so the item stream must stay as dense as the
-// trace-op stream it replaces.
+// trace-op stream it replaces. That rule holds for the items run retires
+// inline: fused triples that retired through an out-of-line call made the
+// stream denser (eqntott 0.579 -> 0.474 items per instruction) yet the
+// workload builds slower, because the call cost more than the two inline
+// items it saved (EXPERIMENTS.md, "One dispatch body").
 //
 // Two codegen hazards dominate the remaining tuning and are easy to
 // reintroduce silently:
@@ -43,15 +47,16 @@
 //     loop, and with no callee-saved registers in the Go ABI each call
 //     spills the loop's whole hoisted state. run() stays under the budget
 //     by construction: cold case bodies live in noinline helpers (winPush/
-//     winPop/hookTail/fault/stop/exitNext), the eight side-exit sites share
-//     one `goto hop` tail, and exit-only accounting lookups hide inside the
-//     noinline callees. Any edit that grows run() should re-check -m=2.
-//  2. Item footprint. ritem is exactly 32 bytes — two per cache line, never
-//     straddling — with control items' settle pair packed into their unused
-//     imm2 and a memory item's exit-only prefix left out entirely: faults
-//     and patch exits recompute it with one scan of the stream (exitPrefix).
-//     The dispatch loop streams items, so bytes per item is a first-order
-//     cost (the 48-byte predecessor measured ~3% slower end to end).
+//     winPop/hookedAccess/fault/stop/exitNext), the eight side-exit sites
+//     share one `goto hop` tail, and exit-only accounting lookups hide
+//     inside the noinline callees. Any edit that grows run() should re-check
+//     -m=2.
+//  2. Item footprint. ritem is 28 bytes, with control items' settle pair
+//     packed into their unused imm2 and a memory item's exit-only prefix
+//     left out entirely: faults and patch exits recompute it with one scan
+//     of the stream (exitPrefix). The dispatch loop streams items, so bytes
+//     per item is a first-order cost (the 48-byte predecessor measured ~3%
+//     slower end to end).
 //
 // Batched-fetch accounting, the part that needs a proof: after any fetch the
 // I-line tracker is live, and only a data access that aliases the I-line (or
@@ -62,7 +67,7 @@
 // or control fetch bounds the scan because those probe dynamically anyway).
 // Every same-line (nl-clear) body fetch is therefore a guaranteed hit
 // counted at compile time into per-item prefix sums (hb), settled with ONE
-// addition at each control op and corrected by an `adj` register on the
+// addition at each control op and corrected in the hit count itself on the
 // rare kill/hook paths. A control op's own fetch never precounts (it may
 // exit the trace with the batch unsettled); it keeps the compile-time proof
 // as a "tracker live => hit" fast path, and its probe re-establishes the
@@ -174,12 +179,14 @@ type cst struct {
 // what the loop's cost tracks) except that counted ops are preceded by a
 // synthetic cCount item, keeping the counter test off the hot path entirely.
 //
-// The struct is exactly 32 bytes — half a cache line, so a streamed item
-// never straddles two lines — and holds only what the loop touches between
-// settles. A control item packs its batch's settle pair into its unused
-// imm2 (see finish); a memory item's exit-only pair, read only on faults and
-// patch exits, is recomputed there (exitPrefix); and fetch addresses are
-// derived from fpc (TextBase + fpc<<2) at probe sites.
+// The struct is 28 bytes and holds only what the loop touches between
+// settles. It is not padded to 32 (half a cache line, where no item would
+// straddle two): the tables' host heap is lower with 28-byte items
+// (EXPERIMENTS.md, "One dispatch body"). A control item packs its batch's
+// settle pair into its unused imm2 (see finish); a memory item's exit-only
+// pair, read only on faults and patch exits, is recomputed there
+// (exitPrefix); and fetch addresses are derived from fpc (TextBase +
+// fpc<<2) at probe sites.
 type ritem struct {
 	kind topOp
 	// f bits 0-1 dispatch this item's first ifetch:
@@ -192,8 +199,7 @@ type ritem struct {
 	//       previous fetch's line, which a crossing line can never match).
 	// f bit 2: the fused second fetch crosses a line (probe); clear on a
 	// fused op means the second fetch is precounted (body) or a direct
-	// guaranteed hit (compare-and-branch). f bit 3: same for a fused
-	// triple's third fetch (iaddr+8).
+	// guaranteed hit (compare-and-branch).
 	f    uint8
 	rd   uint8 // destination (source for stores)
 	rs1  uint8
@@ -201,10 +207,7 @@ type ritem struct {
 	rd2  uint8 // fused second half's operands
 	rs1b uint8
 	s2rb uint8
-	// cm: control item — branch condition mask; ALU-chain triple — the third
-	// slot's rd3|rs1c<<8 (triples are never control ops, so the field is free;
-	// set2+memop triples carry their memop in the rd2 slots instead).
-	cm uint16
+	cm   uint16 // control item: branch condition mask
 	// hb: precounted fetches earned through this item's FIRST fetch since
 	// the last settle (a fused op's second precounted fetch lands in the
 	// next item's hb); on a control item, the full batch to settle.
@@ -216,11 +219,6 @@ type ritem struct {
 	// instructions retired through the op's first instr (niW). Read via
 	// ctlCyc/ctlNi; both fit 15 bits because maxBlockLen caps a trace.
 	imm2 int32
-	// c3: ALU-chain triple — the third slot's s2rc | uint16(imm3)<<16 (the
-	// immediate is a 13-bit SPARC field, so the int16 round-trips exactly).
-	// Free elsewhere: the first fetch's line is derived from fpc at the
-	// probe site, like every other fetch address.
-	c3 uint32
 	// rx: memory item — the ifetch ADDRESS of the next precounted
 	// first-fetch after this item, for eager kill repair (0 = none; its
 	// line is rx>>shift; a fused op's own second fetch is repaired in-case
@@ -238,23 +236,6 @@ func ctlNi(it *ritem) int64  { return int64(it.imm2 >> 16) }
 // Placed before its op — both effects are pure counters invisible until the
 // next flush, where both have completed.
 const cCount = topOpEnd
-
-// chainKinds marks the item kinds runOutlined retires itself: the outlined
-// triples/double-words it is entered for, plus the cheap singles and pairs
-// that sit between triples in straight-line runs (the glue the builder could
-// not fuse). The chain loop keeps a call alive while the next item is one of
-// these, so one call typically covers a whole straight-line run.
-var chainKinds = [cCount + 1]bool{
-	tLdSllAdd: true, tSllAddLd: true, tOrLdSll: true, tAddLdSll: true,
-	tLdAddLd: true, tOrOrOr: true, tSet2Ld: true, tSet2St: true,
-	tLdAddSt: true, tLdSubSt: true, tLdOrSt: true,
-	tStI: true, tSllAdd: true, tOrAdd: true, tOrSub: true,
-	tSet2: true, tSet: true, tAdd: true, tAddI: true, tSub: true,
-	tSubI: true, tOr: true, tOrI: true, tSll: true, tSllI: true,
-	// tBA is control but never side-exits (stitched unconditional branch:
-	// taken cost, keep walking), so it chains like a straight-line op.
-	tBA: true,
-}
 
 // dataSlowV is a memory item's full-probe data access (the known-hit fast
 // path inlines into the loop: a line compare and a local increment). It
@@ -285,59 +266,6 @@ func dataSlowV(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imask
 			curIL = rline
 			conv = -1
 		}
-	}
-	return curIL, curDL, cyc, conv
-}
-
-// dataSlow2V is the doubleword straddle slow path: ea and ea+4 fall on
-// different D-lines (only possible with lines narrower than 8 bytes — Ldd/Std
-// enforce 8-byte alignment), so both words probe, in program order, one
-// reference each (see dataAccess2). Any I-tracker kill defers its eager
-// repair until AFTER the second word's probe: Step probes the next fetch
-// only once both data words are done, and the repair must keep that
-// cache-probe order to stay bit-identical.
-//
-//go:noinline
-func dataSlow2V(m *Machine, ea uint32, kind cache.Kind, line, curIL, curDL, imask, ria, shift uint32) (uint32, uint32, int64, int64) {
-	cyc, conv := int64(0), int64(0)
-	kill := false
-	if line == curDL {
-		if kind == cache.DRead {
-			m.cstate.drh++
-		} else {
-			m.cstate.dwh++
-		}
-	} else {
-		if !m.cache.Access(ea, kind) {
-			cyc = m.costs.MissPenalty
-		}
-		if curIL != noLine && (line^curIL)&imask == 0 {
-			curIL = noLine
-			kill = true
-		}
-		curDL = line
-	}
-	// The second word's line differs from the first's by construction, and
-	// curDL now holds the first word's line, so this is always a probe.
-	line2 := (ea + 4) >> shift
-	if !m.cache.Access(ea+4, kind) {
-		cyc += m.costs.MissPenalty
-	}
-	if curIL != noLine && (line2^curIL)&imask == 0 {
-		curIL = noLine
-		kill = true
-	}
-	curDL = line2
-	if kill && ria != 0 {
-		rline := ria >> shift
-		if !m.cache.Access(ria, cache.IFetch) {
-			cyc += m.costs.MissPenalty
-		}
-		if (rline^curDL)&imask == 0 {
-			curDL = noLine
-		}
-		curIL = rline
-		conv = -1
 	}
 	return curIL, curDL, cyc, conv
 }
@@ -573,15 +501,7 @@ func appendItem(items []ritem, tr *traceProg, u *top, first bool) []ritem {
 	if u.nl&2 != 0 {
 		it.f |= 4 // fused second fetch crosses: unconditional probe
 	}
-	if u.nl&4 != 0 {
-		it.f |= 8 // fused third fetch crosses: unconditional probe
-	}
 	switch op {
-	case tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tLdAddLd, tOrOrOr,
-		tLdAddSt, tLdSubSt, tLdOrSt:
-		// ALU-chain triple: the third slot rides in cm/c3 (see ritem).
-		it.cm = uint16(u.rd3) | uint16(u.rs1c)<<8
-		it.c3 = uint32(u.s2rc) | uint32(uint16(u.tgt))<<16
 	case tCall:
 		it.rd = uint8(sparc.O7)
 		it.imm = int32(u.iaddr) + 4
@@ -602,10 +522,9 @@ func appendItem(items []ritem, tr *traceProg, u *top, first bool) []ritem {
 // and its target is stitched into the trace).
 func (cp *closProg) ownStatic(op topOp) int64 {
 	switch op {
-	case tLd, tLdI, tSt, tStI, tLdSll, tLdOr, tLdCmp, tAddLd, tOrLd, tAddSt, tSubSt,
-		tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tSet2Ld, tSet2St:
+	case tLd, tLdI, tSt, tStI, tLdSll, tLdOr, tLdCmp, tAddLd, tOrLd, tAddSt, tSubSt:
 		return cp.memx
-	case tLdd, tStd, tLdLd, tLdSt, tLdAddLd, tLdAddSt, tLdSubSt, tLdOrSt:
+	case tLdLd, tLdSt:
 		return 2 * cp.memx
 	case tSMul:
 		return cp.mul
@@ -646,20 +565,14 @@ func (cp *closProg) finish(items []ritem) {
 		it.hb = hb // through the first fetch: first-half faults charge this
 		if w := opWidth(it.kind, it.imm); it.kind == tNop {
 			hb += uint16(w - 1) // a nop run's later fetches share its line
-		} else if w >= 2 {
-			if it.f&4 == 0 {
-				hb++
-			}
-			if w == 3 && it.f&8 == 0 {
-				hb++
-			}
+		} else if w == 2 && it.f&4 == 0 {
+			hb++
 		}
 		cyc += cp.ownStatic(it.kind)
 	}
 	for i := range items {
 		switch items[i].kind {
-		case tLd, tLdI, tLdd, tSt, tStI, tStd, tLdSll, tLdOr, tLdCmp, tAddLd, tOrLd, tLdLd, tLdSt, tAddSt, tSubSt,
-			tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tLdAddLd, tSet2Ld, tSet2St, tLdAddSt, tLdSubSt, tLdOrSt:
+		case tLd, tLdI, tSt, tStI, tLdSll, tLdOr, tLdCmp, tAddLd, tOrLd, tLdLd, tLdSt, tAddSt, tSubSt:
 			for j := i + 1; j < len(items); j++ {
 				jt := &items[j]
 				if jt.kind == cCount {
@@ -745,17 +658,16 @@ func (m *Machine) winPop(spillC int64) int64 {
 
 // hookedAccess is the whole hooked-access slow path shared by every load and
 // store item: flush-and-hook (hookFlush or loadHookFlush by kind), the word
-// probes with both trackers dead (the kill leaves no known-hit or alias case
-// to handle — every word is a plain probe, a straddled doubleword's second
-// word its own reference, see dataAccess2), the architectural move through
-// the generic ReadWord/storeWord path, then either the batch rebase and
-// eager repair (rebased ihits wraps negative mod 2^64; every path to a flush
-// first adds a batch prefix that covers it, and the repair performs the next
-// precounted fetch's probe exactly as Step's next fetch would)
-// or, on a text patch under the hook, the access-boundary commit (exit=true:
-// the caller returns to the trampoline immediately). Keeping all of it out
-// of line keeps the nine hook sites in run() from pushing the loop over the
-// inliner's big-function node budget.
+// probe with both trackers dead (the kill leaves no known-hit or alias case
+// to handle), the architectural move through the generic ReadWord/storeWord
+// path, then either the batch rebase and eager repair (rebased ihits wraps
+// negative mod 2^64; every path to a flush first adds a batch prefix that
+// covers it, and the repair performs the next precounted fetch's probe
+// exactly as Step's next fetch would) or, on a text patch under the hook,
+// the access-boundary commit (exit=true: the caller returns to the
+// trampoline immediately). Keeping all of it out of line keeps the seven
+// hook sites in run() from pushing the loop over the inliner's big-function
+// node budget.
 //
 // ria is the eager-repair target: the next precounted first-fetch address
 // (it.rx) — or, for a hooked FIRST half of a fused pair whose own second
@@ -764,41 +676,23 @@ func (m *Machine) winPop(spillC int64) int64 {
 // access, and the retired-count/pc deltas for a fused second half.
 //
 //go:noinline
-func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, dbl bool, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
+func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
 	m := s.m
-	size := int32(4)
-	if dbl {
-		size = 8
-	}
 	cyc = cyc0
 	if kind == cache.DWrite {
-		cyc += s.hookFlush(ihits0+uint64(hb), ccb, ea, size)
+		cyc += s.hookFlush(ihits0+uint64(hb), ccb, ea, 4)
 	} else {
-		cyc += s.loadHookFlush(ihits0+uint64(hb), ccb, ea, size)
+		cyc += s.loadHookFlush(ihits0+uint64(hb), ccb, ea, 4)
 	}
 	shift := cp.shift
 	if !m.cache.Access(ea, kind) {
 		cyc += m.costs.MissPenalty
 	}
 	curIL, curDL = noLine, ea>>shift
-	if dbl {
-		if l2 := (ea + 4) >> shift; l2 != curDL {
-			if !m.cache.Access(ea+4, kind) {
-				cyc += m.costs.MissPenalty
-			}
-			curDL = l2
-		}
-	}
 	if kind == cache.DWrite {
 		m.storeWord(ea, m.regs[reg])
-		if dbl {
-			m.storeWord(ea+4, m.regs[reg+1])
-		}
 	} else {
 		m.regs[reg] = m.ReadWord(ea)
-		if dbl {
-			m.regs[reg+1] = m.ReadWord(ea + 4)
-		}
 	}
 	if m.textGen != s.gen {
 		cycB, niW := cp.exitPrefix(it)
@@ -820,10 +714,10 @@ func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cy
 }
 
 // run interprets the trace's compiled item stream — the closure tier's whole
-// hot loop. It keeps the register-threaded state in locals (arguments), and
-// everything rarer (data-hit batches, the adj correction, committed totals)
-// s-resident: a handful of L1 round-trips on slow paths beats spilling the
-// dispatch loop itself.
+// hot loop, and the only function that dispatches items. It keeps the
+// register-threaded state in locals (arguments), and everything rarer
+// (data-hit batches, committed totals) s-resident: a handful of L1
+// round-trips on slow paths beats spilling the dispatch loop itself.
 func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (cfn, uint32, uint32, uint64, uint8) {
 	items := cp.items
 	shift := cp.shift
@@ -960,7 +854,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					if m.LoadHook != nil {
 						var ex bool
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, false, cp.memx, 0, 1)
+							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
 						}
@@ -1007,7 +901,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						// rebase-and-repair or patch-exit — lives out of line.
 						var ex bool
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, false, cp.memx, 0, 1)
+							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
 						}
@@ -1110,7 +1004,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						}
 						var ex bool
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
+							ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
 						}
@@ -1184,7 +1078,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							}
 							var ex bool
 							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
+								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 							if ex {
 								return nil, curIL, curDL, ihits, ccb
 							}
@@ -1243,7 +1137,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					if lhooked {
 						var ex bool
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DRead, false, firstMemx+cp.memx, 1, 2)
+							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DRead, firstMemx+cp.memx, 1, 2)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
 						}
@@ -1289,7 +1183,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							}
 							var ex bool
 							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
+								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 							if ex {
 								return nil, curIL, curDL, ihits, ccb
 							}
@@ -1348,7 +1242,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					if m.StoreHook != nil {
 						var ex bool
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DWrite, false, firstMemx+cp.memx, 1, 2)
+							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DWrite, firstMemx+cp.memx, 1, 2)
 						if ex {
 							return nil, curIL, curDL, ihits, ccb
 						}
@@ -1377,31 +1271,6 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					}
 					o := ea & (PageBytes - 4)
 					binary.BigEndian.PutUint32(pg[o:o+4], uint32(m.regs[it.rd2]))
-
-					// ---- fused triples (three instructions, one item; the third
-					// slot's operands unpack from cm/c3, see ritem) ----
-
-				case tLdd, tStd:
-					// Double-word pairs: rare path (see runOutlinedDW).
-					fn, nIL, nDL, nih, nccb, ncyc, done := cp.runOutlinedDW(m, it, curIL, curDL, ihits, ccb, cyc)
-					if done {
-						return fn, nIL, nDL, nih, nccb
-					}
-					curIL, curDL, ihits, ccb, cyc = nIL, nDL, nih, nccb, ncyc
-
-				case tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tLdAddLd, tOrOrOr,
-					tSet2Ld, tSet2St, tLdAddSt, tLdSubSt, tLdOrSt:
-					// Fused triples and double-word pairs retire out of line.
-					// runOutlined chains through consecutive outlined items
-					// before coming back (triples cluster in straight-line code,
-					// so one call retires a whole run); done means fault or hook
-					// exit, with the results forwarded verbatim.
-					var fn cfn
-					var done bool
-					p, fn, curIL, curDL, ihits, ccb, cyc, done = cp.runOutlined(m, p, it, curIL, curDL, ihits, ccb, cyc)
-					if done {
-						return fn, curIL, curDL, ihits, ccb
-					}
 
 				// ---- control transfers (settle, then the op) ----
 
@@ -1625,877 +1494,10 @@ func (m *Machine) execClosures(cp *closProg, imask, ciLine, cdLine uint32, ihits
 	return curIL, curDL, ihits, s.err
 }
 
-// runOutlined retires the item kinds run keeps out of its own body: every
-// fused triple (the double-word pairs tLdd/tStd take their own rare path,
-// runOutlinedDW). These bodies would push run past the compiler's
-// big-function node budget and demote every cache probe on the hot
-// pair/single path to a real call — one extra call per outlined item is far
-// cheaper than uninlining the whole dispatch loop. To amortize even that
-// call, runOutlined keeps retiring as long as the NEXT item is also an
-// outlined kind — triples cluster in the straight-line address chains minic
-// emits, so one call often covers a whole run — and hands the advanced
-// stream pointer back to the caller.
-// done reports that the dispatch must return (a fault or a hook exit, with
-// the non-pointer results forwarded verbatim); otherwise the caller resumes
-// its walk at the returned pointer with the returned threaded state.
-func (cp *closProg) runOutlined(m *Machine, p unsafe.Pointer, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (unsafe.Pointer, cfn, uint32, uint32, uint64, uint8, int64, bool) {
-	shift := cp.shift
-	// Loop-invariant hot fields, hoisted so the compiler keeps them in
-	// registers instead of reloading through m after every real call.
-	cs := &m.cstate
-	cc := m.cache
-	imask := cs.imask
-	missP := m.costs.MissPenalty
-	const itemSize = unsafe.Sizeof(ritem{})
-	for {
-		switch it.kind {
-		case tLdSllAdd:
-			// ld+sll+add: the load is slot A with tLdSll's exact
-			// protocol (hook/fault/kill-repair against the own second
-			// fetch), then the two ALU slots with their fetches.
-			ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-					cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.LoadHook != nil {
-				var ra uint32
-				if it.f&4 == 0 {
-					ra = TextBase + uint32(it.fpc)<<2 + 4
-				}
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-			} else {
-				if line := ea >> shift; line == curDL {
-					cs.drh++
-				} else if curIL == noLine || (line^curIL)&imask != 0 {
-					if !cc.Access(ea, cache.DRead) {
-						cyc += missP
-					}
-					curDL = line
-				} else {
-					var ra uint32
-					if it.f&4 == 0 {
-						ra = TextBase + uint32(it.fpc)<<2 + 4
-					}
-					var c, cv int64
-					curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-					cyc += c
-					ihits += uint64(cv)
-				}
-				pb := ea &^ (PageBytes - 1)
-				pe := &m.pageCache[pageCacheIdx(ea)]
-				pg := pe.p
-				if pe.base != pb {
-					pg = m.pageSlow(pb)
-				}
-				o := ea & (PageBytes - 4)
-				m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-			}
-			if it.f&4 != 0 {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd2] = m.regs[it.rs1b] << (uint32(m.regs[it.s2rb]+it.imm2) & 31)
-			if it.f&8 != 0 {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[uint8(it.cm)] = m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16))
-
-		case tSllAddLd:
-			// sll+add+ld: two ALU slots, then a slot-C load that
-			// faults with both earlier slots retired (dN/dPc 2) and
-			// kill-repairs against the next item's precounted fetch.
-			m.regs[it.rd] = m.regs[it.rs1] << (uint32(m.regs[it.s2r]+it.imm) & 31)
-			hb3 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb3++ // the batched second fetch has now executed
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd2] = m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2
-			if it.f&8 == 0 {
-				hb3++
-			} else {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, it, 2, 2, "unaligned load at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.LoadHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DRead, false, cp.memx, 2, 3)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.drh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DRead) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			m.regs[uint8(it.cm)] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-
-		case tOrLdSll, tAddLdSll:
-			// alu+ld+sll: the slot-B load faults with one slot retired
-			// (dN/dPc 1) and kill-repairs against the op's own third
-			// fetch when precounted (a crossing one probes below).
-			if it.kind == tOrLdSll {
-				m.regs[it.rd] = m.regs[it.rs1] | (m.regs[it.s2r] + it.imm)
-			} else {
-				m.regs[it.rd] = m.regs[it.rs1] + m.regs[it.s2r] + it.imm
-			}
-			hb2 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb2++ // the batched second fetch has now executed
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb2)), ccb,
-					cyc, cp, it, 1, 1, "unaligned load at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.LoadHook != nil {
-				var ra uint32
-				if it.f&8 == 0 {
-					ra = TextBase + uint32(it.fpc)<<2 + 8
-				}
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb2), ra, it.rd2, cache.DRead, false, cp.memx, 1, 2)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-			} else {
-				if line := ea >> shift; line == curDL {
-					cs.drh++
-				} else if curIL == noLine || (line^curIL)&imask != 0 {
-					if !cc.Access(ea, cache.DRead) {
-						cyc += missP
-					}
-					curDL = line
-				} else {
-					var ra uint32
-					if it.f&8 == 0 {
-						ra = TextBase + uint32(it.fpc)<<2 + 8
-					}
-					var c, cv int64
-					curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-					cyc += c
-					ihits += uint64(cv)
-				}
-				pb := ea &^ (PageBytes - 1)
-				pe := &m.pageCache[pageCacheIdx(ea)]
-				pg := pe.p
-				if pe.base != pb {
-					pg = m.pageSlow(pb)
-				}
-				o := ea & (PageBytes - 4)
-				m.regs[it.rd2] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-			}
-			if it.f&8 != 0 {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[uint8(it.cm)] = m.regs[uint8(it.cm>>8)] << (uint32(m.regs[it.c3&0xff]+int32(int16(it.c3>>16))) & 31)
-
-		case tLdAddLd:
-			// ld+add+ld pointer chase: slot A is tLdLd's first half,
-			// slot C reads the registers as they stand after A and B —
-			// program order, even when the add clobbers an address
-			// register the slot-C load names.
-			{
-				ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
-				if ea&3 != 0 {
-					fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-						cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
-					return p, fn, fIL, fDL, fih, fcb, 0, true
-				}
-				if m.LoadHook != nil {
-					var ra uint32
-					if it.f&4 == 0 {
-						ra = TextBase + uint32(it.fpc)<<2 + 4
-					}
-					var ex bool
-					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-						ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
-					if ex {
-						return p, nil, curIL, curDL, ihits, ccb, 0, true
-					}
-				} else {
-					if line := ea >> shift; line == curDL {
-						cs.drh++
-					} else if curIL == noLine || (line^curIL)&imask != 0 {
-						if !cc.Access(ea, cache.DRead) {
-							cyc += missP
-						}
-						curDL = line
-					} else {
-						var ra uint32
-						if it.f&4 == 0 {
-							ra = TextBase + uint32(it.fpc)<<2 + 4
-						}
-						var c, cv int64
-						curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-						cyc += c
-						ihits += uint64(cv)
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					pg := pe.p
-					if pe.base != pb {
-						pg = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-				}
-			}
-			hb3 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb3++ // the batched second fetch has now executed
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd2] = m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2
-			if it.f&8 == 0 {
-				hb3++
-			} else {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc+cp.memx, cp, it, 2, 2, "unaligned load at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.LoadHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DRead, false, 2*cp.memx, 2, 3)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.drh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DRead) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			m.regs[uint8(it.cm)] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-
-		case tSet2Ld:
-			// sethi+or+ld: the merged constant commits after the or's
-			// fetch, before the slot-C load that typically uses rd as
-			// its address base. The memop rides in the rd2 slots but
-			// is the THIRD instruction: faults and patch exits land
-			// at +2/+3.
-			hb3 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb3++
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd] = it.imm
-			if it.f&8 == 0 {
-				hb3++
-			} else {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, it, 2, 2, "unaligned load at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.LoadHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb3), it.rx, it.rd2, cache.DRead, false, cp.memx, 2, 3)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.drh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DRead) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			m.regs[it.rd2] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-
-		case tSet2St:
-			// tSet2Ld with a store in slot C: tSt's full protocol.
-			hb3 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb3++
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd] = it.imm
-			if it.f&8 == 0 {
-				hb3++
-			} else {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2)
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc, cp, it, 2, 2, "unaligned store at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.StoreHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb3), it.rx, it.rd2, cache.DWrite, false, cp.memx, 2, 3)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.dwh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DWrite) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DWrite, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			binary.BigEndian.PutUint32(pg[o:o+4], uint32(m.regs[it.rd2]))
-
-		case tLdAddSt, tLdSubSt, tLdOrSt:
-			// Canonical read-modify-write: the slot-A load follows
-			// tLdSt's first half, and the slot-C store recomputes its
-			// address from the live registers (sameAddr guarantees its
-			// fields equal the load's) — program-order exact even when
-			// the op clobbers the address register. Load hooks exit at
-			// +1, store hooks at +3.
-			{
-				ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
-				if ea&3 != 0 {
-					fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-						cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
-					return p, fn, fIL, fDL, fih, fcb, 0, true
-				}
-				if m.LoadHook != nil {
-					var ra uint32
-					if it.f&4 == 0 {
-						ra = TextBase + uint32(it.fpc)<<2 + 4
-					}
-					var ex bool
-					curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-						ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, false, cp.memx, 0, 1)
-					if ex {
-						return p, nil, curIL, curDL, ihits, ccb, 0, true
-					}
-				} else {
-					if line := ea >> shift; line == curDL {
-						cs.drh++
-					} else if curIL == noLine || (line^curIL)&imask != 0 {
-						if !cc.Access(ea, cache.DRead) {
-							cyc += missP
-						}
-						curDL = line
-					} else {
-						var ra uint32
-						if it.f&4 == 0 {
-							ra = TextBase + uint32(it.fpc)<<2 + 4
-						}
-						var c, cv int64
-						curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-						cyc += c
-						ihits += uint64(cv)
-					}
-					pb := ea &^ (PageBytes - 1)
-					pe := &m.pageCache[pageCacheIdx(ea)]
-					pg := pe.p
-					if pe.base != pb {
-						pg = m.pageSlow(pb)
-					}
-					o := ea & (PageBytes - 4)
-					m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
-				}
-			}
-			hb3 := int64(it.hb)
-			if it.f&4 == 0 {
-				hb3++ // the batched second fetch has now executed
-			} else {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			switch it.kind {
-			case tLdAddSt:
-				m.regs[it.rd2] = m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2
-			case tLdSubSt:
-				m.regs[it.rd2] = m.regs[it.rs1b] - (m.regs[it.s2rb] + it.imm2)
-			default: // tLdOrSt
-				m.regs[it.rd2] = m.regs[it.rs1b] | (m.regs[it.s2rb] + it.imm2)
-			}
-			if it.f&8 == 0 {
-				hb3++
-			} else {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			ea := uint32(m.regs[uint8(it.cm>>8)] + m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(uint16(hb3)), ccb,
-					cyc+cp.memx, cp, it, 2, 2, "unaligned store at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.StoreHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, uint16(hb3), it.rx, uint8(it.cm), cache.DWrite, false, 2*cp.memx, 2, 3)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.dwh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DWrite) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DWrite, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			binary.BigEndian.PutUint32(pg[o:o+4], uint32(m.regs[uint8(it.cm)]))
-
-		case tOrOrOr:
-			// Three ALU slots: only the interior fetches touch cache
-			// state.
-			m.regs[it.rd] = m.regs[it.rs1] | (m.regs[it.s2r] + it.imm)
-			if it.f&4 != 0 {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd2] = m.regs[it.rs1b] | (m.regs[it.s2rb] + it.imm2)
-			if it.f&8 != 0 {
-				ia3 := TextBase + uint32(it.fpc)<<2 + 8
-				if !cc.Access(ia3, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia3 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[uint8(it.cm)] = m.regs[uint8(it.cm>>8)] | (m.regs[it.c3&0xff] + int32(int16(it.c3>>16)))
-
-		// ---- chain-extension kinds: the cheap singles and pairs that sit
-		// between triples in straight-line runs. run()'s dispatch never
-		// enters here with one of these — only the chain step below reaches
-		// them — they just keep a run alive across the glue items. Bodies
-		// are verbatim copies of run()'s. ----
-
-		case tAdd:
-			m.regs[it.rd] = m.regs[it.rs1] + m.regs[it.s2r] + it.imm
-		case tAddI:
-			m.regs[it.rd] = m.regs[it.rs1] + it.imm
-		case tSub:
-			m.regs[it.rd] = m.regs[it.rs1] - (m.regs[it.s2r] + it.imm)
-		case tSubI:
-			m.regs[it.rd] = m.regs[it.rs1] - it.imm
-		case tOr:
-			m.regs[it.rd] = m.regs[it.rs1] | (m.regs[it.s2r] + it.imm)
-		case tOrI:
-			m.regs[it.rd] = m.regs[it.rs1] | it.imm
-		case tSll:
-			m.regs[it.rd] = m.regs[it.rs1] << (uint32(m.regs[it.s2r]+it.imm) & 31)
-		case tSllI:
-			m.regs[it.rd] = m.regs[it.rs1] << (uint32(it.imm) & 31)
-		case tSet:
-			m.regs[it.rd] = it.imm
-
-		case tSet2:
-			if it.f&4 != 0 {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			m.regs[it.rd] = it.imm
-
-		case tSllAdd, tOrAdd, tOrSub:
-			if it.kind == tSllAdd {
-				m.regs[it.rd] = m.regs[it.rs1] << (uint32(m.regs[it.s2r]+it.imm) & 31)
-			} else {
-				m.regs[it.rd] = m.regs[it.rs1] | (m.regs[it.s2r] + it.imm)
-			}
-			if it.f&4 != 0 {
-				ia2 := TextBase + uint32(it.fpc)<<2 + 4
-				if !cc.Access(ia2, cache.IFetch) {
-					cyc += missP
-				}
-				curIL = ia2 >> shift
-				if (curIL^curDL)&imask == 0 {
-					curDL = noLine
-				}
-			}
-			if it.kind == tOrSub {
-				m.regs[it.rd2] = m.regs[it.rs1b] - (m.regs[it.s2rb] + it.imm2)
-			} else {
-				m.regs[it.rd2] = m.regs[it.rs1b] + m.regs[it.s2rb] + it.imm2
-			}
-
-		case tStI:
-			ea := uint32(m.regs[it.rs1] + it.imm)
-			if ea&3 != 0 {
-				fn, fIL, fDL, fih, fcb := cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-					cyc, cp, it, 0, 0, "unaligned store at %#x", ea)
-				return p, fn, fIL, fDL, fih, fcb, 0, true
-			}
-			if m.StoreHook != nil {
-				var ex bool
-				curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-					ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, false, cp.memx, 0, 1)
-				if ex {
-					return p, nil, curIL, curDL, ihits, ccb, 0, true
-				}
-				break
-			}
-			if line := ea >> shift; line == curDL {
-				cs.dwh++
-			} else if curIL == noLine || (line^curIL)&imask != 0 {
-				if !cc.Access(ea, cache.DWrite) {
-					cyc += missP
-				}
-				curDL = line
-			} else {
-				var c, cv int64
-				curIL, curDL, c, cv = dataSlowV(m, ea, cache.DWrite, line, curIL, curDL, imask, it.rx, shift)
-				cyc += c
-				ihits += uint64(cv)
-			}
-			pb := ea &^ (PageBytes - 1)
-			pe := &m.pageCache[pageCacheIdx(ea)]
-			pg := pe.p
-			if pe.base != pb {
-				pg = m.pageSlow(pb)
-			}
-			o := ea & (PageBytes - 4)
-			binary.BigEndian.PutUint32(pg[o:o+4], uint32(m.regs[it.rd]))
-
-		case tBA:
-			ihits += uint64(it.hb)
-			cyc += ctlCyc(it) + cp.taken
-		}
-		// Chain: if the next item is also an outlined kind, retire it here
-		// instead of bouncing back through the caller's dispatch. The walk is
-		// safe unbounded: tEnd terminates every trace and is never outlined.
-		// (Chaining conditional branches on their predicted edge was tried —
-		// peek the decision, bail to run's hop tail on exits — and measured
-		// ~7% SLOWER: the peek double-evaluates the compare and the extra
-		// cases grow the hottest loop past what the saved bounce buys.)
-		nx := (*ritem)(p)
-		if !chainKinds[nx.kind] {
-			return p, nil, curIL, curDL, ihits, ccb, cyc, false
-		}
-		it = nx
-		p = unsafe.Add(p, itemSize)
-		// First ifetch, same protocol as the caller's per-item prologue.
-		if k := it.f & 3; k != 0 {
-			ia := TextBase + uint32(it.fpc)<<2
-			if line := ia >> shift; (k == 1 && curIL != noLine) || line == curIL {
-				ihits++
-			} else {
-				if !cc.Access(ia, cache.IFetch) {
-					cyc += missP
-				}
-				if (line^curDL)&imask == 0 {
-					curDL = noLine
-				}
-				curIL = line
-			}
-		}
-	}
-}
-
-// runOutlinedDW retires the double-word pairs tLdd/tStd. No compiled
-// workload emits them (minic never generates ldd/std), so they live on
-// their own rare path rather than spending runOutlined's node budget —
-// keeping that function under the big-function threshold is what keeps the
-// cache probes on the chained triple path inlined. Results follow
-// runOutlined's contract minus the stream pointer: done means fault or hook
-// exit.
-func (cp *closProg) runOutlinedDW(m *Machine, it *ritem, curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64) (cfn, uint32, uint32, uint64, uint8, int64, bool) {
-	shift := cp.shift
-	switch it.kind {
-	case tLdd:
-		ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
-		if ea&7 != 0 {
-			fn, fIL, fDL, fih, fcb := m.cstate.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-				cyc, cp, it, 0, 0, "unaligned ldd at %#x", ea)
-			return fn, fIL, fDL, fih, fcb, 0, true
-		}
-		if m.LoadHook != nil {
-			var ex bool
-			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, it,
-				ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, true, 2*cp.memx, 0, 1)
-			if ex {
-				return nil, curIL, curDL, ihits, ccb, 0, true
-			}
-			break
-		}
-		if line := ea >> shift; (ea+4)>>shift != line {
-			// Straddle (lines narrower than 8 bytes): both words
-			// probe, repair deferred — see dataSlow2V.
-			var c, cv int64
-			curIL, curDL, c, cv = dataSlow2V(m, ea, cache.DRead, line, curIL, curDL, m.cstate.imask, it.rx, shift)
-			cyc += c
-			ihits += uint64(cv)
-		} else if line == curDL {
-			m.cstate.drh++
-		} else if curIL == noLine || (line^curIL)&m.cstate.imask != 0 {
-			// Clean D-line change (no I-tracker alias) stays inline: probe
-			// and retarget — the kill-and-repair path is the rare one.
-			if !m.cache.Access(ea, cache.DRead) {
-				cyc += m.costs.MissPenalty
-			}
-			curDL = line
-		} else {
-			var c, cv int64
-			curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, m.cstate.imask, it.rx, shift)
-			cyc += c
-			ihits += uint64(cv)
-		}
-		m.regs[it.rd] = m.ReadWord(ea)
-		m.regs[it.rd+1] = m.ReadWord(ea + 4)
-
-	case tStd:
-		ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
-		if ea&7 != 0 {
-			fn, fIL, fDL, fih, fcb := m.cstate.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
-				cyc, cp, it, 0, 0, "unaligned std at %#x", ea)
-			return fn, fIL, fDL, fih, fcb, 0, true
-		}
-		if m.StoreHook != nil {
-			var ex bool
-			curIL, curDL, ihits, cyc, ex = m.cstate.hookedAccess(cp, it,
-				ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, true, 2*cp.memx, 0, 1)
-			if ex {
-				return nil, curIL, curDL, ihits, ccb, 0, true
-			}
-			break
-		}
-		if line := ea >> shift; (ea+4)>>shift != line {
-			// Straddle (lines narrower than 8 bytes): both words
-			// probe, repair deferred — see dataSlow2V.
-			var c, cv int64
-			curIL, curDL, c, cv = dataSlow2V(m, ea, cache.DWrite, line, curIL, curDL, m.cstate.imask, it.rx, shift)
-			cyc += c
-			ihits += uint64(cv)
-		} else if line == curDL {
-			m.cstate.dwh++
-		} else if curIL == noLine || (line^curIL)&m.cstate.imask != 0 {
-			// Clean D-line change (no I-tracker alias) stays inline: probe
-			// and retarget — the kill-and-repair path is the rare one.
-			if !m.cache.Access(ea, cache.DWrite) {
-				cyc += m.costs.MissPenalty
-			}
-			curDL = line
-		} else {
-			var c, cv int64
-			curIL, curDL, c, cv = dataSlowV(m, ea, cache.DWrite, line, curIL, curDL, m.cstate.imask, it.rx, shift)
-			cyc += c
-			ihits += uint64(cv)
-		}
-		m.storeWord(ea, m.regs[it.rd])
-		m.storeWord(ea+4, m.regs[it.rd+1])
-	}
-	return nil, curIL, curDL, ihits, ccb, cyc, false
-}
-
 // stop commits n instructions (cyc dynamic cycles plus the folded base) and
 // returns control to the dispatcher at npc — budget exhaustion and
-// store-boundary patch exits. It sits last because the functions laid out
-// ahead of runOutlined set its address mod 64.
+// store-boundary patch exits. Like fetchSlowV it sits below run, so its
+// size cannot move the hot loop's address mod 64.
 //
 //go:noinline
 func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {

@@ -173,7 +173,7 @@ func AppendImageTraces(dst []byte, img *Image) []byte {
 		dst = le.AppendUint32(dst, uint32(len(tr.ops)))
 		for _, u := range tr.ops {
 			dst = append(dst, byte(u.op), u.rd, u.rs1, u.s2r, u.cond,
-				u.rd2, u.rs1b, u.s2rb, u.nl, u.rd3, u.rs1c, u.s2rc)
+				u.rd2, u.rs1b, u.s2rb, u.nl)
 			dst = le.AppendUint16(dst, u.ni)
 			dst = le.AppendUint16(dst, u.cnt)
 			dst = le.AppendUint32(dst, uint32(u.imm))
@@ -222,7 +222,6 @@ func appendClosure(dst []byte, head int32, passInstrs int64, spans [][2]int32, i
 		dst = le.AppendUint16(dst, it.hb)
 		dst = le.AppendUint32(dst, uint32(it.imm))
 		dst = le.AppendUint32(dst, uint32(it.imm2))
-		dst = le.AppendUint32(dst, it.c3)
 		dst = le.AppendUint32(dst, it.rx)
 		dst = le.AppendUint32(dst, uint32(it.fpc))
 	}

@@ -7,14 +7,16 @@
 // an array of specialized trace-ops (top) covering the straight-line run AND
 // the statically-predicted path beyond it, stitched across unconditional
 // branches, calls, and conditional branches predicted taken (backward) or
-// not-taken (forward). Common adjacent pairs and triples are fused into one
-// trace-op (sethi+or constant synthesis, subcc+branch compare-and-branch, the
-// address chains minic emits), and operand-2 forms that are immediate-only at
-// compile time drop the register read entirely. A trace whose last op
-// branches back to its own entry is a loop trace: one pass after another
-// runs without returning to the dispatcher. closure.go threads each trace at
-// once into its item stream (closProg), the only compiled form a machine or
-// image retains; the op stream is scratch.
+// not-taken (forward). Common adjacent pairs are fused into one trace-op
+// (sethi+or constant synthesis, subcc+branch compare-and-branch, the address
+// chains minic emits), and operand-2 forms that are immediate-only at
+// compile time drop the register read entirely. Double-word accesses
+// (ldd/std), which nothing in the repository emits, end a trace, and the
+// block engine's µops run them. A trace whose last op branches back to its
+// own entry is a loop trace: one pass after another runs without returning
+// to the dispatcher. closure.go threads each trace at once into its item
+// stream (closProg), the only compiled form a machine or image retains; the
+// op stream is scratch.
 //
 // The proof obligation is unchanged from blocks.go: simulated instruction
 // counts, cycles, cache statistics, event counters, and fault points must be
@@ -120,10 +122,8 @@ const (
 	tNop topOp = iota // imm > 1: a run of imm padding nops on one I-line
 	tLd               // rd = mem[rs1 + regs[s2r] + imm]
 	tLdI              // rd = mem[rs1 + imm]
-	tLdd
-	tSt // mem[rs1 + regs[s2r] + imm] = rd
+	tSt               // mem[rs1 + regs[s2r] + imm] = rd
 	tStI
-	tStd
 	tAdd
 	tAddI
 	tSub
@@ -198,38 +198,6 @@ const (
 	tOrAdd  // or then add
 	tOrSub  // or then sub
 
-	// Fused interior triples (three instructions, one dispatch), the next
-	// rung of the same ladder: the dominant dynamic straight-line triples of
-	// the compiled workloads, measured by mrsbench -trace-stats — the
-	// load/scale/index address chains (eqntott ld+sll+add 11.8%, sll+add+ld
-	// 11.4%, or+ld+sll 8.5%; the same shapes lead doduc/nasker/spice2g6/
-	// matrix300/tomcatv), espresso's mask-merge or chains (or+or+or 9.9%),
-	// the pointer-chase step ld+add+ld (li 5.5%, gcc 4.8%), sethi+or+memop
-	// address materialization (sethi+or+ld 7-11% everywhere), and the
-	// canonical read-modify-write ld+op+st of the global update pattern.
-	// The third slot's operands live in rd3/rs1c/s2rc with its immediate in
-	// tgt (free on interior ops); all three slots execute in program order,
-	// so intra-run dataflow — including a load clobbering its own address
-	// register — is correct by construction. Triples are only formed when no
-	// instruction is counted.
-	tLdSllAdd // ld, sll, add — the scaled-index address chain
-	tSllAddLd // sll, add, ld
-	tOrLdSll  // or, ld, sll
-	tAddLdSll // add, ld, sll
-	tLdAddLd  // ld, add, ld — the pointer-chase step
-	tOrOrOr   // or, or, or — espresso's mask-merge chain
-	tSet2Ld   // sethi, or, ld — load through a materialized address
-	tSet2St   // sethi, or, st — store through a materialized address
-	// Read-modify-write triples: ld [a], r; op r, x, r; st r, [a]. Only
-	// fused when the store's address expression is textually the load's
-	// (sameAddr), so the third slot needs just the value register rd3 — the
-	// address recomputes from the FIRST slot's operand fields at store time,
-	// which is exactly program order even when the op half clobbers an
-	// address register.
-	tLdAddSt
-	tLdSubSt
-	tLdOrSt
-
 	// topOpEnd is one past the last real trace-op; closure.go's synthetic
 	// item kinds start here.
 	topOpEnd
@@ -254,21 +222,15 @@ type top struct {
 	// nl marks compile-time I-line boundaries under the trace's shift:
 	// bit0 — this op's (first) fetch is on a different line than the
 	// previous op's last fetch in pass order (always set on the first op);
-	// bit1 — a fused op's second fetch crosses a line from its first;
-	// bit2 — a fused triple's third fetch crosses a line from its second. A
+	// bit1 — a fused op's second fetch crosses a line from its first. A
 	// clear bit plus a live curILine proves the fetch hits without even
 	// computing the line number.
 	nl   uint8
-	rd3  uint8  // fused triples: third instruction's destination
 	ni   uint16 // simulated instructions retired before this op in one pass
 	cnt  uint16 // event counter index+1; 0 means none
-	rs1c uint8  // fused triples: third instruction's rs1
-	s2rc uint8  // fused triples: third instruction's operand-2 register
 	imm  int32  // operand-2 immediate / synthesized constant
 	imm2 int32  // fused pairs: second instruction's operand-2 immediate
-	// tgt: branch or call target (text index); free on interior ops, where a
-	// fused triple stores its third instruction's immediate instead.
-	tgt int32
+	tgt  int32  // branch or call target (text index)
 	// iaddr is the fetch address of the op's (first) instruction; the text
 	// index is (iaddr-TextBase)/4, so side exits need no extra field.
 	iaddr uint32
@@ -358,9 +320,10 @@ func (m *Machine) invalidateTraces(idx int32) {
 }
 
 // topOf maps a straight-line sparc.Op to its generic trace-op. Zero (tNop)
-// doubles as "no mapping" for ops that never appear in block interiors.
+// doubles as "no mapping" for ops the builder never looks up: terminators,
+// which never appear in block interiors, and ldd/std, which end a trace.
 var topOf = [64]topOp{
-	sparc.Ld: tLd, sparc.Ldd: tLdd, sparc.St: tSt, sparc.Std: tStd,
+	sparc.Ld: tLd, sparc.St: tSt,
 	sparc.Add: tAdd, sparc.Sub: tSub, sparc.And: tAnd, sparc.Andn: tAndn,
 	sparc.Or: tOr, sparc.Orn: tOrn, sparc.Xor: tXor, sparc.Xnor: tXnor,
 	sparc.Sll: tSll, sparc.Srl: tSrl, sparc.Sra: tSra,
@@ -417,79 +380,14 @@ func fusePair(a, b *sparc.Instr) topOp {
 	return 0
 }
 
-// sameAddr reports whether two memory instructions name textually the same
-// effective-address expression. The RMW triples require it so the store slot
-// carries no address operands of its own: the address recomputes from the
-// load slot's fields, which is program-order-exact either way.
-func sameAddr(a, c *sparc.Instr) bool {
-	if a.Rs1 != c.Rs1 || a.UseImm != c.UseImm {
-		return false
-	}
-	if a.UseImm {
-		return a.Imm == c.Imm
-	}
-	return a.Rs2 == c.Rs2
-}
-
-// fuseTriple returns the fused trace-op for the adjacent interior triple
-// (a, b, c), or 0 when the triple has no fused form. Shapes chosen from the
-// measured dynamic adjacencies (see the opcode block); the caller checks that
-// no instruction is counted.
-func fuseTriple(a, b, c *sparc.Instr) topOp {
-	switch a.Op {
-	case sparc.Ld:
-		switch b.Op {
-		case sparc.Sll:
-			if c.Op == sparc.Add {
-				return tLdSllAdd
-			}
-		case sparc.Add:
-			if c.Op == sparc.Ld {
-				return tLdAddLd
-			}
-			if c.Op == sparc.St && sameAddr(a, c) {
-				return tLdAddSt
-			}
-		case sparc.Sub:
-			if c.Op == sparc.St && sameAddr(a, c) {
-				return tLdSubSt
-			}
-		case sparc.Or:
-			if c.Op == sparc.St && sameAddr(a, c) {
-				return tLdOrSt
-			}
-		}
-	case sparc.Sll:
-		if b.Op == sparc.Add && c.Op == sparc.Ld {
-			return tSllAddLd
-		}
-	case sparc.Or:
-		switch b.Op {
-		case sparc.Ld:
-			if c.Op == sparc.Sll {
-				return tOrLdSll
-			}
-		case sparc.Or:
-			if c.Op == sparc.Or {
-				return tOrOrOr
-			}
-		}
-	case sparc.Add:
-		if b.Op == sparc.Ld && c.Op == sparc.Sll {
-			return tAddLdSll
-		}
-	}
-	return 0
-}
-
 // fuseAt decides how many instructions starting at text[i] fuse into one
 // trace-op inside the straight-line window [i, stop), mirroring exactly what
 // the trace builder emits: (tNop, w) for a run of w >= 2 padding nops,
-// (op, 3) for a fused triple, (op, 2) for a fused pair or sethi+or constant,
-// (0, 1) when text[i] compiles as a single op. lend is the index just past
-// text[i]'s I-line (lineEnd), which bounds a nop run. The decision lives
-// here — separate from emission — so FusionPlan reports coverage with the
-// compiler's own rules and can never drift from them.
+// (op, 2) for a fused pair or sethi+or constant, (0, 1) when text[i]
+// compiles as a single op. lend is the index just past text[i]'s I-line
+// (lineEnd), which bounds a nop run. The decision lives here — separate
+// from emission — so FusionPlan reports coverage with the compiler's own
+// rules and can never drift from them.
 func fuseAt(text []sparc.Instr, i, stop, lend int32) (topOp, int32) {
 	in := &text[i]
 	// A run of uncounted nops on one I-line — the alignment padding of
@@ -507,30 +405,14 @@ func fuseAt(text []sparc.Instr, i, stop, lend int32) (topOp, int32) {
 	}
 	// sethi+or constant synthesis: sethi rd, hi; or rd, lo, rd. Skipped for
 	// %g0 destinations (the sethi write is discarded there, so the pair is
-	// NOT a constant) and counted pairs. An uncounted word memop right after
-	// widens to the address-materialization triple.
+	// NOT a constant) and counted pairs.
 	if in.Op == sparc.Sethi && in.Count == 0 && in.Rd != sparc.G0 && i+1 < stop {
 		if n2 := &text[i+1]; n2.Op == sparc.Or && n2.UseImm &&
 			n2.Count == 0 && n2.Rs1 == in.Rd && n2.Rd == in.Rd {
-			if i+2 < stop && text[i+2].Count == 0 {
-				switch text[i+2].Op {
-				case sparc.Ld:
-					return tSet2Ld, 3
-				case sparc.St:
-					return tSet2St, 3
-				}
-			}
 			return tSet2, 2
 		}
 	}
 	if i+1 < stop && in.Count == 0 && text[i+1].Count == 0 {
-		// Fused interior triples first — a triple plus whatever follows is
-		// never sparser than the pair tiling it replaces — then pairs.
-		if i+2 < stop && text[i+2].Count == 0 {
-			if f := fuseTriple(in, &text[i+1], &text[i+2]); f != 0 {
-				return f, 3
-			}
-		}
 		if f := fusePair(in, &text[i+1]); f != 0 {
 			return f, 2
 		}
@@ -553,8 +435,8 @@ func isTraceTerminator(op sparc.Op) bool {
 // FusionPlan applies the trace builder's fusion rules to one dynamically
 // consecutive instruction run, whose first instruction sits at text index
 // start, and returns the width in instructions of each dispatch item the
-// compiled tier would retire for it under I-line shift shift: 1, 2 or 3, or
-// a padding-nop run's length. Interior fusion windows are bounded at
+// compiled tier would retire for it under I-line shift shift: 1, 2, or a
+// padding-nop run's length. Interior fusion windows are bounded at
 // terminators exactly as the builder bounds them at block ends, nop runs at
 // I-line ends, and a conditional branch fuses with an immediately preceding
 // uncounted subcc (tCmpBr*). The mrsbench -trace-stats report is built on
@@ -698,9 +580,10 @@ func (b *traceBuilder) spans() [][2]int32 {
 // stitches across the predicted edge of each terminator — including
 // predicted-taken BACKWARD branches, the superblock tail-duplication case —
 // until it revisits a consumed index, reaches an unstitchable terminator
-// (jmpl/save/restore/ta/unimp), or hits the maxBlockLen instruction bound —
-// the same bound that caps block runs and PatchInstr's backward repair, so
-// a single patch never invalidates more than a bounded neighborhood.
+// (jmpl/ta/unimp) or a double-word access (ldd/std), or hits the
+// maxBlockLen instruction bound — the same bound that caps block runs and
+// PatchInstr's backward repair, so a single patch never invalidates more
+// than a bounded neighborhood.
 // Operands come from the predecoded uops, which PatchInstr keeps coherent
 // with text. shift is the I-line shift the nl bits are computed under; a machine may
 // only execute traces whose shift matches its own cache geometry
@@ -750,8 +633,14 @@ scan:
 			stop := pc + int32(run)
 			i := pc
 			for i < stop {
-				b.consume(i)
 				in := &text[i]
+				if in.Op == sparc.Ldd || in.Op == sparc.Std {
+					// Double-word accesses are left to the block engine's
+					// µops: the trace ends just before, as at a ta.
+					exitPC = i
+					break scan
+				}
+				b.consume(i)
 				if f, w := fuseAt(text, i, stop, lineEnd(i, shift)); w > 1 {
 					for k := int32(1); k < w; k++ {
 						b.consume(i + k)
@@ -765,22 +654,10 @@ scan:
 						// operands are implied (rd op= lo).
 						t.rd = uint8(in.Rd)
 						t.imm = in.Imm<<10 | text[i+1].Imm
-					case tSet2Ld, tSet2St:
-						// Slots A+B are the synthesized constant (rd, imm);
-						// the memop rides in the pair's second-slot fields.
-						u3 := &uops[i+2]
-						t.rd = uint8(in.Rd)
-						t.imm = in.Imm<<10 | text[i+1].Imm
-						t.rd2, t.rs1b, t.s2rb, t.imm2 = u3.rd, u3.rs1, u3.s2r, u3.s2i
 					default:
 						u1, u2 := &uops[i], &uops[i+1]
 						t.rd, t.rs1, t.s2r, t.imm = u1.rd, u1.rs1, u1.s2r, u1.s2i
 						t.rd2, t.rs1b, t.s2rb, t.imm2 = u2.rd, u2.rs1, u2.s2r, u2.s2i
-						if w == 3 {
-							u3 := &uops[i+2]
-							t.rd3, t.rs1c, t.s2rc = u3.rd, u3.rs1, u3.s2r
-							t.tgt = u3.s2i // imm3: tgt is free on interior ops
-						}
 					}
 					ops = append(ops, t)
 					ni += int(w)
@@ -983,16 +860,10 @@ scan:
 			u.nl = 1
 		}
 		lastLine = line
-		if w := topWidth(u.op); w >= 2 {
+		if topWidth(u.op) == 2 {
 			if line2 := (u.iaddr + 4) >> shift; line2 != lastLine {
 				u.nl |= 2
 				lastLine = line2
-			}
-			if w == 3 {
-				if line3 := (u.iaddr + 8) >> shift; line3 != lastLine {
-					u.nl |= 4
-					lastLine = line3
-				}
 			}
 		}
 	}
@@ -1033,18 +904,15 @@ func lineEnd(i int32, shift uint32) int32 {
 	return i + int32(((ia>>shift+1)<<shift-ia)>>2)
 }
 
-// topWidth reports how many instructions (and ifetches, at iaddr, +4, +8) a
-// fixed-shape trace-op retires: 1, 2, or 3. Fused ops are never counted, so
-// the topCount flag need not be stripped.
+// topWidth reports how many instructions (and ifetches, at iaddr and +4) a
+// fixed-shape trace-op retires: 1 or 2. Fused ops are never counted, so the
+// topCount flag need not be stripped.
 func topWidth(op topOp) int32 {
 	switch op {
 	case tSet2, tCmpBr, tCmpBrT, tCmpBrLoop,
 		tLdSll, tLdOr, tLdCmp, tSllAdd, tAddLd, tOrLd,
 		tLdLd, tLdSt, tAddSt, tSubSt, tOrAdd, tOrSub:
 		return 2
-	case tLdSllAdd, tSllAddLd, tOrLdSll, tAddLdSll, tLdAddLd, tOrOrOr,
-		tSet2Ld, tSet2St, tLdAddSt, tLdSubSt, tLdOrSt:
-		return 3
 	}
 	return 1
 }

@@ -228,3 +228,58 @@ func TestPatchMarksNewHeads(t *testing.T) {
 		}
 	}
 }
+
+// TestDoubleWordEndsTrace checks that ldd and std end a trace, so the block
+// engine's µops run them: a loop whose body holds an std and an ldd must
+// match Step — registers, counts, cache statistics and the LoadHook's
+// address stream — and no closure the run publishes may cover either
+// instruction.
+func TestDoubleWordEndsTrace(t *testing.T) {
+	text := []sparc.Instr{
+		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
+		sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1), // loop head; counter
+		sparc.RI(sparc.Add, sparc.O2, 3, sparc.O2),
+		sparc.RI(sparc.Add, sparc.O3, 5, sparc.O3),
+		{Op: sparc.Std, Rd: sparc.O2, Rs1: sparc.L0, UseImm: true},
+		{Op: sparc.Ldd, Rd: sparc.O4, Rs1: sparc.L0, UseImm: true},
+		sparc.RR(sparc.Add, sparc.O4, sparc.O5, sparc.L4),
+		sparc.RI(sparc.Subcc, sparc.O1, 64, sparc.G0),
+		sparc.Branch(sparc.BL, 1),
+		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+	}
+	const std, ldd = 4, 5
+	type access struct {
+		addr uint32
+		size int32
+	}
+	var loads [2][]access
+	var ms [2]*Machine
+	for i := range ms {
+		m := New(cache.DefaultConfig, DefaultCosts)
+		m.LoadHook = func(addr uint32, size int32) int64 {
+			loads[i] = append(loads[i], access{addr, size})
+			return 0
+		}
+		m.LoadText(append([]sparc.Instr(nil), text...), 0)
+		ms[i] = m
+	}
+	errStep := stepAll(ms[0])
+	_, errRun := ms[1].Run()
+	diffStates(t, "double-word loop", ms[0], ms[1], errStep, errRun)
+	if len(loads[0]) != 64 || !reflect.DeepEqual(loads[0], loads[1]) {
+		t.Fatalf("LoadHook streams differ: step %v, closure %v", loads[0], loads[1])
+	}
+	m := ms[1]
+	if published(m.traces, m.uops, 1) == nil {
+		t.Fatal("the loop head compiled no closure")
+	}
+	for i := range m.traces {
+		cp := m.traces[i].Load()
+		if cp == nil || cp == declined {
+			continue
+		}
+		if cp.covers(std) || cp.covers(ldd) {
+			t.Errorf("closure at head %d spans %v, covering the std or the ldd", cp.head, cp.spans)
+		}
+	}
+}
