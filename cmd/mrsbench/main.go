@@ -56,7 +56,7 @@ func main() {
 
 func run() error {
 	table := flag.String("table", "all", "which table to regenerate: 1, 2, fig3, strategies, breakeven, ablation, kinds, all")
-	engine := flag.String("engine", "closure", "execution engine for every run: step, block, or closure (counts are engine-independent)")
+	engine := flag.String("engine", "closure", "execution engine for every run: step or closure (counts are engine-independent)")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	only := flag.String("program", "", "run a single benchmark by name")
 	workers := flag.Int("workers", 0, "benchmark cells run concurrently (0 = one per CPU)")

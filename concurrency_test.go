@@ -121,7 +121,7 @@ int main() {
 	}
 	want := result{code, m.Cycles(), m.Instrs(), m.Output()}
 
-	for _, e := range []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure} {
+	for _, e := range []machine.Engine{machine.EngineStep, machine.EngineClosure} {
 		for _, slice := range []int64{1, 7, 100, 4095, 4096, 4097} {
 			m, _ := newMonitored()
 			m.SetEngine(e)

@@ -14,12 +14,12 @@ import (
 // reference step engine, then again sliced by RunFor with SetEngine rotating
 // through every engine between slices. The sliced run crosses engine
 // boundaries dozens of times mid-program — compiled closures are
-// entered, abandoned for the block or step engine, and re-entered — and the
+// entered, abandoned for the step engine, and re-entered — and the
 // final cycles, instructions, exit code, and output must be bit-identical to
 // the uninterrupted reference. Run under -race this also exercises the
 // per-engine caches' construction on a machine shared across slices.
 func TestEngineRoundTripAllWorkloads(t *testing.T) {
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineClosure}
 	cfg := DefaultConfig()
 	for _, p := range workload.All(1) {
 		p := p
@@ -87,7 +87,7 @@ func TestEngineRoundTripAllWorkloads(t *testing.T) {
 // Cycles, instructions, output, AND the delivered hit stream — including
 // read flags and transition old/new values — must be bit-identical.
 func TestEngineRoundTripKindRegions(t *testing.T) {
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineClosure}
 	cfg := DefaultConfig()
 	popts := patch.Options{Strategy: patch.BitmapInlineRegisters, CheckReads: true}
 	mcfg := monitor.DefaultConfig

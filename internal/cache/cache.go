@@ -126,7 +126,7 @@ func (c *Cache) IndexMask() uint32 { return c.indexMask }
 
 // NoteHits records n statistics-only accesses of the given kind that the
 // caller has proven would hit (same line as a preceding access, with no
-// possibly-evicting access in between). The interpreter's block engine uses
+// possibly-evicting access in between). The machine's compiled tier uses
 // this to skip the tag probe for sequential instruction fetches while
 // keeping Stats bit-identical to one Access call per fetch.
 func (c *Cache) NoteHits(kind Kind, n uint64) { c.stats.Accesses[kind] += n }

@@ -66,9 +66,9 @@ func (r *Runtime) siteIndexes(id int) (site, patchBlock int32, err error) {
 
 // armSite and disarmSite patch live text from inside OnRangeHit, i.e. at a
 // trap boundary mid-run. They rely on machine.PatchInstr being the one
-// sanctioned text-mutation path: it invalidates both the simulated I-cache
-// line and the block-dispatch index, so the re-inserted (or restored) check
-// is picked up on the very next dispatch of its block.
+// sanctioned text-mutation path: it invalidates the simulated I-cache line,
+// the block index and every closure covering the site, so the re-inserted
+// (or restored) check is picked up the very next time control reaches it.
 func (r *Runtime) armSite(id int) {
 	if _, armed := r.original[id]; armed {
 		return

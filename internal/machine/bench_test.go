@@ -77,15 +77,15 @@ func compiledWorkload(b *testing.B, name string) *asm.Program {
 // the shared image, land the data snapshot, execute (LoadShared, the
 // artifact cache's run-a-cached-artifact path; Load's per-machine text copy
 // and predecode is the cold path the cache exists to avoid). One
-// sub-benchmark per execution engine: the compiled tier's speedup over the
-// block engine is this benchmark's block/closure ratio.
+// sub-benchmark per execution engine: the compiled tier's speedup over Step
+// is this benchmark's step/closure ratio.
 func BenchmarkRunWorkload(b *testing.B) {
 	prog := compiledWorkload(b, "eqntott")
 	// Pin the simulated counts across iterations AND engines, so the
 	// benchmark doubles as a cheap determinism check: the optimization
 	// invariant is that host time may change but these may not.
 	var wantCycles, wantInstrs int64
-	for _, e := range []machine.Engine{machine.EngineClosure, machine.EngineBlock, machine.EngineStep} {
+	for _, e := range []machine.Engine{machine.EngineClosure, machine.EngineStep} {
 		b.Run(e.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -202,13 +202,13 @@ func BenchmarkPatchInstrCOW(b *testing.B) {
 // once on a fresh machine attached to the build's shared image, with the
 // engine order rotating from round to round, so host drift lands on all
 // engines alike. It reports each engine's median run time and the
-// block/closure ratio of the medians; simulated counts must agree across
+// step/closure ratio of the medians; simulated counts must agree across
 // engines and rounds. The whole set takes minutes, so
 // the CI bench job leaves it out; run it as
 //
 //	go test ./internal/machine -run '^$' -bench EnginesAllWorkloads -benchtime 15x
 func BenchmarkEnginesAllWorkloads(b *testing.B) {
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineClosure}
 	for _, p := range workload.All(1) {
 		u, err := bench.Compile(p)
 		if err != nil {
@@ -265,7 +265,7 @@ func BenchmarkEnginesAllWorkloads(b *testing.B) {
 					ms[j] = float64(ds[(len(ds)-1)/2]+ds[len(ds)/2]) / 2 / 1e6
 					b.ReportMetric(ms[j], e.String()+"-ms")
 				}
-				b.ReportMetric(ms[1]/ms[2], "block/closure")
+				b.ReportMetric(ms[0]/ms[1], "step/closure")
 			})
 		}
 	}

@@ -13,11 +13,11 @@
 // not a dispatch. Per-pass hot state (both line trackers, hit/cycle
 // accumulators, the CC byte) stays in locals and spills to the shared cst
 // only at trace exits, faults, and hook (StoreHook/LoadHook) boundaries.
-// Trace-to-trace linking is a tail-dispatch: the exiting closure hands the
-// trampoline (execClosures) the next trace's entry closure, compiling it on
-// demand, so chained traces run without a block-dispatcher round-trip. The
-// closure is all a machine or image keeps of a trace: its item stream, its
-// pass length and the spans PatchInstr invalidates by.
+// Trace-to-trace linking happens inside run: a side exit resolves the next
+// trace's closure (compiling it on demand) and continues with its items, so
+// chained traces run without a dispatcher round-trip. The closure is all a
+// machine or image keeps of a trace: its item stream, its pass length and
+// the spans PatchInstr invalidates by.
 //
 // Measured dead ends worth recording, all on BenchmarkRunWorkload against
 // the ~5.5-6ms/op of a plain interpreter over the trace-ops: one closure per
@@ -91,21 +91,10 @@ import (
 	"databreak/internal/sparc"
 )
 
-// cfn is one threaded closure: execute (up to) a whole trace, return the
-// next trace's closure (nil to return control to the dispatcher — s.npc and
-// s.err say why). The hot per-pass state — both line trackers, the batched
-// ifetch hits, and the CC byte — threads THROUGH the trampoline as explicit
-// arguments and results: under Go's register ABI it rides in registers
-// across every trace-to-trace link, where an earlier cst-resident version
-// paid a spill in every exit and a reload in every prologue (~30k hops per
-// eqntott run made that the single largest line item in the profile).
-type cfn func(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (cfn, uint32, uint32, uint64, uint8)
-
 // closProg is the compiled closure form of one trace, and all that is kept
 // of it: immutable once published, so an image's closures may be shared
 // across machines and read while another machine invalidates its own slots.
 type closProg struct {
-	entry cfn
 	items []ritem // compiled item stream, 1:1 with the trace's ops
 	// spans are the trace's sorted, disjoint [lo,hi) consumed text-index
 	// ranges; PatchInstr drops any closure whose span covers the patched
@@ -120,15 +109,15 @@ type closProg struct {
 
 // chainCap is the most budget execClosures gives one closure chain,
 // bounding how long a stop request waits. Every trace's pass is far shorter
-// (the builder stops near maxBlockLen instructions), so a chain the
+// (no pass retires more than maxBlockLen instructions), so a chain the
 // dispatcher entered still fits its first pass.
 const chainCap = 4096
 
 // declined is the closure a head's slot holds once the trace builder
-// declined the head: its pass never fits a budget (fits), so the dispatcher
-// runs the head as a block and trace links return to the dispatcher, and
-// no machine compiles the head again. It is never entered, and one sentinel
-// serves every slot of every machine and image.
+// declined the head: its pass never fits a budget (fits), so Step runs the
+// head and trace links return to the dispatcher, and no machine compiles
+// the head again. It is never entered, and one sentinel serves every slot
+// of every machine and image.
 var declined = &closProg{passInstrs: -1}
 
 // fits reports whether a full pass fits a remaining budget of rem
@@ -298,57 +287,17 @@ func (s *cst) exitNext(cyc, n int64, npc int32) *closProg {
 	return nil
 }
 
-// hookFlush drains exact statistics — and the machine-visible CC byte — for
-// a StoreHook observer, then runs the hook. The caller zeroes its local
-// hit count and kills both trackers (the hook may invalidate any line).
-//
-//go:noinline
-func (s *cst) hookFlush(ihits uint64, ccb uint8, ea uint32, size int32) int64 {
-	s.m.ccb = ccb
-	c := s.m.cache
-	c.NoteHits(cache.IFetch, ihits)
-	if s.drh != 0 {
-		c.NoteHits(cache.DRead, s.drh)
-		s.drh = 0
-	}
-	if s.dwh != 0 {
-		c.NoteHits(cache.DWrite, s.dwh)
-		s.dwh = 0
-	}
-	return s.m.StoreHook(ea, size)
-}
-
-// loadHookFlush is hookFlush's load twin: drain exact statistics for a
-// LoadHook observer, then run the hook. Same caller contract — zero the
-// local hit count and kill both trackers after the call.
-//
-//go:noinline
-func (s *cst) loadHookFlush(ihits uint64, ccb uint8, ea uint32, size int32) int64 {
-	s.m.ccb = ccb
-	c := s.m.cache
-	c.NoteHits(cache.IFetch, ihits)
-	if s.drh != 0 {
-		c.NoteHits(cache.DRead, s.drh)
-		s.drh = 0
-	}
-	if s.dwh != 0 {
-		c.NoteHits(cache.DWrite, s.dwh)
-		s.dwh = 0
-	}
-	return s.m.LoadHook(ea, size)
-}
-
 // fault commits a fault at the item's text index (cyc arrives as the
 // faulting pass's dynamic charges through the faulting instruction — its
 // fetch and any dynamic cost charged, nothing past it; the item's static
 // batch prefix and retired count are recomputed here, with dN/dPc adjusting
-// for a fused op's later half) and stops the trampoline with the Fault.
-// ihits arrives with the earned batch hits folded in and is flushed here
-// (the returned batch is empty); the flushed statistics and error values
-// match Step's bit for bit.
+// for a fused op's later half) and returns to the dispatcher with the
+// Fault. ihits arrives with the earned batch hits folded in and is flushed
+// here (the returned batch is empty); the flushed statistics and error
+// values match Step's bit for bit.
 //
 //go:noinline
-func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dN, dPc int32, format string, args ...any) (cfn, uint32, uint32, uint64, uint8) {
+func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dN, dPc int32, format string, args ...any) (uint32, uint32, uint64, uint8) {
 	cycB, niW := cp.exitPrefix(it)
 	n := niW + int64(dN)
 	pc := it.fpc + dPc
@@ -358,12 +307,12 @@ func (s *cst) fault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp 
 	s.rem -= n
 	s.npc = pc
 	s.err = &Fault{PC: pc, Instr: s.m.text[pc], Reason: fmt.Sprintf(format, args...)}
-	return nil, curIL, curDL, 0, ccb
+	return curIL, curDL, 0, ccb
 }
 
-// ccAddBits/ccSubBits/ccLogicBits compute the packed condition codes the
-// machine's setCC* helpers write, but return them so closures can keep the
-// CC byte hoisted in a local.
+// ccAddBits/ccSubBits/ccLogicBits compute the packed condition codes (see
+// ccN..ccC) of an add, a subtract and a logical op: Step stores them in
+// Machine.ccb, and closures keep them hoisted in a local.
 func ccAddBits(a, b, r int32) uint8 {
 	var bits uint8
 	if r < 0 {
@@ -449,16 +398,6 @@ func compileClosures(tr *traceProg, c *Costs) *closProg {
 	}
 	cp.finish(items)
 	cp.items = items
-	// The entry closure is deliberately a thin thunk: the interpreting loop
-	// lives in the regular method run() so the compiler optimizes it as a
-	// method (helper inlining, bounds-check elision, jump-table dispatch) —
-	// the same body compiled as a func literal kept small helpers
-	// (pageCacheIdx, bigEndian.Uint32, the cc-bit packers) as real calls,
-	// and with no callee-saved registers in the Go ABI every such call
-	// spilled the loop's whole hot set around every memory item.
-	cp.entry = func(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (cfn, uint32, uint32, uint64, uint8) {
-		return cp.run(m, curIL, curDL, ihits, ccb)
-	}
 	return cp
 }
 
@@ -657,7 +596,8 @@ func (m *Machine) winPop(spillC int64) int64 {
 }
 
 // hookedAccess is the whole hooked-access slow path shared by every load and
-// store item: flush-and-hook (hookFlush or loadHookFlush by kind), the word
+// store item: flush exact statistics — and the machine-visible CC byte — for
+// the hook to observe, run the StoreHook or LoadHook by kind, the word
 // probe with both trackers dead (the kill leaves no known-hit or alias case
 // to handle), the architectural move through the generic ReadWord/storeWord
 // path, then either the batch rebase and eager repair (rebased ihits wraps
@@ -678,11 +618,21 @@ func (m *Machine) winPop(spillC int64) int64 {
 //go:noinline
 func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
 	m := s.m
+	m.ccb = ccb
+	m.cache.NoteHits(cache.IFetch, ihits0+uint64(hb))
+	if s.drh != 0 {
+		m.cache.NoteHits(cache.DRead, s.drh)
+		s.drh = 0
+	}
+	if s.dwh != 0 {
+		m.cache.NoteHits(cache.DWrite, s.dwh)
+		s.dwh = 0
+	}
 	cyc = cyc0
 	if kind == cache.DWrite {
-		cyc += s.hookFlush(ihits0+uint64(hb), ccb, ea, 4)
+		cyc += m.StoreHook(ea, 4)
 	} else {
-		cyc += s.loadHookFlush(ihits0+uint64(hb), ccb, ea, 4)
+		cyc += m.LoadHook(ea, 4)
 	}
 	shift := cp.shift
 	if !m.cache.Access(ea, kind) {
@@ -713,12 +663,21 @@ func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cy
 	return curIL, curDL, ihits, cyc, false
 }
 
-// run interprets the trace's compiled item stream — the closure tier's whole
-// hot loop, and the only function that dispatches items. It keeps the
-// register-threaded state in locals (arguments), and everything rarer
-// (data-hit batches, committed totals) s-resident: a handful of L1
-// round-trips on slow paths beats spilling the dispatch loop itself.
-func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (cfn, uint32, uint32, uint64, uint8) {
+// run interprets the trace's compiled item stream, and the streams of the
+// closures it links to, until it returns to the dispatcher (s.npc and s.err
+// say why) — the closure tier's whole hot loop, and the only function that
+// dispatches items. The hot state — both line trackers, the batched ifetch
+// hits and the CC byte — comes in and goes out as arguments and results,
+// so under Go's register ABI it stays in registers across every link;
+// everything rarer (data-hit batches, committed totals) is s-resident: a
+// handful of L1 round-trips on slow paths beats spilling the dispatch loop
+// itself. It is a method, not a func literal, so the compiler optimizes it
+// as one (helper inlining, bounds-check elision, jump-table dispatch): the
+// same body compiled as a func literal kept small helpers (pageCacheIdx,
+// bigEndian.Uint32, the cc-bit packers) as real calls, and with no
+// callee-saved registers in the Go ABI every such call spilled the loop's
+// whole hot set around every memory item.
+func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8) (uint32, uint32, uint64, uint8) {
 	items := cp.items
 	shift := cp.shift
 	// Loop-invariant hot fields, hoisted so the compiler keeps them in
@@ -856,7 +815,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, cp.memx, 0, 1)
 						if ex {
-							return nil, curIL, curDL, ihits, ccb
+							return curIL, curDL, ihits, ccb
 						}
 						break
 					}
@@ -903,7 +862,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, cp.memx, 0, 1)
 						if ex {
-							return nil, curIL, curDL, ihits, ccb
+							return curIL, curDL, ihits, ccb
 						}
 						break
 					}
@@ -1006,7 +965,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 						if ex {
-							return nil, curIL, curDL, ihits, ccb
+							return curIL, curDL, ihits, ccb
 						}
 					} else {
 						if line := ea >> shift; line == curDL {
@@ -1080,7 +1039,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 							if ex {
-								return nil, curIL, curDL, ihits, ccb
+								return curIL, curDL, ihits, ccb
 							}
 						} else {
 							if line := ea >> shift; line == curDL {
@@ -1139,7 +1098,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DRead, firstMemx+cp.memx, 1, 2)
 						if ex {
-							return nil, curIL, curDL, ihits, ccb
+							return curIL, curDL, ihits, ccb
 						}
 						break
 					}
@@ -1185,7 +1144,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
 							if ex {
-								return nil, curIL, curDL, ihits, ccb
+								return curIL, curDL, ihits, ccb
 							}
 						} else {
 							if line := ea >> shift; line == curDL {
@@ -1244,7 +1203,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
 							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DWrite, firstMemx+cp.memx, 1, 2)
 						if ex {
-							return nil, curIL, curDL, ihits, ccb
+							return curIL, curDL, ihits, ccb
 						}
 						break
 					}
@@ -1411,7 +1370,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 				cyc = 0
 				continue pass
 			}
-			return nil, curIL, curDL, ihits, ccb
+			return curIL, curDL, ihits, ccb
 		}
 	}
 }
@@ -1421,7 +1380,7 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 // write and then the fault.
 //
 //go:noinline
-func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dest uint32) (cfn, uint32, uint32, uint64, uint8) {
+func (s *cst) jmplFault(curIL, curDL uint32, ihits uint64, ccb uint8, cyc int64, cp *closProg, it *ritem, dest uint32) (uint32, uint32, uint64, uint8) {
 	s.m.regs[it.rd] = int32(TextBase) + it.fpc<<2 + 4
 	return s.fault(curIL, curDL, ihits, ccb, cyc, cp, it, 0, 0, badJumpFormat(dest), dest)
 }
@@ -1448,9 +1407,9 @@ func fetchSlowV(m *Machine, line, iaddr, curDL, imask uint32) (uint32, uint32, i
 // execClosures runs a compiled closure, and the closures it links to, until
 // a side exit, a fault, a mid-trace patch, or the MaxInstrs budget. The
 // known-hit line trackers and the batched ifetch-hit count are threaded in
-// from the dispatcher and back out, so residency knowledge survives the
-// block→closure→block transitions and the combined engine issues exactly
-// the probes Step would. Accounting protocol (mirrors execBlocks):
+// from the dispatcher and back out, so residency knowledge survives from
+// one closure chain to the next and the closure engine issues exactly the
+// probes Step would. Accounting protocol:
 //   - Base+PerInstrPenalty cycles fold into one multiply per commit:
 //     base*passInstrs when a pass completes (tail or back-edge), base*n at
 //     side exits, faults and patch exits.
@@ -1477,10 +1436,7 @@ func (m *Machine) execClosures(cp *closProg, imask, ciLine, cdLine uint32, ihits
 		base:   m.costs.Base + m.PerInstrPenalty,
 		rem:    min(m.MaxInstrs-m.instrs, chainCap),
 	}
-	f, curIL, curDL, ihits, ccb := cp.entry, ciLine, cdLine, ihits0, m.ccb
-	for f != nil {
-		f, curIL, curDL, ihits, ccb = f(m, curIL, curDL, ihits, ccb)
-	}
+	curIL, curDL, ihits, ccb := cp.run(m, ciLine, cdLine, ihits0, m.ccb)
 	m.ccb = ccb
 	m.instrs += s.inst
 	m.cycles += s.cycs
@@ -1500,10 +1456,10 @@ func (m *Machine) execClosures(cp *closProg, imask, ciLine, cdLine uint32, ihits
 // size cannot move the hot loop's address mod 64.
 //
 //go:noinline
-func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (cfn, uint32, uint32, uint64, uint8) {
+func (s *cst) stop(curIL, curDL uint32, ihits uint64, ccb uint8, cyc, n int64, npc int32) (uint32, uint32, uint64, uint8) {
 	s.inst += n
 	s.cycs += cyc + s.base*n
 	s.rem -= n
 	s.npc = npc
-	return nil, curIL, curDL, ihits, ccb
+	return curIL, curDL, ihits, ccb
 }

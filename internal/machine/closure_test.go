@@ -9,8 +9,8 @@ import (
 	"databreak/internal/sparc"
 )
 
-// The closure tier's proof obligation is the block engine's: observationally
-// identical to Step on any program, any fault, and any mid-run patch. These
+// The closure tier's proof obligation: observationally identical to Step on
+// any program, any fault, and any mid-run patch. These
 // tests re-run the differential suite's programs with EngineClosure over
 // private text, where a patch drops the covering closures from the
 // machine's own slots in place, and pin the closure-specific hazards: COW
@@ -25,7 +25,7 @@ func TestDifferentialClosureRandomPrograms(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		text := randText(r, 80+r.Intn(400))
 		ctx := "closure seed " + string(rune('0'+seed%10))
-		if b := diffRun(t, ctx, text, EngineClosure); traceCount(b.traces) == 0 {
+		if b := diffRun(t, ctx, text, nil); traceCount(b.traces) == 0 {
 			t.Fatalf("%s: the run compiled no closures", ctx)
 		}
 	}
@@ -37,7 +37,7 @@ func TestDifferentialClosureRandomPrograms(t *testing.T) {
 func TestDifferentialClosureFaults(t *testing.T) {
 	for _, c := range faultCases() {
 		t.Run(c.name, func(t *testing.T) {
-			if b := diffRun(t, c.name, c.text, EngineClosure); strings.HasSuffix(c.name, " in loop") && traceCount(b.traces) == 0 {
+			if b := diffRun(t, c.name, c.text, nil); strings.HasSuffix(c.name, " in loop") && traceCount(b.traces) == 0 {
 				t.Fatalf("%s: the run compiled no closures", c.name)
 			}
 		})
@@ -214,7 +214,7 @@ func TestClosureEngineRoundTrip(t *testing.T) {
 		m.SetCounterCount(4)
 		m.SetEngine(EngineClosure)
 		m.LoadText(text, 0)
-		order := []Engine{EngineClosure, EngineStep, EngineBlock}
+		order := []Engine{EngineClosure, EngineStep}
 		var errM error
 		compiled := 0
 		for i := 0; !m.Halted() && errM == nil; i++ {

@@ -12,12 +12,13 @@ import (
 // These tests pin the central invariant of the execution engines: a
 // single-Step loop and Run() are observationally identical — same registers,
 // same output, same simulated Cycles()/Instrs(), same cache statistics, same
-// faults — on any text, including text patched while a block or a compiled
-// closure is executing. The random, fault and mid-block patch tests here run
-// the block engine over private text; their TestDifferentialClosure* and
-// *Closure twins in closure_test.go run the closure engine on the same
-// programs. The patch-in-trace tests here run the default closure engine
-// over a shared image, where a patch copy-on-write privatizes the slots.
+// faults — on any text, including text patched while a compiled closure is
+// executing. The random, fault and mid-run patch tests here run the closure
+// engine over private text in short RunFor slices, so compiled passes and
+// the Step fallback interleave; their TestDifferentialClosure* and *Closure
+// twins in closure_test.go run the same programs in one Run. The
+// patch-in-trace tests here run over a shared image, where a patch
+// copy-on-write privatizes the slots.
 
 // stepAll drives m with the single-instruction path until it halts or faults.
 func stepAll(m *Machine) error {
@@ -32,7 +33,7 @@ func stepAll(m *Machine) error {
 	return nil
 }
 
-// diffStates fails the test unless a (stepped) and b (block-run) agree on
+// diffStates fails the test unless a (stepped) and b (run) agree on
 // every observable: termination, errors, all 32 registers, condition codes,
 // pc, counts, output, counters, and cache statistics.
 func diffStates(t *testing.T, ctx string, a, b *Machine, errA, errB error) {
@@ -77,21 +78,37 @@ func diffStates(t *testing.T, ctx string, a, b *Machine, errA, errB error) {
 }
 
 // diffRun loads text into two fresh machines and executes one via Step and
-// one via Run under engine e, then compares every observable. It returns
-// the Run machine.
-func diffRun(t *testing.T, ctx string, text []sparc.Instr, e Engine) *Machine {
+// one under the closure engine (runSliced), then compares every
+// observable. It returns the closure-engine machine.
+func diffRun(t *testing.T, ctx string, text []sparc.Instr, budget func() int64) *Machine {
 	t.Helper()
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)
 	a.SetCounterCount(4)
 	b.SetCounterCount(4)
-	b.SetEngine(e)
 	a.LoadText(text, 0)
 	b.LoadText(text, 0)
 	errA := stepAll(a)
-	_, errB := b.Run()
+	errB := runSliced(b, budget)
 	diffStates(t, ctx, a, b, errA, errB)
 	return b
+}
+
+// runSliced runs m until it halts or faults: in one Run when budget is nil,
+// otherwise in RunFor slices of budget() instructions each. A closure is
+// entered only when its whole pass fits what is left of a slice, so short
+// slices hand the rest of each one to Step.
+func runSliced(m *Machine, budget func() int64) error {
+	if budget == nil {
+		_, err := m.Run()
+		return err
+	}
+	for !m.halted {
+		if _, _, err := m.RunFor(budget()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // randText generates a terminating program: straight-line ALU, memory, and
@@ -176,12 +193,14 @@ func randText(r *rand.Rand, n int) []sparc.Instr {
 }
 
 // TestDifferentialRandomPrograms runs many randomized instruction sequences
-// through Step and the block engine and demands identical observables.
+// through Step and through the closure engine in RunFor slices of 1 to 64
+// instructions, and demands identical observables.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		text := randText(r, 80+r.Intn(400))
-		diffRun(t, "seed "+string(rune('0'+seed%10))+"/len", text, EngineBlock)
+		budget := func() int64 { return 1 + r.Int63n(64) }
+		diffRun(t, "seed "+string(rune('0'+seed%10))+"/len", text, budget)
 	}
 }
 
@@ -285,22 +304,28 @@ func faultCases() []faultCase {
 	}
 }
 
-// TestDifferentialFaults checks that Step and the block engine fault
-// identically: same error text, same pc, and — because the block engine
-// pre-charges nothing — same cycle and instruction counts at the fault.
+// TestDifferentialFaults checks that Step and the closure engine, run in
+// RunFor slices of 1, 2 and 5 instructions in turn, fault identically: same
+// error text, same pc, and same cycle and instruction counts at the fault,
+// whether a closure or Step raises it.
 func TestDifferentialFaults(t *testing.T) {
 	for _, c := range faultCases() {
-		t.Run(c.name, func(t *testing.T) { diffRun(t, c.name, c.text, EngineBlock) })
+		t.Run(c.name, func(t *testing.T) {
+			sizes, i := []int64{1, 2, 5}, 0
+			budget := func() int64 { i++; return sizes[i%len(sizes)] }
+			diffRun(t, c.name, c.text, budget)
+		})
 	}
 }
 
 // TestDifferentialPatchMidRun patches text from a StoreHook while the store's
-// own block is executing — the hardest invalidation case for the block
-// engine, since the patched instruction sits later in the block currently
-// being dispatched. Both machines run the same hook, so any divergence means
-// block dispatch missed the invalidation. Each machine loads its own copy of
-// the text: LoadText aliases the caller's slice and PatchInstr writes
-// through it.
+// own block is executing: the patched instruction sits later in the block
+// currently running, in a closure or under Step. Both machines run the same
+// hook, so any divergence means the run missed the invalidation. The
+// closure engine runs in RunFor slices of 1 to 8 instructions, so the loop's
+// passes (4 instructions) alternate between closures and Step. Each machine
+// loads its own copy of the text: LoadText aliases the caller's slice and
+// PatchInstr writes through it.
 func TestDifferentialPatchMidRun(t *testing.T) {
 	// Loop storing %o1 and incrementing it; after the 5th store the hook
 	// rewrites the increment (index 2, directly after the store at index 1
@@ -317,7 +342,6 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 
 	mk := func() (*Machine, *int) {
 		m := New(cache.DefaultConfig, DefaultCosts)
-		m.SetEngine(EngineBlock)
 		m.LoadText(append([]sparc.Instr(nil), text...), 0)
 		stores := 0
 		m.StoreHook = func(addr uint32, size int32) int64 {
@@ -335,7 +359,8 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 	a, storesA := mk()
 	b, storesB := mk()
 	errA := stepAll(a)
-	_, errB := b.Run()
+	r := rand.New(rand.NewSource(1))
+	errB := runSliced(b, func() int64 { return 1 + r.Int63n(8) })
 	diffStates(t, "patch mid-run", a, b, errA, errB)
 	if *storesA != *storesB {
 		t.Fatalf("store hook fired %d times under Step, %d under Run", *storesA, *storesB)
@@ -462,7 +487,7 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 		{Op: sparc.Restore, Rd: sparc.G0, Rs1: sparc.G0, UseImm: true},
 		{Op: sparc.Jmpl, Rd: sparc.G0, Rs1: sparc.O7, UseImm: true},
 	}
-	diffRun(t, "windowed call loop", text, EngineClosure)
+	diffRun(t, "windowed call loop", text, nil)
 
 	// Same program from a shared image.
 	img := BuildImage(text, 0)

@@ -12,7 +12,7 @@ import (
 )
 
 // TestDifferentialWorkloads runs every benchmark workload through the
-// single-Step path and the block-dispatch Run path and requires identical
+// single-Step path and the default Run path and requires identical
 // registers, output, cycle counts, instruction counts, and cache statistics.
 // Unlike the randomized differential (differential_test.go) these programs
 // exercise the full compiler output: register windows, loops, indirect

@@ -99,16 +99,12 @@ func freshClosure(text []sparc.Instr, uops []uop, head int32, shift uint32, c *C
 	return compileClosures(tr, c)
 }
 
-// sameClosure reports whether two closures hold the same compiled form:
-// every field but the entry thunk, which is a distinct func value per
-// closure.
+// sameClosure reports whether two closures hold the same compiled form.
 func sameClosure(a, b *closProg) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	x, y := *a, *b
-	x.entry, y.entry = nil, nil
-	return reflect.DeepEqual(x, y)
+	return reflect.DeepEqual(*a, *b)
 }
 
 // ImageTraceSpan returns the first [lo,hi) span of the closure img has

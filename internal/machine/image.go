@@ -38,9 +38,10 @@ type Image struct {
 	uops  []uop
 	entry int32
 	// traces holds the image's compiled tier (closure.go), one slot per
-	// block head (the entry point, every branch/call target, and every
-	// fall-through successor of a terminator), numbered in text order and
-	// named by each head's uop.slot. A slot stays nil until the first
+	// block head (the entry point, every branch/call target, every
+	// fall-through successor of a terminator, and every multiple of
+	// maxBlockLen), numbered in text order and named by each head's
+	// uop.slot. A slot stays nil until the first
 	// sharing machine reaches its head, by dispatch or by a trace link;
 	// that machine compiles the head's trace, threads it (compileHead) and
 	// publishes the closure — or the declined sentinel when the builder

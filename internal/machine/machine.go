@@ -111,11 +111,11 @@ type Counters []uint64
 // Machines share nothing and may run on any number of goroutines.
 type Machine struct {
 	text []sparc.Instr
-	// uops is the block-dispatch index derived from text; see blocks.go.
-	// uops[i] is text[i] predecoded, and uops[i].bl counts the straight-line
+	// uops is the block index derived from text; see blocks.go. uops[i]
+	// is text[i] predecoded, and uops[i].bl counts the straight-line
 	// instructions starting at i (0 when text[i] is a block terminator).
-	// textGen increments on every text mutation so an in-flight block can
-	// detect a patch landing under it.
+	// textGen increments on every text mutation so an in-flight closure
+	// can detect a patch landing under it.
 	uops    []uop
 	textGen uint32
 	// heads counts the block heads, which buildUops numbers densely in
@@ -150,13 +150,13 @@ type Machine struct {
 	pc     int32
 	// regs is the architecturally visible register file of the CURRENT
 	// window, flat: %g0-%g7, %o0-%o7, %l0-%l7, %i0-%i7, plus one scratch
-	// slot (index 32) that absorbs block-engine writes destined for %g0.
+	// slot (index 32) that absorbs compiled writes destined for %g0.
 	// Keeping one flat view makes every register access a single index —
 	// the interpreter's hottest operation — at the price of copying 24
 	// words on the (rare) save/restore. regs[0] (%g0) and the scratch slot
 	// are never read-visible, so reads need no guard. The array is sized
-	// 256 so that any uint8 register index is provably in range: the block
-	// engine's register accesses then compile without bounds checks.
+	// 256 so that any uint8 register index is provably in range: the
+	// closure tier's register accesses then compile without bounds checks.
 	regs     [256]int32
 	win      []winRegs // caller frames; win[len-1] is the direct parent
 	resident int       // windows currently held in the register file
@@ -203,8 +203,8 @@ type Machine struct {
 	// mirror of StoreHook — the hardware-watchpoint baseline for read
 	// watchpoints uses it — and it obeys the same contract in every engine:
 	// the hook fires BEFORE the load's data access, observes exact simulated
-	// counts, and may patch text (the block and closure engines exit the
-	// compiled region cleanly when it does).
+	// counts, and may patch text (the closure engine exits the compiled
+	// region cleanly when it does).
 	LoadHook func(addr uint32, size int32) int64
 
 	// OnMonHit is invoked when check code raises TrapMonHit: a store touched
@@ -278,7 +278,7 @@ func (m *Machine) Reset() {
 	}
 }
 
-// LoadText installs the program text, (re)builds the block-dispatch index
+// LoadText installs the program text, (re)builds the block index
 // and gives its block heads slots, whose traces compile on first entry as
 // an image's do. PC starts at entry (a text index). After LoadText the text
 // slice is owned by the machine: all further mutation must go through
@@ -310,11 +310,11 @@ func (m *Machine) InstrAt(idx int32) (in sparc.Instr, ok bool) {
 
 // PatchInstr replaces the instruction at text index idx, invalidating the
 // corresponding I-cache line (as the real system's patching must), the
-// block-dispatch index entries covering idx and every compiled trace whose
+// block index entries covering idx and every compiled trace whose
 // spans cover idx, and making the block heads the new instruction creates
 // (its target, its successor when it ends a block) compile on their next
 // entry. It is the ONLY supported way to mutate loaded text:
-// bypassing it would leave the block engine executing stale predecoded
+// bypassing it would leave the compiled tier executing stale predecoded
 // instructions. An out-of-range idx returns an error and changes nothing — a
 // bad patch address from the debugger must not crash the simulator.
 //
@@ -500,51 +500,6 @@ func (m *Machine) operand2(in *sparc.Instr) int32 {
 	return m.readReg(in.Rs2)
 }
 
-func (m *Machine) setCCAdd(a, b, r int32) {
-	var bits uint8
-	if r < 0 {
-		bits = ccN
-	}
-	if r == 0 {
-		bits |= ccZ
-	}
-	if (a >= 0 && b >= 0 && r < 0) || (a < 0 && b < 0 && r >= 0) {
-		bits |= ccV
-	}
-	if uint32(r) < uint32(a) {
-		bits |= ccC
-	}
-	m.ccb = bits
-}
-
-func (m *Machine) setCCSub(a, b, r int32) {
-	var bits uint8
-	if r < 0 {
-		bits = ccN
-	}
-	if r == 0 {
-		bits |= ccZ
-	}
-	if (a >= 0 && b < 0 && r < 0) || (a < 0 && b >= 0 && r >= 0) {
-		bits |= ccV
-	}
-	if uint32(a) < uint32(b) {
-		bits |= ccC
-	}
-	m.ccb = bits
-}
-
-func (m *Machine) setCCLogic(r int32) {
-	var bits uint8
-	if r < 0 {
-		bits = ccN
-	}
-	if r == 0 {
-		bits |= ccZ
-	}
-	m.ccb = bits
-}
-
 // dataAccess charges cache+cycle cost for an n-byte data access.
 //
 // Doubleword accesses (Ldd/Std) are one cache reference plus a MemExtra
@@ -554,7 +509,7 @@ func (m *Machine) setCCLogic(r int32) {
 // ea and ea+4 always share a line and the second word's probe would be a
 // guaranteed hit. dataAccess2 preserves the accounting when lines are
 // narrower than a doubleword (then the second word always has its own line
-// and IS probed). All three engines implement the same split.
+// and IS probed). Only Step executes double words.
 func (m *Machine) dataAccess(addr uint32, kind cache.Kind) {
 	m.cycles += m.costs.MemExtra
 	if !m.cache.Access(addr, kind) {
@@ -691,28 +646,28 @@ func (m *Machine) Step() error {
 	case sparc.Addcc:
 		a, b := m.readReg(in.Rs1), m.operand2(in)
 		r := a + b
-		m.setCCAdd(a, b, r)
+		m.ccb = ccAddBits(a, b, r)
 		m.writeReg(in.Rd, r)
 	case sparc.Subcc:
 		a, b := m.readReg(in.Rs1), m.operand2(in)
 		r := a - b
-		m.setCCSub(a, b, r)
+		m.ccb = ccSubBits(a, b, r)
 		m.writeReg(in.Rd, r)
 	case sparc.Andcc:
 		r := m.readReg(in.Rs1) & m.operand2(in)
-		m.setCCLogic(r)
+		m.ccb = ccLogicBits(r)
 		m.writeReg(in.Rd, r)
 	case sparc.Andncc:
 		r := m.readReg(in.Rs1) &^ m.operand2(in)
-		m.setCCLogic(r)
+		m.ccb = ccLogicBits(r)
 		m.writeReg(in.Rd, r)
 	case sparc.Orcc:
 		r := m.readReg(in.Rs1) | m.operand2(in)
-		m.setCCLogic(r)
+		m.ccb = ccLogicBits(r)
 		m.writeReg(in.Rd, r)
 	case sparc.Xorcc:
 		r := m.readReg(in.Rs1) ^ m.operand2(in)
-		m.setCCLogic(r)
+		m.ccb = ccLogicBits(r)
 		m.writeReg(in.Rd, r)
 
 	case sparc.Sethi:
@@ -894,11 +849,11 @@ func (m *Machine) alloc(size uint32) uint32 {
 // returns the exit code. It never returns on a stop request (RequestStop):
 // while one is pending, it advances one Step per dispatch.
 //
-// Under the default closure engine it dispatches a block at a time
-// (blocks.go) and enters compiled closures at block heads (closure.go);
-// EngineBlock skips the compiled tier; EngineStep runs the reference
-// one-instruction loop. Simulated cycle and instruction counts are
-// bit-identical across all three; only host time changes.
+// Under the default closure engine it enters compiled closures at block
+// heads (blocks.go, closure.go) and runs every other instruction through
+// Step; EngineStep runs the reference one-instruction loop alone.
+// Simulated cycle and instruction counts are bit-identical across both;
+// only host time changes.
 func (m *Machine) Run() (int32, error) {
 	if err := m.run(math.MaxInt64, false); err != nil {
 		return 0, err
@@ -915,10 +870,10 @@ func (m *Machine) Run() (int32, error) {
 // lock across a whole run.
 //
 // Simulated cycle and instruction counts over a sequence of RunFor calls,
-// however each ends, are bit-identical to one uninterrupted Run: execBlocks
-// clamps blocks exactly at the budget and its per-call line caches are
-// conservative (a cold re-entry re-probes the cache with identical hit/miss
-// statistics). Calls that end only on stops also compile exactly Run's
+// however each ends, are bit-identical to one uninterrupted Run: a closure
+// is entered only when its full pass fits the budget, Step runs the rest,
+// and the per-call line trackers are conservative (a cold re-entry
+// re-probes the cache with identical hit/miss statistics). Calls that end only on stops also compile exactly Run's
 // closures, as a stop lands only at a boundary Run dispatches; an n that
 // ends mid-trace does not.
 //
@@ -932,18 +887,18 @@ func (m *Machine) RunFor(n int64) (code int32, halted bool, err error) {
 	return m.exitCode, true, nil
 }
 
-// run is the one loop behind Run and RunFor, under every engine. It
+// run is the one loop behind Run and RunFor, under both engines. It
 // executes until the program halts or faults, n more instructions retire
-// or, when stoppable, a stop is requested. Each pass lets execBlocks
-// (skipped under EngineStep) run as far as it can, then applies the budget,
-// stop and pc-bounds checks, in that order, and executes one instruction
-// through Step. MaxInstrs holds the limit meanwhile, so execBlocks clamps
-// blocks exactly at it; reaching the machine-wide MaxInstrs is an error,
-// retiring n is not.
+// or, when stoppable, a stop is requested. Each pass lets dispatch run
+// closures as far as it can (EngineStep holds no closure slots, so it
+// skips dispatch), then applies the budget, stop and pc-bounds checks, in
+// that order, and executes one instruction through Step. MaxInstrs holds
+// the limit meanwhile, so dispatch enters no closure that would pass it;
+// reaching the machine-wide MaxInstrs is an error, retiring n is not.
 //
-// Stops land between blocks, at closure heads (execClosures caps a chain at
-// chainCap instructions, so a looping trace returns to the dispatcher at
-// its own head), or under EngineStep between instructions.
+// Stops land at closure heads (execClosures caps a chain at chainCap
+// instructions, so a looping trace returns to the dispatcher at its own
+// head) or between the instructions Step runs.
 func (m *Machine) run(n int64, stoppable bool) error {
 	saved := m.MaxInstrs
 	defer func() { m.MaxInstrs = saved }()
@@ -951,8 +906,8 @@ func (m *Machine) run(n int64, stoppable bool) error {
 		m.MaxInstrs = m.instrs + n
 	}
 	for !m.halted {
-		if m.engine != EngineStep {
-			if err := m.execBlocks(); err != nil {
+		if m.traces != nil {
+			if err := m.dispatch(); err != nil {
 				return err
 			}
 		}

@@ -387,8 +387,8 @@ func TestFusionPlanTilesNopRuns(t *testing.T) {
 
 // TestWideCounterIndexRunsInStep checks the µop's 16-bit counter field: an
 // instruction whose counter index does not fit it — an interior add and a
-// loop branch here — decodes as Step-only, so the block engine and the
-// closure engine leave it to Step and every count still equals Step's.
+// loop branch here — decodes as Step-only, so the closure engine leaves it
+// to Step and every count still equals Step's.
 func TestWideCounterIndexRunsInStep(t *testing.T) {
 	const wide = 1 << 16 // counter index+1 one past cnt's range
 	text := countLoop()
@@ -399,18 +399,15 @@ func TestWideCounterIndexRunsInStep(t *testing.T) {
 			t.Fatalf("index %d: decoded %v (straight-line %v), want a Step-only µop", i, u.op, ok)
 		}
 	}
-	for _, e := range []Engine{EngineBlock, EngineClosure} {
-		a, b := New(cache.DefaultConfig, DefaultCosts), New(cache.DefaultConfig, DefaultCosts)
-		for _, m := range []*Machine{a, b} {
-			m.SetCounterCount(wide)
-			m.LoadText(append([]sparc.Instr(nil), text...), 0)
-		}
-		b.SetEngine(e)
-		errA := stepAll(a)
-		_, errB := b.Run()
-		diffStates(t, "wide counter under "+e.String(), a, b, errA, errB)
-		if a.Counters[wide-1] == 0 {
-			t.Fatal("the wide counter never counted")
-		}
+	a, b := New(cache.DefaultConfig, DefaultCosts), New(cache.DefaultConfig, DefaultCosts)
+	for _, m := range []*Machine{a, b} {
+		m.SetCounterCount(wide)
+		m.LoadText(append([]sparc.Instr(nil), text...), 0)
+	}
+	errA := stepAll(a)
+	_, errB := b.Run()
+	diffStates(t, "wide counter", a, b, errA, errB)
+	if a.Counters[wide-1] == 0 {
+		t.Fatal("the wide counter never counted")
 	}
 }

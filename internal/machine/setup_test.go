@@ -116,8 +116,8 @@ func sharedTables(t *testing.T) []*asm.Program {
 // unchanged; only a deliberate change to the trace format, the item layout,
 // the fused shapes or the check sequences may move them, and it must say so.
 const (
-	wantTablesTraceDigest   = "fc11e9326fed38197f53c8ecad09aff316e93ac908dff763cfdd1a83c1805167"
-	wantTablesClosureDigest = "986b4c1818dbb4ca51ca1fcc2218eafd62fb9d6a18d66bec8fbbf1d1161c98e8"
+	wantTablesTraceDigest   = "6734e1bed2d251baef659b9dee408f6bf615065bbc7daad2cd923a298f9639c5"
+	wantTablesClosureDigest = "a7effebf1241a72a85049647feb5aaea8c52b9d5a2c0a050ce99f98fdf801787"
 	wantTablesTextDigest    = "55389e17926717454edb8b4a74b130ca0a69238d9c3c92f7735382767baab14e"
 )
 

@@ -13,7 +13,7 @@ import (
 	"databreak/internal/workload"
 )
 
-var engines = []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
+var engines = []machine.Engine{machine.EngineStep, machine.EngineClosure}
 
 // workloadProgram assembles the named workload unpatched.
 func workloadProgram(t *testing.T, name string) *asm.Program {

@@ -1,29 +1,27 @@
 // Trace builder: the compiled tier's front end.
 //
-// The block engine (blocks.go) already amortizes dispatch over straight-line
-// runs, but it still pays a switch on the generic µop encoding for every
-// instruction and a fresh dispatch at every terminator. The compiled tier
-// goes further. Its front end, this file, turns a block head into a trace —
-// an array of specialized trace-ops (top) covering the straight-line run AND
-// the statically-predicted path beyond it, stitched across unconditional
+// Step pays a switch on the generic instruction encoding and a full entry
+// check for every instruction. The compiled tier amortizes both. Its front
+// end, this file, turns a block head into a trace — an array of specialized
+// trace-ops (top) covering the straight-line run AND the
+// statically-predicted path beyond it, stitched across unconditional
 // branches, calls, and conditional branches predicted taken (backward) or
 // not-taken (forward). Common adjacent pairs are fused into one trace-op
 // (sethi+or constant synthesis, subcc+branch compare-and-branch, the address
 // chains minic emits), and operand-2 forms that are immediate-only at
 // compile time drop the register read entirely. Double-word accesses
-// (ldd/std), which nothing in the repository emits, end a trace, and the
-// block engine's µops run them. A trace whose last op branches back to its
+// (ldd/std), which nothing in the repository emits, are Step-only like ta:
+// a trace ends just before one. A trace whose last op branches back to its
 // own entry is a loop trace: one pass after another runs without returning
 // to the dispatcher. closure.go threads each trace at once into its item
 // stream (closProg), the only compiled form a machine or image retains; the
 // op stream is scratch.
 //
-// The proof obligation is unchanged from blocks.go: simulated instruction
-// counts, cycles, cache statistics, event counters, and fault points must be
-// bit-identical to the single-Step engine. Static prediction never
-// speculates state: a mispredicted branch is a side exit that commits
-// exactly the instructions architecturally executed and returns to the
-// dispatcher.
+// The proof obligation: simulated instruction counts, cycles, cache
+// statistics, event counters, and fault points must be bit-identical to
+// Step. Static prediction never speculates state: a mispredicted branch is
+// a side exit that commits exactly the instructions architecturally
+// executed and returns to the dispatcher.
 //
 // One compilation rule covers every text: BuildImage and LoadText give each
 // block head a closure slot (buildUops, uop.slot), and the first time a
@@ -42,8 +40,8 @@
 // executing and first-entering the image's). A patch landing
 // while a closure is executing — only possible from a StoreHook or
 // LoadHook — is caught by the textGen generation check after the access,
-// exactly as in execBlocks, and the closure exits cleanly after the hooked
-// instruction so the dispatcher re-enters against fresh state.
+// and the closure exits cleanly after the hooked instruction so the
+// dispatcher re-enters against fresh state.
 package machine
 
 import (
@@ -57,18 +55,16 @@ import (
 )
 
 // Engine selects how Run/RunFor execute. The zero value is EngineClosure:
-// the compiled tier is the default, and every engine produces bit-identical
+// the compiled tier is the default, and both engines produce bit-identical
 // simulated counts, so the choice is purely a host-speed/diagnosis knob.
 type Engine uint8
 
 const (
-	// EngineClosure dispatches blocks and enters compiled closures
-	// (closure.go) at block heads.
+	// EngineClosure enters compiled closures (closure.go) at block heads
+	// and runs everything else through Step.
 	EngineClosure Engine = iota
-	// EngineBlock is the block-dispatch engine with no compiled tier.
-	EngineBlock
 	// EngineStep executes one instruction at a time through Step — the
-	// reference semantics the other engines are measured against.
+	// reference semantics the closure engine is measured against.
 	EngineStep
 )
 
@@ -76,26 +72,21 @@ func (e Engine) String() string {
 	switch e {
 	case EngineClosure:
 		return "closure"
-	case EngineBlock:
-		return "block"
 	case EngineStep:
 		return "step"
 	}
 	return fmt.Sprintf("engine?%d", uint8(e))
 }
 
-// ParseEngine converts a flag value ("step", "block", "closure") to an
-// Engine.
+// ParseEngine converts a flag value ("step", "closure") to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "closure":
 		return EngineClosure, nil
-	case "block":
-		return EngineBlock, nil
 	case "step":
 		return EngineStep, nil
 	}
-	return EngineClosure, fmt.Errorf("machine: unknown engine %q (want step, block, or closure)", s)
+	return EngineClosure, fmt.Errorf("machine: unknown engine %q (want step or closure)", s)
 }
 
 // SetEngine selects the execution engine. Safe at any point the machine is
@@ -112,8 +103,8 @@ func (m *Machine) Engine() Engine { return m.engine }
 // minTraceInstrs rejects traces too short to amortize entering a closure.
 const minTraceInstrs = 3
 
-// topOp is a trace-op opcode. Plain ops mirror the block engine's semantics
-// with operand-2 unification; *I variants are immediate-only specializations
+// topOp is a trace-op opcode. Plain ops mirror Step's semantics with
+// operand-2 unification; *I variants are immediate-only specializations
 // that skip the regs[s2r] read; the control ops encode the compile-time
 // branch prediction; tCmpBr*/tSet2 are fused two-instruction ops.
 type topOp uint8
@@ -254,10 +245,10 @@ type traceProg struct {
 // syncTraceState (re)establishes the engine-dependent compiled state after
 // any event that changes what the dispatcher may execute: engine selection,
 // text installation, or COW privatization. Invariants: m.traces is non-nil
-// exactly when the closure engine is active over non-empty text, so
-// execBlocks gates the whole tier on one nil check; it holds one slot per
-// slot number the µops carry (uop.slot); and a nil slot means "not compiled
-// yet" (compileHead), a declined head's slot holds the declined sentinel.
+// exactly when the closure engine is active over non-empty text, so run
+// gates the whole tier on one nil check; it holds one slot per slot number
+// the µops carry (uop.slot); and a nil slot means "not compiled yet"
+// (compileHead), a declined head's slot holds the declined sentinel.
 func (m *Machine) syncTraceState() {
 	switch {
 	case m.engine != EngineClosure || len(m.text) == 0:
@@ -320,8 +311,8 @@ func (m *Machine) invalidateTraces(idx int32) {
 }
 
 // topOf maps a straight-line sparc.Op to its generic trace-op. Zero (tNop)
-// doubles as "no mapping" for ops the builder never looks up: terminators,
-// which never appear in block interiors, and ldd/std, which end a trace.
+// doubles as "no mapping" for ops the builder never looks up: terminators
+// and double words, which never appear in block interiors.
 var topOf = [64]topOp{
 	sparc.Ld: tLd, sparc.St: tSt,
 	sparc.Add: tAdd, sparc.Sub: tSub, sparc.And: tAnd, sparc.Andn: tAndn,
@@ -426,7 +417,7 @@ func fuseAt(text []sparc.Instr, i, stop, lend int32) (topOp, int32) {
 func isTraceTerminator(op sparc.Op) bool {
 	switch op {
 	case sparc.Br, sparc.Call, sparc.Jmpl, sparc.Save, sparc.Restore,
-		sparc.Ta, sparc.Unimp:
+		sparc.Ldd, sparc.Std, sparc.Ta, sparc.Unimp:
 		return true
 	}
 	return false
@@ -437,10 +428,11 @@ func isTraceTerminator(op sparc.Op) bool {
 // start, and returns the width in instructions of each dispatch item the
 // compiled tier would retire for it under I-line shift shift: 1, 2, or a
 // padding-nop run's length. Interior fusion windows are bounded at
-// terminators exactly as the builder bounds them at block ends, nop runs at
-// I-line ends, and a conditional branch fuses with an immediately preceding
-// uncounted subcc (tCmpBr*). The mrsbench -trace-stats report is built on
-// this, so its coverage numbers are the compiler's own.
+// terminators and multiples of maxBlockLen exactly as the builder bounds
+// them at block ends, nop runs at I-line ends, and a conditional branch
+// fuses with an immediately preceding uncounted subcc (tCmpBr*). The
+// mrsbench -trace-stats report is built on this, so its coverage numbers
+// are the compiler's own.
 func FusionPlan(run []sparc.Instr, start int32, shift uint32) []int32 {
 	var widths []int32
 	n := int32(len(run))
@@ -457,8 +449,8 @@ func FusionPlan(run []sparc.Instr, start int32, shift uint32) []int32 {
 			i++
 			continue
 		}
-		stop := i
-		for stop < n && !isTraceTerminator(run[stop].Op) {
+		stop := i + 1
+		for stop < n && !isTraceTerminator(run[stop].Op) && (start+stop)%maxBlockLen != 0 {
 			stop++
 		}
 		_, w := fuseAt(run, i, stop, lineEnd(start+i, shift)-start)
@@ -576,13 +568,13 @@ func (b *traceBuilder) spans() [][2]int32 {
 
 // compile builds a superblock trace starting at the block head entry, or
 // returns nil when the result would be too trivial to pay for. The walk
-// consumes straight-line runs, fuses sethi+or and subcc+branch pairs, and
-// stitches across the predicted edge of each terminator — including
+// consumes whole straight-line runs, fuses sethi+or and subcc+branch pairs,
+// and stitches across the predicted edge of each terminator — including
 // predicted-taken BACKWARD branches, the superblock tail-duplication case —
 // until it revisits a consumed index, reaches an unstitchable terminator
-// (jmpl/ta/unimp) or a double-word access (ldd/std), or hits the
-// maxBlockLen instruction bound — the same bound that caps block runs and
-// PatchInstr's backward repair, so a single patch never invalidates more
+// (jmpl/ta/unimp/ldd/std), or would pass the maxBlockLen instruction bound:
+// it ends before a run that does not fit, which starts at a head, so the
+// next closure links on there. A single patch thus never invalidates more
 // than a bounded neighborhood.
 // Operands come from the predecoded uops, which PatchInstr keeps coherent
 // with text. shift is the I-line shift the nl bits are computed under; a machine may
@@ -597,8 +589,8 @@ func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, shif
 		// every callee entry is a save — and branch/call/jmpl heads stitch
 		// their predicted edge and keep going, which matters because side
 		// exits land on them (a not-taken exit whose successor is another
-		// branch). Only ta/unimp heads (and the µops decodeUop leaves to
-		// Step) have nothing to specialize.
+		// branch). Only ta/unimp/ldd/std heads (and the µops decodeUop
+		// leaves to Step) have nothing to specialize.
 		switch uops[entry].op {
 		case sparc.Save, sparc.Restore, sparc.Br, sparc.Call, sparc.Jmpl:
 		default:
@@ -628,18 +620,13 @@ scan:
 		if run := int(uops[pc].bl); run > 0 {
 			// Interior straight-line instructions [pc, pc+run).
 			if ni+run > maxBlockLen {
-				run = maxBlockLen - ni
+				exitPC = pc // the run starts at a head: link on there
+				break
 			}
 			stop := pc + int32(run)
 			i := pc
 			for i < stop {
 				in := &text[i]
-				if in.Op == sparc.Ldd || in.Op == sparc.Std {
-					// Double-word accesses are left to the block engine's
-					// µops: the trace ends just before, as at a ta.
-					exitPC = i
-					break scan
-				}
 				b.consume(i)
 				if f, w := fuseAt(text, i, stop, lineEnd(i, shift)); w > 1 {
 					for k := int32(1); k < w; k++ {
@@ -671,7 +658,7 @@ scan:
 					ni:    uint16(ni),
 					iaddr: TextBase + uint32(i)*4,
 				}
-				op := topOf[u.op&^opCount]
+				op := topOf[u.op]
 				// Immediate-only specializations for the hottest ops.
 				if u.s2r == uint8(sparc.G0) {
 					switch op {
@@ -838,9 +825,9 @@ scan:
 			break scan
 
 		default:
-			// ta/unimp (and malformed encodings, and oversized counter
-			// indices): only Step executes these; the trace ends just
-			// before.
+			// ta/unimp/ldd/std (and malformed encodings, and oversized
+			// counter indices): only Step executes these; the trace ends
+			// just before.
 			exitPC = pc
 			break scan
 		}
@@ -943,11 +930,7 @@ func buildUops(text []sparc.Instr, buf []uop, entry int32) (uops []uop, heads in
 	next := int16(0) // bl of index i+1
 	for i := n - 1; i >= 0; i-- {
 		u, ok := decodeUop(&text[i])
-		if ok {
-			next = min(next+1, maxBlockLen)
-		} else {
-			next = 0
-		}
+		next = runLen(int32(i), ok, next)
 		u.bl = next
 		u.slot = -1
 		buf[i] = u
@@ -958,7 +941,9 @@ func buildUops(text []sparc.Instr, buf []uop, entry int32) (uops []uop, heads in
 		}
 	}
 	mark(entry)
-	mark(0)
+	for i := 0; i < n; i += maxBlockLen {
+		mark(int32(i)) // index 0 and every multiple of maxBlockLen
+	}
 	for i := range text {
 		for _, h := range createdHeads(text, buf, int32(i)) {
 			mark(h)
@@ -976,8 +961,8 @@ func buildUops(text []sparc.Instr, buf []uop, entry int32) (uops []uop, heads in
 // createdHeads returns the block heads instruction i of text creates, -1
 // where there is none: its target if it branches or calls, and its
 // successor (fall-through or jmpl return) if it ends a block. A trace is
-// compiled at every head on first entry; with the entry point and index 0,
-// these are all of them.
+// compiled at every head on first entry; with the entry point and the
+// multiples of maxBlockLen (index 0 among them), these are all of them.
 func createdHeads(text []sparc.Instr, uops []uop, i int32) [2]int32 {
 	h := [2]int32{-1, -1}
 	switch text[i].Op {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 }
 
 // TestEngineSelection pins the engine flag surface: parsing, String, the
-// closure engine as the zero value, and that every engine produces
+// closure engine as the zero value, and that both engines produce
 // identical counts on the same program.
 func TestEngineSelection(t *testing.T) {
 	if m := New(cache.DefaultConfig, DefaultCosts); m.Engine() != EngineClosure {
@@ -113,7 +114,7 @@ func TestEngineSelection(t *testing.T) {
 	for _, c := range []struct {
 		s string
 		e Engine
-	}{{"step", EngineStep}, {"block", EngineBlock}, {"closure", EngineClosure}} {
+	}{{"step", EngineStep}, {"closure", EngineClosure}} {
 		e, err := ParseEngine(c.s)
 		if err != nil || e != c.e {
 			t.Fatalf("ParseEngine(%q) = %v, %v", c.s, e, err)
@@ -122,7 +123,7 @@ func TestEngineSelection(t *testing.T) {
 			t.Fatalf("Engine(%v).String() = %q, want %q", e, e.String(), c.s)
 		}
 	}
-	for _, s := range []string{"jit", "trace"} {
+	for _, s := range []string{"jit", "trace", "block"} {
 		if _, err := ParseEngine(s); err == nil {
 			t.Fatalf("ParseEngine accepted the unknown engine %q", s)
 		}
@@ -130,7 +131,7 @@ func TestEngineSelection(t *testing.T) {
 
 	text := countLoop()
 	var ref *Machine
-	for _, e := range []Engine{EngineStep, EngineBlock, EngineClosure} {
+	for _, e := range []Engine{EngineStep, EngineClosure} {
 		m := New(cache.DefaultConfig, DefaultCosts)
 		m.SetEngine(e)
 		m.LoadText(text, 0)
@@ -163,7 +164,7 @@ func TestLoadTextCompilesOnFirstEntry(t *testing.T) {
 			t.Fatalf("%v: LoadText compiled %d traces before any entry", e, n)
 		}
 		// One instruction: the first dispatch of the entry head compiles
-		// it (the one-instruction budget then runs it in block mode).
+		// it (the one-instruction budget then leaves it to Step).
 		if _, _, err := m.RunFor(1); err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +230,23 @@ func TestPatchMarksNewHeads(t *testing.T) {
 	}
 }
 
-// TestDoubleWordEndsTrace checks that ldd and std end a trace, so the block
-// engine's µops run them: a loop whose body holds an std and an ldd must
-// match Step — registers, counts, cache statistics and the LoadHook's
-// address stream — and no closure the run publishes may cover either
-// instruction.
+// closureCovers reports whether a closure m has published covers text
+// index idx.
+func closureCovers(m *Machine, idx int32) bool {
+	for i := range m.traces {
+		if cp := m.traces[i].Load(); cp != nil && cp != declined && cp.covers(idx) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDoubleWordEndsTrace checks that ldd and std end a trace, so Step runs
+// them: a loop whose body holds an std and an ldd must match Step —
+// registers, counts, cache statistics and the LoadHook's address stream —
+// and the closures the run publishes must cover every loop index but those
+// two. The ldd's successor is a head, and its trace stitches the back-edge
+// through the loop head.
 func TestDoubleWordEndsTrace(t *testing.T) {
 	text := []sparc.Instr{
 		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
@@ -247,7 +260,7 @@ func TestDoubleWordEndsTrace(t *testing.T) {
 		sparc.Branch(sparc.BL, 1),
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
-	const std, ldd = 4, 5
+	const std, ldd, loopEnd = 4, 5, 8
 	type access struct {
 		addr uint32
 		size int32
@@ -269,17 +282,95 @@ func TestDoubleWordEndsTrace(t *testing.T) {
 	if len(loads[0]) != 64 || !reflect.DeepEqual(loads[0], loads[1]) {
 		t.Fatalf("LoadHook streams differ: step %v, closure %v", loads[0], loads[1])
 	}
-	m := ms[1]
-	if published(m.traces, m.uops, 1) == nil {
-		t.Fatal("the loop head compiled no closure")
-	}
-	for i := range m.traces {
-		cp := m.traces[i].Load()
-		if cp == nil || cp == declined {
-			continue
+	for i := int32(1); i <= loopEnd; i++ {
+		if got, want := closureCovers(ms[1], i), i != std && i != ldd; got != want {
+			t.Errorf("loop index %d: covered by a closure %v, want %v", i, got, want)
 		}
-		if cp.covers(std) || cp.covers(ldd) {
-			t.Errorf("closure at head %d spans %v, covering the std or the ldd", cp.head, cp.spans)
+	}
+}
+
+// TestLongRunCompiles checks the aligned-block rule on a loop whose body is
+// one straight-line run of 3,000 adds, stores, nops and loads, far past
+// maxBlockLen: the run must match Step, and the closures it publishes must
+// cover every loop index, so a trace the bound stops links on to the next
+// head instead of leaving the rest of the run to Step.
+func TestLongRunCompiles(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	text := []sparc.Instr{
+		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
+		sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1), // loop head; counter
+	}
+	for len(text) < 3000 {
+		off := r.Int31n(256) * 4
+		var in sparc.Instr
+		switch r.Intn(4) {
+		case 0:
+			in = sparc.RI(sparc.Add, sparc.O2, r.Int31n(100), sparc.O2)
+		case 1:
+			in = sparc.Instr{Op: sparc.St, Rd: sparc.O2, Rs1: sparc.L0, Imm: off, UseImm: true}
+		case 2:
+			in = sparc.Instr{Op: sparc.Nop}
+		default:
+			in = sparc.Instr{Op: sparc.Ld, Rd: sparc.O3, Rs1: sparc.L0, Imm: off, UseImm: true}
+		}
+		text = append(text, in)
+	}
+	text = append(text,
+		sparc.RI(sparc.Subcc, sparc.O1, 4, sparc.G0),
+		sparc.Branch(sparc.BL, 1),
+		sparc.Instr{Op: sparc.Ta, Imm: TrapExit, UseImm: true})
+	a, b := New(cache.DefaultConfig, DefaultCosts), New(cache.DefaultConfig, DefaultCosts)
+	a.LoadText(text, 0)
+	b.LoadText(text, 0)
+	errA := stepAll(a)
+	_, errB := b.Run()
+	diffStates(t, "long run", a, b, errA, errB)
+	for i := int32(1); i < int32(len(text))-1; i++ {
+		if !closureCovers(b, i) {
+			t.Fatalf("no closure covers loop index %d", i)
+		}
+	}
+}
+
+// TestPatchKeepsBlockIndex applies 400 random patches, an add to a ba or
+// back, to straight-line text of 3,000 instructions, most of them next to
+// the aligned block ends at 1024 and 2048. After each patch the block index
+// must equal a fresh decode of the patched text, and every head of the
+// fresh decode must be a head: PatchInstr's repair respects the aligned
+// ends at the patched index and on its backward walk.
+func TestPatchKeepsBlockIndex(t *testing.T) {
+	const n = 3000
+	add := sparc.RI(sparc.Add, sparc.O0, 1, sparc.O0)
+	text := make([]sparc.Instr, n)
+	for i := range text {
+		text[i] = add
+	}
+	text[n-1] = sparc.Instr{Op: sparc.Ta, Imm: TrapExit, UseImm: true}
+	m := New(cache.DefaultConfig, DefaultCosts)
+	m.LoadText(text, 0)
+	r := rand.New(rand.NewSource(1))
+	near := []int32{1022, 1023, 1024, 1025, 2046, 2047, 2048, 2049}
+	for k := 0; k < 400; k++ {
+		idx := near[r.Intn(len(near))]
+		if r.Intn(4) == 0 {
+			idx = r.Int31n(n - 1)
+		}
+		in := add
+		if m.text[idx].Op == sparc.Add {
+			in = sparc.Branch(sparc.BA, r.Int31n(n))
+		}
+		if err := m.PatchInstr(idx, in); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := buildUops(m.text, nil, 0)
+		for i := range fresh {
+			if m.uops[i].bl != fresh[i].bl {
+				t.Fatalf("patch %d at %d: block length at %d is %d, a fresh decode reads %d",
+					k, idx, i, m.uops[i].bl, fresh[i].bl)
+			}
+			if fresh[i].slot >= 0 && m.uops[i].slot < 0 {
+				t.Fatalf("patch %d at %d: %d heads a block of the fresh decode but not of the patched text", k, idx, i)
+			}
 		}
 	}
 }

@@ -240,7 +240,7 @@ func (srv *Server) drop(id int) {
 // Detach) first asks the running machine to stop (machine.RequestStop),
 // which returns at its next dispatch boundary and releases the mutex, then
 // takes it. Debugger edits therefore land only at dispatch boundaries —
-// never inside a dispatched block or trace.
+// never inside a running closure.
 type Session struct {
 	id  int
 	srv *Server

@@ -163,9 +163,9 @@ type regionInfo struct {
 // machine's WriteWord path keeps coherent with the simulated cache. The
 // PreMonitor/PostMonitor flow that DOES patch code at run time (write-check
 // re-insertion, elim.Runtime) must go through machine.PatchInstr, the one
-// sanctioned text-mutation path: it re-decodes the instruction and repairs
-// the block-dispatch index so the patched check executes on the very next
-// dispatch of its block.
+// sanctioned text-mutation path: it re-decodes the instruction, repairs
+// the block index and drops the closures covering it, so the patched check
+// executes the very next time control reaches it.
 //
 // A Service is confined to its Machine's serialization domain: like the
 // Machine, it is not itself safe for concurrent use. Every call —

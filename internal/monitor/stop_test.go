@@ -16,7 +16,7 @@ import (
 	"databreak/internal/workload"
 )
 
-var engines = []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineClosure}
+var engines = []machine.Engine{machine.EngineStep, machine.EngineClosure}
 
 type counts struct {
 	code           int32

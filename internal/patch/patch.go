@@ -19,7 +19,7 @@
 //
 // Patching here is static: it rewrites assembly units before they are
 // assembled and loaded, so it needs no coordination with the machine's
-// block-dispatch index. Anything that rewrites text AFTER machine.LoadText
+// block index. Anything that rewrites text AFTER machine.LoadText
 // (dynamic check insertion/deletion, elim.Runtime) must instead go through
 // machine.PatchInstr, which keeps the simulated I-cache and the block index
 // coherent with the new text.
