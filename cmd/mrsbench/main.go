@@ -20,9 +20,6 @@
 //	                           p50/p99 attach-to-first-hit latency; with
 //	                           -json, writes BENCH_mrsd.json.
 //
-// -server routes every monitored table run through a shared monitor.Server
-// (sliced execution through sessions); simulated counts are identical.
-//
 // The benchmark matrix runs on a worker pool (-workers, default one per
 // CPU); table contents are identical for any worker count. -json also
 // writes each table as BENCH_<table>.json with wall-clock timing.
@@ -43,7 +40,6 @@ import (
 
 	"databreak/internal/bench"
 	"databreak/internal/machine"
-	"databreak/internal/monitor"
 	"databreak/internal/workload"
 )
 
@@ -64,7 +60,6 @@ func run() error {
 	stress := flag.Int("stress", 0, "run the concurrency stress harness with this many sessions instead of tables (1 = one per workload)")
 	churn := flag.Int("churn", 0, "stress: mid-run region add/remove rounds per session (0 = default)")
 	patchChurn := flag.Bool("patch-churn", true, "stress: odd sessions also patch live text mid-run (copy-on-write exercise)")
-	useServer := flag.Bool("server", false, "route monitored table runs through a shared monitor.Server (sliced execution; counts identical)")
 	artifactCache := flag.Bool("artifact-cache", true, "memoize compiled+patched+assembled programs across tables and repeats (results are byte-identical either way)")
 	artifactCacheCap := flag.Int64("artifact-cache-cap", 0, "artifact cache size bound in bytes, enforced by LRU eviction (0 = unbounded)")
 	mrsd := flag.String("mrsd", "", "drive an mrsd daemon with the load generator: a TCP address, or 'self' for in-process")
@@ -119,11 +114,6 @@ func run() error {
 	}
 	if *verbose {
 		cfg.Log = os.Stderr
-	}
-	if *useServer {
-		srv := monitor.NewServer()
-		defer srv.Close()
-		cfg.Server = srv
 	}
 	if *artifactCache {
 		cfg.Artifacts = bench.NewArtifactCache()

@@ -36,8 +36,8 @@ import (
 // instructions, output, and cache stats on every run, serial or sliced —
 // so a run is as content-addressable as a build: its key is the program's
 // key plus a canonical descriptor of everything the run depends on
-// (monitor config, regions, disabled flag, machine cache/cost model,
-// server routing). The tables repeat many identical runs — every needBase
+// (monitor config, regions, disabled flag, machine cache/cost model). The
+// tables repeat many identical runs — every needBase
 // table re-measures the same baselines, ablation variant 0 is Table 1's
 // BmInlReg cell is the strategy table's bitmap column, Figure 3's 128-word
 // point is Table 1's Cache cell — and each now executes once. Because
@@ -311,12 +311,9 @@ func (c Config) memoRun(src, desc string, exec func() (Run, error)) (Run, error)
 }
 
 // runScope canonicalizes the Config state a run's counts depend on: the
-// simulated cache geometry and cost model. Server routing is included out
-// of caution — counts are proven identical either way, but keeping the
-// scopes separate means a -server run always exercises the server at least
-// once per distinct cell.
+// simulated cache geometry and cost model.
 func (c Config) runScope() string {
-	return fmt.Sprintf("scope|cache=%+v|costs=%+v|server=%t|", c.Cache, c.Costs, c.Server != nil)
+	return fmt.Sprintf("scope|cache=%+v|costs=%+v|", c.Cache, c.Costs)
 }
 
 // descRegions canonicalizes an execute call's run-side inputs.

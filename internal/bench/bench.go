@@ -41,14 +41,6 @@ type Config struct {
 	// Log, when non-nil, receives progress lines. The table drivers wrap it
 	// so concurrent workers may share it; see SyncWriter.
 	Log io.Writer
-	// Server, when non-nil, routes every monitored run through a
-	// monitor.Server session instead of a bare Service: the harness attaches
-	// each machine, performs region setup under the session lock, and
-	// executes through Session.Run. Counts are bit-identical either way
-	// (see machine.RunFor); the table drivers share one server across all
-	// worker goroutines, which is exactly the concurrent-session workload
-	// the stress harness checks.
-	Server *monitor.Server
 	// Artifacts, when non-nil, memoizes build products (compiled units,
 	// patched+assembled programs with their shared images) across tables,
 	// -count repeats, and stress sessions. See artifact.go. Executions are
@@ -171,45 +163,17 @@ func collect(prog *asm.Program, m *machine.Machine) Run {
 func (c Config) execute(prog *asm.Program, mcfg monitor.Config, regions [][2]uint32, disabled bool) (Run, error) {
 	m := c.newMachine()
 	prog.LoadShared(m)
-	setup := func(svc *monitor.Service) error {
-		svc.DisabledOverride = disabled
-		for _, r := range regions {
-			if err := svc.CreateRegion(r[0], r[1]); err != nil {
-				return err
-			}
-		}
-		svc.Reinstall()
-		return nil
-	}
-	if c.Server != nil {
-		sess, err := c.Server.Attach(mcfg, m)
-		if err != nil {
-			return Run{}, err
-		}
-		defer sess.Detach()
-		if err := sess.Do(func(_ *machine.Machine, svc *monitor.Service) error {
-			return setup(svc)
-		}); err != nil {
-			return Run{}, err
-		}
-		if _, err := sess.Run(); err != nil {
-			return Run{}, err
-		}
-		var run Run
-		err = sess.Do(func(m *machine.Machine, svc *monitor.Service) error {
-			run = collect(prog, m)
-			run.Hits = svc.HitCount
-			return nil
-		})
-		return run, err
-	}
 	svc, err := monitor.NewService(mcfg, m)
 	if err != nil {
 		return Run{}, err
 	}
-	if err := setup(svc); err != nil {
-		return Run{}, err
+	svc.DisabledOverride = disabled
+	for _, r := range regions {
+		if err := svc.CreateRegion(r[0], r[1]); err != nil {
+			return Run{}, err
+		}
 	}
+	svc.Reinstall()
 	if _, err := m.Run(); err != nil {
 		return Run{}, err
 	}
@@ -293,33 +257,6 @@ func (c Config) runElimUncached(src string, u *asm.Unit, mode elim.Mode, mcfg mo
 	}
 	m := c.newMachine()
 	prog.LoadShared(m)
-	if c.Server != nil {
-		sess, err := c.Server.Attach(mcfg, m)
-		if err != nil {
-			return Run{}, err
-		}
-		defer sess.Detach()
-		if err := sess.Do(func(m *machine.Machine, svc *monitor.Service) error {
-			rt := elim.NewRuntime(m, prog, res)
-			_ = rt
-			if err := svc.CreateRegion(FarRegion, 4); err != nil {
-				return err
-			}
-			svc.Reinstall()
-			return nil
-		}); err != nil {
-			return Run{}, err
-		}
-		if _, err := sess.Run(); err != nil {
-			return Run{}, err
-		}
-		var run Run
-		err = sess.Do(func(m *machine.Machine, _ *monitor.Service) error {
-			run = collect(prog, m)
-			return nil
-		})
-		return run, err
-	}
 	svc, err := monitor.NewService(mcfg, m)
 	if err != nil {
 		return Run{}, err

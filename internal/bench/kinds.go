@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"databreak/internal/machine"
 	"databreak/internal/monitor"
 	"databreak/internal/patch"
 	"databreak/internal/workload"
@@ -88,45 +87,17 @@ func (c Config) runKinds(src string, p prepped, v kindsVariant) (Run, error) {
 		}
 		m := c.newMachine()
 		prog.LoadShared(m)
-		setup := func(svc *monitor.Service) error {
-			if err := svc.CreateRegion(FarRegion, 4); err != nil {
-				return err
-			}
-			if err := v.setup(svc); err != nil {
-				return err
-			}
-			svc.Reinstall()
-			return nil
-		}
-		if c.Server != nil {
-			sess, err := c.Server.Attach(mcfg, m)
-			if err != nil {
-				return Run{}, err
-			}
-			defer sess.Detach()
-			if err := sess.Do(func(_ *machine.Machine, svc *monitor.Service) error {
-				return setup(svc)
-			}); err != nil {
-				return Run{}, err
-			}
-			if _, err := sess.Run(); err != nil {
-				return Run{}, err
-			}
-			var run Run
-			err = sess.Do(func(m *machine.Machine, svc *monitor.Service) error {
-				run = collect(prog, m)
-				run.Hits = svc.HitCount
-				return nil
-			})
-			return run, err
-		}
 		svc, err := monitor.NewService(mcfg, m)
 		if err != nil {
 			return Run{}, err
 		}
-		if err := setup(svc); err != nil {
+		if err := svc.CreateRegion(FarRegion, 4); err != nil {
 			return Run{}, err
 		}
+		if err := v.setup(svc); err != nil {
+			return Run{}, err
+		}
+		svc.Reinstall()
 		if _, err := m.Run(); err != nil {
 			return Run{}, err
 		}

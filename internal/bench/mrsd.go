@@ -176,8 +176,6 @@ func (c Config) MrsdLoad(o MrsdOptions) (MrsdReport, error) {
 
 	// Serial references, keyed exactly like table cells and Stress
 	// references so a shared artifact cache reuses them.
-	serial := c
-	serial.Server = nil
 	refs, err := parallelMap(c, len(programs), func(i int) (mrsdRefs, error) {
 		p := programs[i]
 		c.logf("mrsd prep: %s", p.Name)
@@ -192,16 +190,16 @@ func (c Config) MrsdLoad(o MrsdOptions) (MrsdReport, error) {
 		r := mrsdRefs{name: p.Name}
 		far := [][2]uint32{{FarRegion, 4}}
 		desc := descPatch(popts) + "|exec|" + descMonitor(mcfg) + "|" + descRegions(far, false)
-		if r.far, err = serial.memoRun(p.Source, desc, func() (Run, error) {
-			return serial.execute(prog, mcfg, far, false)
+		if r.far, err = c.memoRun(p.Source, desc, func() (Run, error) {
+			return c.execute(prog, mcfg, far, false)
 		}); err != nil {
 			return mrsdRefs{}, err
 		}
 		if o.HitSessions > 0 {
 			hit := [][2]uint32{{HitRegion, HitRegionSize}}
 			desc := descPatch(popts) + "|exec|" + descMonitor(mcfg) + "|" + descRegions(hit, false)
-			if r.hit, err = serial.memoRun(p.Source, desc, func() (Run, error) {
-				return serial.execute(prog, mcfg, hit, false)
+			if r.hit, err = c.memoRun(p.Source, desc, func() (Run, error) {
+				return c.execute(prog, mcfg, hit, false)
 			}); err != nil {
 				return mrsdRefs{}, err
 			}

@@ -115,8 +115,6 @@ func (c Config) Stress(sc StressConfig) (StressReport, error) {
 		prog *asm.Program
 		ref  Run
 	}
-	serial := c
-	serial.Server = nil
 	preps, err := parallelMap(c, len(programs), func(i int) (stressPrep, error) {
 		p := programs[i]
 		c.logf("stress prep: %s", p.Name)
@@ -134,8 +132,8 @@ func (c Config) Stress(sc StressConfig) (StressReport, error) {
 		// sharing a cache with the tables reuses their measurement.
 		regions := [][2]uint32{{FarRegion, 4}}
 		desc := descPatch(popts) + "|exec|" + descMonitor(mcfg) + "|" + descRegions(regions, false)
-		ref, err := serial.memoRun(p.Source, desc, func() (Run, error) {
-			return serial.execute(prog, mcfg, regions, false)
+		ref, err := c.memoRun(p.Source, desc, func() (Run, error) {
+			return c.execute(prog, mcfg, regions, false)
 		})
 		if err != nil {
 			return stressPrep{}, err

@@ -27,9 +27,9 @@
 // code". The invariant: ALL text mutation goes through PatchInstr, which
 // re-decodes the patched micro-op and repairs the block index for the
 // (bounded) straight-line run ending at the patched index. A patch that a
-// StoreHook or LoadHook makes while a closure executes is caught by a text
-// generation counter checked after the hooked access; the closure then
-// exits cleanly and the dispatcher re-dispatches against the fresh index.
+// StoreHook makes while a closure executes is caught by a text generation
+// counter checked after the hooked store; the closure then exits cleanly
+// and the dispatcher re-dispatches against the fresh index.
 package machine
 
 import (

@@ -1,18 +1,17 @@
 // Closure-compiled (threaded-code) execution tier: the only compiled tier.
 //
-// The trace builder (trace.go) stitches superblocks, fuses pairs, and marks
-// the compile-time I-line boundaries. This file threads each trace it
-// emits, at once, into ONE closure per trace (closProg), whose body is a
-// loop over items that map 1:1 onto trace-ops but carry their accounting
-// pre-resolved — the fetch check collapses to a two-bit dispatch code,
-// known-hit fetches and static cycles collapse to per-batch prefix sums
-// settled in one addition at each control op, the condition codes live in
-// a closure-local byte, and counted ops become (rare) dedicated counter
-// items so the hot dispatch never sees them. Control
+// The trace builder (trace.go) stitches superblocks, fuses pairs, and emits
+// each trace as ONE closure (closProg), whose body is a loop over items
+// that carry their accounting pre-resolved — the fetch check collapses to a
+// two-bit dispatch code that finish derives from the compile-time I-line
+// boundaries, known-hit fetches and static cycles collapse to per-batch
+// prefix sums settled in one addition at each control item, the condition
+// codes live in a closure-local byte, and counted instructions get (rare)
+// dedicated counter items so the hot dispatch never sees them. Control
 // transfers are evaluated inline; the trace back-edge is a pointer reset,
 // not a dispatch. Per-pass hot state (both line trackers, hit/cycle
 // accumulators, the CC byte) stays in locals and spills to the shared cst
-// only at trace exits, faults, and hook (StoreHook/LoadHook) boundaries.
+// only at trace exits, faults, and StoreHook boundaries.
 // Trace-to-trace linking happens inside run: a side exit resolves the next
 // trace's closure (compiling it on demand) and continues with its items, so
 // chained traces run without a dispatcher round-trip. The closure is all a
@@ -20,7 +19,7 @@
 // the spans PatchInstr invalidates by.
 //
 // Measured dead ends worth recording, all on BenchmarkRunWorkload against
-// the ~5.5-6ms/op of a plain interpreter over the trace-ops: one closure per
+// the ~5.5-6ms/op of the retired trace-op interpreter: one closure per
 // µop — the classic threaded-code shape — lands at ~9.9ms (an indirect
 // call, frame setup, and spilled hot state per op cost more than a
 // predicted jump-table branch);
@@ -30,8 +29,8 @@
 // through memory); and a first cut of the single-closure shape that exploded
 // fused pairs into separate items and emitted explicit per-run fetch items
 // lands at ~14.5ms — item count per retired instruction, not arithmetic, is
-// what the loop's cost tracks, so the item stream must stay as dense as the
-// trace-op stream it replaces. That rule holds for the items run retires
+// what the loop's cost tracks, so the item stream must stay as dense as
+// the trace-op stream was. That rule holds for the items run retires
 // inline: fused triples that retired through an out-of-line call made the
 // stream denser (eqntott 0.579 -> 0.474 items per instruction) yet the
 // workload builds slower, because the call cost more than the two inline
@@ -47,7 +46,7 @@
 //     loop, and with no callee-saved registers in the Go ABI each call
 //     spills the loop's whole hoisted state. run() stays under the budget
 //     by construction: cold case bodies live in noinline helpers (winPush/
-//     winPop/hookedAccess/fault/stop/exitNext), the eight side-exit sites
+//     winPop/hookedStore/fault/stop/exitNext), the eight side-exit sites
 //     share one `goto hop` tail, and exit-only accounting lookups hide
 //     inside the noinline callees. Any edit that grows run() should re-check
 //     -m=2.
@@ -65,7 +64,7 @@
 // intervening work touches no cache state, so the probe order matches
 // Step's exactly; the repair target is precomputed, and a line-crossing
 // or control fetch bounds the scan because those probe dynamically anyway).
-// Every same-line (nl-clear) body fetch is therefore a guaranteed hit
+// Every same-line body fetch is therefore a guaranteed hit
 // counted at compile time into per-item prefix sums (hb), settled with ONE
 // addition at each control op and corrected in the hit count itself on the
 // rare kill/hook paths. A control op's own fetch never precounts (it may
@@ -75,8 +74,8 @@
 //
 // The proof obligation: simulated instruction counts, cycles, cache
 // statistics, event counters, and fault points bit-identical to Step.
-// Patch safety is spans + textGen (a hooked store or load that patches text
-// exits at the access boundary), and COW privatization copies the image's
+// Patch safety is spans + textGen (a hooked store that patches text exits
+// at the store boundary), and COW privatization copies the image's
 // closures into this machine's own slots, where invalidateTraces nils every
 // closure whose spans cover a patch.
 package machine
@@ -88,14 +87,13 @@ import (
 	"unsafe"
 
 	"databreak/internal/cache"
-	"databreak/internal/sparc"
 )
 
 // closProg is the compiled closure form of one trace, and all that is kept
 // of it: immutable once published, so an image's closures may be shared
 // across machines and read while another machine invalidates its own slots.
 type closProg struct {
-	items []ritem // compiled item stream, 1:1 with the trace's ops
+	items []ritem // compiled item stream, ending in tEnd
 	// spans are the trace's sorted, disjoint [lo,hi) consumed text-index
 	// ranges; PatchInstr drops any closure whose span covers the patched
 	// index.
@@ -163,10 +161,10 @@ type cst struct {
 	err    error
 }
 
-// ritem is one trace-op with its accounting pre-resolved. The stream maps
-// 1:1 onto the trace's ops (fused pairs stay fused — dispatch density is
-// what the loop's cost tracks) except that counted ops are preceded by a
-// synthetic cCount item, keeping the counter test off the hot path entirely.
+// ritem is one instruction, or a fused pair or nop run, with its accounting
+// pre-resolved. Fused pairs stay one item — dispatch density is what the
+// loop's cost tracks — and counted instructions are preceded by a synthetic
+// cCount item, keeping the counter test off the hot path entirely.
 //
 // The struct is 28 bytes and holds only what the loop touches between
 // settles. It is not padded to 32 (half a cache line, where no item would
@@ -179,11 +177,11 @@ type cst struct {
 type ritem struct {
 	kind topOp
 	// f bits 0-1 dispatch this item's first ifetch:
-	//   0 = precounted into the batch (nl-clear body op: guaranteed hit);
-	//   1 = fast two-way (nl-clear control op: tracker live => hit, else
-	//       probe — never precounted because the op may exit the trace);
-	//   2 = full two-way line compare (the trace's first op: tracker state
-	//       at entry is dynamic);
+	//   0 = precounted into the batch (same-line body item: guaranteed hit);
+	//   1 = fast two-way (same-line control item: tracker live => hit, else
+	//       probe — never precounted because the item may exit the trace);
+	//   2 = full two-way line compare (the trace's first item: tracker
+	//       state at entry is dynamic);
 	//   3 = unconditional probe (line-crossing: a live tracker holds the
 	//       previous fetch's line, which a crossing line can never match).
 	// f bit 2: the fused second fetch crosses a line (probe); clear on a
@@ -196,7 +194,7 @@ type ritem struct {
 	rd2  uint8 // fused second half's operands
 	rs1b uint8
 	s2rb uint8
-	cm   uint16 // control item: branch condition mask
+	cm   uint16 // control item: branch condition mask (condMask[0] elsewhere)
 	// hb: precounted fetches earned through this item's FIRST fetch since
 	// the last settle (a fused op's second precounted fetch lands in the
 	// next item's hb); on a control item, the full batch to settle.
@@ -205,7 +203,7 @@ type ritem struct {
 	// imm2: fused second half's immediate. Control items have no second
 	// immediate, so they carry their settle pair here instead:
 	// bits 0-15 the batch's static-cycle total, bits 16-30 the pass
-	// instructions retired through the op's first instr (niW). Read via
+	// instructions retired through the item's first instruction (niW). Read via
 	// ctlCyc/ctlNi; both fit 15 bits because maxBlockLen caps a trace.
 	imm2 int32
 	// rx: memory item — the ifetch ADDRESS of the next precounted
@@ -358,7 +356,7 @@ func ccLogicBits(r int32) uint8 {
 	return bits
 }
 
-// isCtlOp reports whether a trace-op is a control transfer (settles the
+// isCtlOp reports whether an item kind is a control transfer (settles the
 // batch; its own fetch never precounts).
 func isCtlOp(op topOp) bool {
 	switch op {
@@ -366,92 +364,6 @@ func isCtlOp(op topOp) bool {
 		return true
 	}
 	return false
-}
-
-// compileClosures threads tr into its single-closure form under cost model
-// c. The result depends only on tr and c, never on the compiling machine,
-// so a shared image can publish it to every machine attached with the
-// image's geometry and cost model.
-func compileClosures(tr *traceProg, c *Costs) *closProg {
-	cp := &closProg{
-		head:       tr.entry,
-		shift:      tr.shift,
-		passInstrs: tr.passInstrs,
-		spans:      tr.spans,
-		taken:      c.TakenBranch,
-		mul:        c.Mul,
-		div:        c.Div,
-		spill:      c.WindowSpill,
-		memx:       c.MemExtra,
-	}
-	// One item per op plus one counter item per counted op, stored at exact
-	// size: closures live as long as their image.
-	n := len(tr.ops)
-	for i := range tr.ops {
-		if tr.ops[i].op&topCount != 0 {
-			n++
-		}
-	}
-	items := make([]ritem, 0, n)
-	for i := range tr.ops {
-		items = appendItem(items, tr, &tr.ops[i], len(items) == 0)
-	}
-	cp.finish(items)
-	cp.items = items
-	return cp
-}
-
-// appendItem compiles trace-op u of tr into its item, preceded by a counter
-// item when the op is counted. finish() fills in the batch bookkeeping.
-func appendItem(items []ritem, tr *traceProg, u *top, first bool) []ritem {
-	op := u.op &^ topCount
-	if u.op&topCount != 0 {
-		// The counter item fetches nothing, so the op after it keeps its
-		// own dispatch code (including the entry compare when first).
-		items = append(items, ritem{kind: cCount, imm: int32(u.cnt) - 1})
-	}
-	if op == tEnd {
-		// Synthetic tail: settle, commit the whole pass, link to exitPC.
-		return append(items, ritem{kind: tEnd, rx: uint32(tr.exitPC),
-			imm2: int32(tr.passInstrs) << 16})
-	}
-	it := ritem{
-		kind: op,
-		rd:   u.rd, rs1: u.rs1, s2r: u.s2r,
-		rd2: u.rd2, rs1b: u.rs1b, s2rb: u.s2rb,
-		cm:  condMask[u.cond],
-		imm: u.imm, imm2: u.imm2,
-		fpc: int32((u.iaddr - TextBase) / 4),
-	}
-	if isCtlOp(op) {
-		// finish() completes the settle pair around niW (see ritem.imm2).
-		it.imm2 = (int32(u.ni) + 1) << 16
-	}
-	switch {
-	case first:
-		it.f = 2 // entry residency is dynamic: full two-way check
-	case u.nl&1 != 0:
-		it.f = 3 // line-crossing: unconditional probe
-	case isCtlOp(op):
-		it.f = 1 // tracker live => hit; never joins a batch
-	default:
-		it.f = 0 // precounted
-	}
-	if u.nl&2 != 0 {
-		it.f |= 4 // fused second fetch crosses: unconditional probe
-	}
-	switch op {
-	case tCall:
-		it.rd = uint8(sparc.O7)
-		it.imm = int32(u.iaddr) + 4
-	case tBr, tCmpBr:
-		it.rx = uint32(u.tgt)
-	case tBrT, tBrLoop:
-		it.rx = uint32(it.fpc + 1)
-	case tCmpBrT, tCmpBrLoop:
-		it.rx = uint32(it.fpc + 2)
-	}
-	return append(items, it)
 }
 
 // ownStatic is one item's static-cycle contribution to its batch's prefix
@@ -473,25 +385,49 @@ func (cp *closProg) ownStatic(op topOp) int64 {
 	return 0
 }
 
-// finish computes the batch bookkeeping over the item stream: per-item
-// precounted-hit prefix sums and each control item's settle pair (a batch
-// runs from one control op to the next — the control settles and resets
-// it), and, for every memory item, the eager repair target: the next
-// precounted first-fetch in instruction order. The scan bounds at any
+// finish completes the item stream the builder emitted. An item's fetch
+// codes (ritem.f) follow from its text index and width under the closure's
+// I-line shift: whether its first fetch, and a fused item's second, stays
+// on the line of the fetch before it in pass order. From those come the
+// per-item precounted-hit prefix sums and each control item's settle pair
+// (a batch runs from one control item to the next — the control settles
+// and resets it), and, for every memory item, the eager repair target: the
+// next precounted first-fetch in instruction order. The scan bounds at any
 // dynamically-fetching item (crossing, entry, control): its own probe
 // re-establishes the tracker, so nothing past it needs repair.
-func (cp *closProg) finish(items []ritem) {
+func (cp *closProg) finish() {
+	items := cp.items
 	hb := uint16(0)
 	cyc := int64(0)
+	lastLine := noLine // the line of the previous fetch; noLine before the entry's
 	for i := range items {
 		it := &items[i]
 		if it.kind == cCount {
 			continue
 		}
+		if it.kind != tEnd {
+			ia := TextBase + uint32(it.fpc)<<2
+			line := ia >> cp.shift
+			switch {
+			case lastLine == noLine:
+				it.f = 2 // entry residency is dynamic: full two-way check
+			case line != lastLine:
+				it.f = 3 // line-crossing: unconditional probe
+			case isCtlOp(it.kind):
+				it.f = 1 // tracker live => hit; never joins a batch
+			}
+			lastLine = line
+			// topWidth, not opWidth: a nop run's later fetches never leave
+			// its first fetch's line.
+			if line2 := (ia + 4) >> cp.shift; topWidth(it.kind) == 2 && line2 != line {
+				it.f |= 4 // fused second fetch crosses: unconditional probe
+				lastLine = line2
+			}
+		}
 		if isCtlOp(it.kind) {
 			// Controls read their settle pair on every execution, so it
 			// rides in the hot item: imm2 (free — no fused second half) is
-			// cycB | niW<<16, with niW placed by appendItem. maxBlockLen
+			// cycB | niW<<16, with niW placed by the builder. maxBlockLen
 			// (1024) bounds both well under their 16/15-bit fields.
 			it.hb = hb
 			it.imm2 |= int32(cyc)
@@ -595,28 +531,26 @@ func (m *Machine) winPop(spillC int64) int64 {
 	return 0
 }
 
-// hookedAccess is the whole hooked-access slow path shared by every load and
-// store item: flush exact statistics — and the machine-visible CC byte — for
-// the hook to observe, run the StoreHook or LoadHook by kind, the word
-// probe with both trackers dead (the kill leaves no known-hit or alias case
-// to handle), the architectural move through the generic ReadWord/storeWord
-// path, then either the batch rebase and eager repair (rebased ihits wraps
-// negative mod 2^64; every path to a flush first adds a batch prefix that
-// covers it, and the repair performs the next precounted fetch's probe
-// exactly as Step's next fetch would) or, on a text patch under the hook,
-// the access-boundary commit (exit=true: the caller returns to the
-// trampoline immediately). Keeping all of it out of line keeps the seven
-// hook sites in run() from pushing the loop over the inliner's big-function
-// node budget.
+// hookedStore is the whole hooked-store slow path shared by every store
+// item: flush exact statistics — and the machine-visible CC byte — for the
+// StoreHook to observe, run it, the word probe with both trackers dead (the
+// kill leaves no known-hit or alias case to handle), the architectural
+// store through the generic storeWord path, then either the batch rebase
+// and eager repair at it.rx (rebased ihits wraps negative mod 2^64; every
+// path to a flush first adds a batch prefix that covers it, and the repair
+// performs the next precounted fetch's probe exactly as Step's next fetch
+// would) or, on a text patch under the hook, the store-boundary commit
+// (exit=true: the caller returns to the dispatcher at once). Keeping
+// all of it out of line keeps the two hook sites in run() from pushing the
+// loop over the inliner's big-function node budget.
 //
-// ria is the eager-repair target: the next precounted first-fetch address
-// (it.rx) — or, for a hooked FIRST half of a fused pair whose own second
-// fetch is precounted, that second fetch's address. extra/dN/dPc locate the
-// access boundary for the patch exit: the item's static share through the
-// access, and the retired-count/pc deltas for a fused second half.
+// hb is the batch prefix through the store's fetch, reg the stored
+// register, and extra/dN/dPc locate the store boundary for the patch exit:
+// the item's static share through the store, and the retired-count/pc
+// deltas for a fused second half.
 //
 //go:noinline
-func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, ria uint32, reg uint8, kind cache.Kind, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
+func (s *cst) hookedStore(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cyc0 int64, ea uint32, hb uint16, reg uint8, extra int64, dN, dPc int32) (curIL, curDL uint32, ihits uint64, cyc int64, exit bool) {
 	m := s.m
 	m.ccb = ccb
 	m.cache.NoteHits(cache.IFetch, ihits0+uint64(hb))
@@ -628,22 +562,13 @@ func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cy
 		m.cache.NoteHits(cache.DWrite, s.dwh)
 		s.dwh = 0
 	}
-	cyc = cyc0
-	if kind == cache.DWrite {
-		cyc += m.StoreHook(ea, 4)
-	} else {
-		cyc += m.LoadHook(ea, 4)
-	}
+	cyc = cyc0 + m.StoreHook(ea, 4)
 	shift := cp.shift
-	if !m.cache.Access(ea, kind) {
+	if !m.cache.Access(ea, cache.DWrite) {
 		cyc += m.costs.MissPenalty
 	}
 	curIL, curDL = noLine, ea>>shift
-	if kind == cache.DWrite {
-		m.storeWord(ea, m.regs[reg])
-	} else {
-		m.regs[reg] = m.ReadWord(ea)
-	}
+	m.storeWord(ea, m.regs[reg])
 	if m.textGen != s.gen {
 		cycB, niW := cp.exitPrefix(it)
 		n := niW + int64(dN)
@@ -654,7 +579,7 @@ func (s *cst) hookedAccess(cp *closProg, it *ritem, ihits0 uint64, ccb uint8, cy
 		return curIL, curDL, 0, 0, true
 	}
 	ihits = -uint64(hb)
-	if ria != 0 {
+	if ria := it.rx; ria != 0 {
 		var c int64
 		curIL, curDL, c = fetchSlowV(m, ria>>shift, ria, curDL, s.imask)
 		cyc += c
@@ -810,15 +735,6 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
 							cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					}
-					if m.LoadHook != nil {
-						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DRead, cp.memx, 0, 1)
-						if ex {
-							return curIL, curDL, ihits, ccb
-						}
-						break
-					}
 					if line := ea >> shift; line == curDL {
 						cs.drh++
 					} else if curIL == noLine || (line^curIL)&imask != 0 {
@@ -859,8 +775,8 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						// run the hook, probe with dead trackers, store, then
 						// rebase-and-repair or patch-exit — lives out of line.
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, it.rx, it.rd, cache.DWrite, cp.memx, 0, 1)
+						curIL, curDL, ihits, cyc, ex = cs.hookedStore(cp, it,
+							ihits, ccb, cyc, ea, it.hb, it.rd, cp.memx, 0, 1)
 						if ex {
 							return curIL, curDL, ihits, ccb
 						}
@@ -953,51 +869,35 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 						return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
 							cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 					}
-					if m.LoadHook != nil {
-						// Repair targets the op's own second fetch when it is
-						// precounted (a crossing one probes for itself below),
-						// exactly like the kill-repair path.
+					if line := ea >> shift; line == curDL {
+						cs.drh++
+					} else if curIL == noLine || (line^curIL)&imask != 0 {
+						// Clean D-line change (no I-tracker alias) stays inline: probe
+						// and retarget — the kill-and-repair path is the rare one.
+						if !cc.Access(ea, cache.DRead) {
+							cyc += missP
+						}
+						curDL = line
+					} else {
+						// Kill repair targets the item's own second fetch when
+						// precounted; a crossing second fetch probes anyway.
 						var ra uint32
 						if it.f&4 == 0 {
 							ra = TextBase + uint32(it.fpc)<<2 + 4
 						}
-						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
-						if ex {
-							return curIL, curDL, ihits, ccb
-						}
-					} else {
-						if line := ea >> shift; line == curDL {
-							cs.drh++
-						} else if curIL == noLine || (line^curIL)&imask != 0 {
-							// Clean D-line change (no I-tracker alias) stays inline: probe
-							// and retarget — the kill-and-repair path is the rare one.
-							if !cc.Access(ea, cache.DRead) {
-								cyc += missP
-							}
-							curDL = line
-						} else {
-							// Kill repair targets the op's own second fetch when
-							// precounted; a crossing second fetch probes anyway.
-							var ra uint32
-							if it.f&4 == 0 {
-								ra = TextBase + uint32(it.fpc)<<2 + 4
-							}
-							var c, cv int64
-							curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-							cyc += c
-							ihits += uint64(cv)
-						}
-						pb := ea &^ (PageBytes - 1)
-						pe := &m.pageCache[pageCacheIdx(ea)]
-						pg := pe.p
-						if pe.base != pb {
-							pg = m.pageSlow(pb)
-						}
-						o := ea & (PageBytes - 4)
-						m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
+						var c, cv int64
+						curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
+						cyc += c
+						ihits += uint64(cv)
 					}
+					pb := ea &^ (PageBytes - 1)
+					pe := &m.pageCache[pageCacheIdx(ea)]
+					pg := pe.p
+					if pe.base != pb {
+						pg = m.pageSlow(pb)
+					}
+					o := ea & (PageBytes - 4)
+					m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
 					if it.f&4 != 0 {
 						ia2 := TextBase + uint32(it.fpc)<<2 + 4
 						if !cc.Access(ia2, cache.IFetch) {
@@ -1022,7 +922,6 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 
 				case tAddLd, tOrLd, tLdLd:
 					var firstMemx int64
-					lhooked := m.LoadHook != nil
 					if it.kind == tLdLd {
 						firstMemx = cp.memx
 						ea := uint32(m.regs[it.rs1] + m.regs[it.s2r] + it.imm)
@@ -1030,46 +929,33 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
 								cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 						}
-						if lhooked {
+						if line := ea >> shift; line == curDL {
+							cs.drh++
+						} else if curIL == noLine || (line^curIL)&imask != 0 {
+							// Clean D-line change (no I-tracker alias) stays inline: probe
+							// and retarget — the kill-and-repair path is the rare one.
+							if !cc.Access(ea, cache.DRead) {
+								cyc += missP
+							}
+							curDL = line
+						} else {
 							var ra uint32
 							if it.f&4 == 0 {
 								ra = TextBase + uint32(it.fpc)<<2 + 4
 							}
-							var ex bool
-							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
-							if ex {
-								return curIL, curDL, ihits, ccb
-							}
-						} else {
-							if line := ea >> shift; line == curDL {
-								cs.drh++
-							} else if curIL == noLine || (line^curIL)&imask != 0 {
-								// Clean D-line change (no I-tracker alias) stays inline: probe
-								// and retarget — the kill-and-repair path is the rare one.
-								if !cc.Access(ea, cache.DRead) {
-									cyc += missP
-								}
-								curDL = line
-							} else {
-								var ra uint32
-								if it.f&4 == 0 {
-									ra = TextBase + uint32(it.fpc)<<2 + 4
-								}
-								var c, cv int64
-								curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-								cyc += c
-								ihits += uint64(cv)
-							}
-							pb := ea &^ (PageBytes - 1)
-							pe := &m.pageCache[pageCacheIdx(ea)]
-							pg := pe.p
-							if pe.base != pb {
-								pg = m.pageSlow(pb)
-							}
-							o := ea & (PageBytes - 4)
-							m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
+							var c, cv int64
+							curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
+							cyc += c
+							ihits += uint64(cv)
 						}
+						pb := ea &^ (PageBytes - 1)
+						pe := &m.pageCache[pageCacheIdx(ea)]
+						pg := pe.p
+						if pe.base != pb {
+							pg = m.pageSlow(pb)
+						}
+						o := ea & (PageBytes - 4)
+						m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
 					} else if it.kind == tAddLd {
 						m.regs[it.rd] = m.regs[it.rs1] + m.regs[it.s2r] + it.imm
 					} else {
@@ -1092,15 +978,6 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					if ea&3 != 0 {
 						return cs.fault(curIL, curDL, ihits+uint64(uint16(hb2)), ccb,
 							cyc+firstMemx, cp, it, 1, 1, "unaligned load at %#x", ea)
-					}
-					if lhooked {
-						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DRead, firstMemx+cp.memx, 1, 2)
-						if ex {
-							return curIL, curDL, ihits, ccb
-						}
-						break
 					}
 					if line := ea >> shift; line == curDL {
 						cs.drh++
@@ -1135,46 +1012,33 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 							return cs.fault(curIL, curDL, ihits+uint64(it.hb), ccb,
 								cyc, cp, it, 0, 0, "unaligned load at %#x", ea)
 						}
-						if m.LoadHook != nil {
+						if line := ea >> shift; line == curDL {
+							cs.drh++
+						} else if curIL == noLine || (line^curIL)&imask != 0 {
+							// Clean D-line change (no I-tracker alias) stays inline: probe
+							// and retarget — the kill-and-repair path is the rare one.
+							if !cc.Access(ea, cache.DRead) {
+								cyc += missP
+							}
+							curDL = line
+						} else {
 							var ra uint32
 							if it.f&4 == 0 {
 								ra = TextBase + uint32(it.fpc)<<2 + 4
 							}
-							var ex bool
-							curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-								ihits, ccb, cyc, ea, it.hb, ra, it.rd, cache.DRead, cp.memx, 0, 1)
-							if ex {
-								return curIL, curDL, ihits, ccb
-							}
-						} else {
-							if line := ea >> shift; line == curDL {
-								cs.drh++
-							} else if curIL == noLine || (line^curIL)&imask != 0 {
-								// Clean D-line change (no I-tracker alias) stays inline: probe
-								// and retarget — the kill-and-repair path is the rare one.
-								if !cc.Access(ea, cache.DRead) {
-									cyc += missP
-								}
-								curDL = line
-							} else {
-								var ra uint32
-								if it.f&4 == 0 {
-									ra = TextBase + uint32(it.fpc)<<2 + 4
-								}
-								var c, cv int64
-								curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
-								cyc += c
-								ihits += uint64(cv)
-							}
-							pb := ea &^ (PageBytes - 1)
-							pe := &m.pageCache[pageCacheIdx(ea)]
-							pg := pe.p
-							if pe.base != pb {
-								pg = m.pageSlow(pb)
-							}
-							o := ea & (PageBytes - 4)
-							m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
+							var c, cv int64
+							curIL, curDL, c, cv = dataSlowV(m, ea, cache.DRead, line, curIL, curDL, imask, ra, shift)
+							cyc += c
+							ihits += uint64(cv)
 						}
+						pb := ea &^ (PageBytes - 1)
+						pe := &m.pageCache[pageCacheIdx(ea)]
+						pg := pe.p
+						if pe.base != pb {
+							pg = m.pageSlow(pb)
+						}
+						o := ea & (PageBytes - 4)
+						m.regs[it.rd] = int32(binary.BigEndian.Uint32(pg[o : o+4]))
 					} else if it.kind == tAddSt {
 						m.regs[it.rd] = m.regs[it.rs1] + m.regs[it.s2r] + it.imm
 					} else {
@@ -1200,8 +1064,8 @@ func (cp *closProg) run(m *Machine, curIL, curDL uint32, ihits uint64, ccb uint8
 					}
 					if m.StoreHook != nil {
 						var ex bool
-						curIL, curDL, ihits, cyc, ex = cs.hookedAccess(cp, it,
-							ihits, ccb, cyc, ea, uint16(hb2), it.rx, it.rd2, cache.DWrite, firstMemx+cp.memx, 1, 2)
+						curIL, curDL, ihits, cyc, ex = cs.hookedStore(cp, it,
+							ihits, ccb, cyc, ea, uint16(hb2), it.rd2, firstMemx+cp.memx, 1, 2)
 						if ex {
 							return curIL, curDL, ihits, ccb
 						}

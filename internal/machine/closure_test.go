@@ -46,11 +46,10 @@ func TestDifferentialClosureFaults(t *testing.T) {
 
 // diffPatchClosure runs text via Step and via the closure engine, each
 // machine over its own copy of the text (LoadText aliases the caller's
-// slice and PatchInstr writes through it). On the n-th hooked access — a
-// store when store is set, else a load — each machine patches index at to
-// in. It returns the closure machine and the closure it held at head when
-// its hook patched.
-func diffPatchClosure(t *testing.T, ctx string, text []sparc.Instr, store bool, n int, at int32, in sparc.Instr, head int) (*Machine, *closProg) {
+// slice and PatchInstr writes through it). On the n-th hooked store each
+// machine patches index at to in. It returns the closure machine and the
+// closure it held at head when its hook patched.
+func diffPatchClosure(t *testing.T, ctx string, text []sparc.Instr, n int, at int32, in sparc.Instr, head int) (*Machine, *closProg) {
 	t.Helper()
 	var held *closProg
 	mk := func(e Engine) *Machine {
@@ -58,7 +57,7 @@ func diffPatchClosure(t *testing.T, ctx string, text []sparc.Instr, store bool, 
 		m.SetEngine(e)
 		m.LoadText(append([]sparc.Instr(nil), text...), 0)
 		seen := 0
-		hook := func(addr uint32, size int32) int64 {
+		m.StoreHook = func(addr uint32, size int32) int64 {
 			seen++
 			if seen == n {
 				if e == EngineClosure {
@@ -69,11 +68,6 @@ func diffPatchClosure(t *testing.T, ctx string, text []sparc.Instr, store bool, 
 				}
 			}
 			return 0
-		}
-		if store {
-			m.StoreHook = hook
-		} else {
-			m.LoadHook = hook
 		}
 		return m
 	}
@@ -105,7 +99,7 @@ func TestDifferentialPatchInClosure(t *testing.T) {
 		sparc.Branch(sparc.BL, 1),
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
-	b, held := diffPatchClosure(t, "patch in closure", text, true, 5, 2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1), 1)
+	b, held := diffPatchClosure(t, "patch in closure", text, 5, 2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1), 1)
 	if published(b.traces, b.uops, 1) == held {
 		t.Fatal("the patch kept the loop closure over the patched index")
 	}
@@ -126,22 +120,7 @@ func TestDifferentialPatchInFusedStoreClosure(t *testing.T) {
 		sparc.Branch(sparc.BL, 1),
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
-	diffPatchClosure(t, "patch in fused store closure", text, true, 9, 1, sparc.RI(sparc.Add, sparc.O1, 7, sparc.O1), 1)
-}
-
-// TestDifferentialPatchInFusedLoadClosure is TestDifferentialPatchInFusedLoad
-// over private text: a LoadHook patches the loop body from inside a
-// fused-load item of the machine's own closure.
-func TestDifferentialPatchInFusedLoadClosure(t *testing.T) {
-	text := []sparc.Instr{
-		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
-		sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
-		{Op: sparc.Ld, Rd: sparc.O2, Rs1: sparc.L0, UseImm: true},
-		sparc.RI(sparc.Subcc, sparc.O1, 100, sparc.G0),
-		sparc.Branch(sparc.BL, 1),
-		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
-	}
-	diffPatchClosure(t, "patch in fused load closure", text, false, 9, 1, sparc.RI(sparc.Add, sparc.O1, 7, sparc.O1), 1)
+	diffPatchClosure(t, "patch in fused store closure", text, 9, 1, sparc.RI(sparc.Add, sparc.O1, 7, sparc.O1), 1)
 }
 
 // TestImageClosuresSurviveSiblingPatch: two closure-engine machines share an

@@ -411,7 +411,7 @@ func TestDifferentialPatchInTrace(t *testing.T) {
 	errA := stepAll(a)
 	_, errB := b.Run()
 	diffStates(t, "patch in trace", a, b, errA, errB)
-	if b.imgShared {
+	if b.img != nil {
 		t.Fatal("patching machine still marked shared after PatchInstr")
 	}
 	// The run published the loop head before its hook patched; the patch
@@ -498,42 +498,4 @@ func TestDifferentialWindowedCallTrace(t *testing.T) {
 	errA := stepAll(a)
 	_, errB := b.Run()
 	diffStates(t, "windowed call loop (image)", a, b, errA, errB)
-}
-
-// TestDifferentialPatchInFusedLoad mirrors TestDifferentialPatchInFusedStore
-// for the read side: a LoadHook patches the loop body from inside a
-// fused-load closure item, and the closure must unwind to the patched text
-// exactly like the step reference.
-func TestDifferentialPatchInFusedLoad(t *testing.T) {
-	text := []sparc.Instr{
-		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
-		sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
-		{Op: sparc.Ld, Rd: sparc.O2, Rs1: sparc.L0, UseImm: true},
-		sparc.RI(sparc.Subcc, sparc.O1, 100, sparc.G0),
-		sparc.Branch(sparc.BL, 1),
-		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
-	}
-	patched := sparc.RI(sparc.Add, sparc.O1, 7, sparc.O1)
-	img := BuildImage(text, 0)
-
-	mk := func() *Machine {
-		m := New(cache.DefaultConfig, DefaultCosts)
-		m.LoadImage(img)
-		loads := 0
-		m.LoadHook = func(addr uint32, size int32) int64 {
-			loads++
-			if loads == 9 {
-				if err := m.PatchInstr(1, patched); err != nil {
-					t.Fatalf("patch: %v", err)
-				}
-			}
-			return 0
-		}
-		return m
-	}
-
-	a, b := mk(), mk()
-	errA := stepAll(a)
-	_, errB := b.Run()
-	diffStates(t, "patch in fused load", a, b, errA, errB)
 }

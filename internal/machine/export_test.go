@@ -88,15 +88,11 @@ func traceMismatch(text []sparc.Instr, uops []uop, traces []atomic.Pointer[closP
 	return ""
 }
 
-// freshClosure compiles and threads the trace at head with a fresh builder,
-// or returns nil when the builder declines the head.
+// freshClosure compiles the closure at head with a fresh builder, or
+// returns nil when the builder declines the head.
 func freshClosure(text []sparc.Instr, uops []uop, head int32, shift uint32, c *Costs) *closProg {
 	var b traceBuilder
-	tr := b.compile(text, uops, head, shift)
-	if tr == nil {
-		return nil
-	}
-	return compileClosures(tr, c)
+	return b.compile(text, uops, head, shift, c)
 }
 
 // sameClosure reports whether two closures hold the same compiled form.
@@ -144,46 +140,6 @@ func ImageSlots(img *Image) []any {
 		s = append(s, img.traces[i].Load())
 	}
 	return s
-}
-
-// AppendImageTraces appends a fixed binary encoding of the trace behind
-// every closure img has published, in text-index order, to dst: the head
-// index, entry, exitPC, shift, passInstrs, every field of every op, and
-// every span. Closures keep no op stream, so each trace is a fresh builder
-// compile of its head, which the published closure was threaded from. Two
-// builders that produce the same encoding for an image produce traces that
-// execute identically.
-func AppendImageTraces(dst []byte, img *Image) []byte {
-	le := binary.LittleEndian
-	var b traceBuilder
-	for i := range img.uops {
-		if published(img.traces, img.uops, int32(i)) == nil {
-			continue
-		}
-		tr := b.compile(img.text, img.uops, int32(i), img.traceShift)
-		dst = le.AppendUint32(dst, uint32(i))
-		dst = le.AppendUint32(dst, uint32(tr.entry))
-		dst = le.AppendUint32(dst, uint32(tr.exitPC))
-		dst = le.AppendUint32(dst, tr.shift)
-		dst = le.AppendUint64(dst, uint64(tr.passInstrs))
-		dst = le.AppendUint32(dst, uint32(len(tr.ops)))
-		for _, u := range tr.ops {
-			dst = append(dst, byte(u.op), u.rd, u.rs1, u.s2r, u.cond,
-				u.rd2, u.rs1b, u.s2rb, u.nl)
-			dst = le.AppendUint16(dst, u.ni)
-			dst = le.AppendUint16(dst, u.cnt)
-			dst = le.AppendUint32(dst, uint32(u.imm))
-			dst = le.AppendUint32(dst, uint32(u.imm2))
-			dst = le.AppendUint32(dst, uint32(u.tgt))
-			dst = le.AppendUint32(dst, u.iaddr)
-		}
-		dst = le.AppendUint32(dst, uint32(len(tr.spans)))
-		for _, s := range tr.spans {
-			dst = le.AppendUint32(dst, uint32(s[0]))
-			dst = le.AppendUint32(dst, uint32(s[1]))
-		}
-	}
-	return dst
 }
 
 // AppendImageClosures appends a fixed binary encoding of every closure img

@@ -43,8 +43,8 @@ type Image struct {
 	// maxBlockLen), numbered in text order and named by each head's
 	// uop.slot. A slot stays nil until the first
 	// sharing machine reaches its head, by dispatch or by a trace link;
-	// that machine compiles the head's trace, threads it (compileHead) and
-	// publishes the closure — or the declined sentinel when the builder
+	// that machine compiles the head's closure (compileHead) and
+	// publishes it — or the declined sentinel when the builder
 	// declines the head — with a compare-and-swap, and the slot is
 	// immutable from then on: machines enter it read-only, and a patching
 	// machine privatizes away from the whole image first. The closures are
@@ -108,7 +108,6 @@ func (m *Machine) LoadImage(img *Image) {
 	m.text = img.text
 	m.uops = img.uops
 	m.heads = int32(len(img.traces))
-	m.imgShared = true
 	m.img = img
 	m.pc = img.entry
 	m.textGen++
@@ -123,13 +122,12 @@ func (m *Machine) LoadImage(img *Image) {
 // sharing the image keep executing, and first-entering, its slots
 // untouched.
 func (m *Machine) privatize() {
-	if !m.imgShared {
+	if m.img == nil {
 		return
 	}
 	traces := m.traces
 	m.text = slices.Clone(m.text)
 	m.uops = slices.Clone(m.uops)
-	m.imgShared = false
 	m.img = nil
 	m.syncTraceState()
 	for i := range m.traces {

@@ -122,12 +122,11 @@ type Machine struct {
 	// text order (uop.slot) and PatchInstr extends: the number of closure
 	// slots the compiled tier holds for this text.
 	heads int32
-	// imgShared marks text/uops as views into a shared Image (LoadImage):
-	// they are read-only until PatchInstr privatizes both (copy-on-write,
-	// see image.go). LoadText always installs private arrays. img retains
-	// the attached image so the compiled tier can reach its closures.
-	imgShared bool
-	img       *Image
+	// img, when non-nil, is the shared Image (LoadImage) that text and
+	// uops are views into: they are read-only until PatchInstr privatizes
+	// both (copy-on-write, see image.go), and the compiled tier reaches the
+	// image's closures through it. LoadText always installs private arrays.
+	img *Image
 	// engine selects the Run/RunFor execution strategy; the compiled-tier
 	// state below is maintained by syncTraceState (trace.go). traces[s],
 	// when non-nil, is the closure (closure.go) compiled at the head whose
@@ -197,15 +196,6 @@ type Machine struct {
 	// address and size; it returns extra cycles to charge. The page
 	// protection and hardware watchpoint baselines use it.
 	StoreHook func(addr uint32, size int32) int64
-
-	// LoadHook, if non-nil, is consulted on every load with the effective
-	// address and size; it returns extra cycles to charge. It is the load
-	// mirror of StoreHook — the hardware-watchpoint baseline for read
-	// watchpoints uses it — and it obeys the same contract in every engine:
-	// the hook fires BEFORE the load's data access, observes exact simulated
-	// counts, and may patch text (the closure engine exits the compiled
-	// region cleanly when it does).
-	LoadHook func(addr uint32, size int32) int64
 
 	// OnMonHit is invoked when check code raises TrapMonHit: a store touched
 	// a monitored region. addr is the store's target, size 4 or 8.
@@ -284,14 +274,13 @@ func (m *Machine) Reset() {
 // slice is owned by the machine: all further mutation must go through
 // PatchInstr so the block index stays coherent.
 func (m *Machine) LoadText(text []sparc.Instr, entry int32) {
-	if m.imgShared {
+	if m.img != nil {
 		// Drop the shared view before buildUops reuses uops capacity:
 		// the old slice belongs to an Image other machines may be executing.
 		m.uops = nil
-		m.imgShared = false
+		m.img = nil
 	}
 	m.text = text
-	m.img = nil
 	m.pc = entry
 	m.uops, m.heads = buildUops(m.text, m.uops, entry)
 	m.textGen++
@@ -335,7 +324,7 @@ func (m *Machine) PatchInstr(idx int32, in sparc.Instr) error {
 		case uint32(h) >= uint32(len(m.uops)):
 		case m.uops[h].slot < 0:
 			// A new head takes the next slot number. No closure runs over
-			// the old slots: a hooked access that patches exits its closure
+			// the old slots: a hooked store that patches exits its closure
 			// on the textGen check, and the dispatcher re-reads m.traces.
 			m.uops[h].slot = m.heads
 			m.heads++
@@ -561,9 +550,6 @@ func (m *Machine) Step() error {
 		if ea&3 != 0 {
 			return m.fault(*in, "unaligned load at %#x", ea)
 		}
-		if m.LoadHook != nil {
-			m.cycles += m.LoadHook(ea, 4)
-		}
 		m.dataAccess(ea, cache.DRead)
 		m.writeReg(in.Rd, m.ReadWord(ea))
 
@@ -574,9 +560,6 @@ func (m *Machine) Step() error {
 		}
 		if in.Rd&1 != 0 {
 			return m.fault(*in, "ldd destination must be even")
-		}
-		if m.LoadHook != nil {
-			m.cycles += m.LoadHook(ea, 8)
 		}
 		m.dataAccess(ea, cache.DRead)
 		m.dataAccess2(ea, cache.DRead)

@@ -13,7 +13,7 @@ import (
 )
 
 // Padding-nop runs: a run of uncounted nops on one I-line compiles to one
-// trace-op and one closure item whose later fetches are precounted hits.
+// closure item whose later fetches are precounted hits.
 // These tests pin that compiled form against Step on runs at every offset
 // against the I-lines, across line sizes, around faults, hooked stores and
 // patches, and check the head-slot numbering and the declined sentinel
@@ -204,7 +204,7 @@ func TestDifferentialPatchAroundNopRun(t *testing.T) {
 		if text[c.at-1].Op != sparc.Nop && text[c.at].Op != sparc.Nop {
 			t.Fatalf("%s: index %d is not next to a nop run", c.name, c.at)
 		}
-		b, held := diffPatchClosure(t, c.name, text, true, 5, c.at, c.in, 1)
+		b, held := diffPatchClosure(t, c.name, text, 5, c.at, c.in, 1)
 		if published(b.traces, b.uops, 1) == held {
 			t.Fatalf("%s: the patch kept the loop closure over index %d", c.name, c.at)
 		}

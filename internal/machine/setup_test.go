@@ -112,42 +112,20 @@ func sharedTables(t *testing.T) []*asm.Program {
 }
 
 // The digests pin every byte the set-up emits. Host-side work on the trace
-// builder, the closure compiler or check emission must leave them
-// unchanged; only a deliberate change to the trace format, the item layout,
-// the fused shapes or the check sequences may move them, and it must say so.
+// builder or check emission must leave them unchanged; only a deliberate
+// change to the item layout, the fused shapes or the check sequences may
+// move them, and it must say so.
 const (
-	wantTablesTraceDigest   = "6734e1bed2d251baef659b9dee408f6bf615065bbc7daad2cd923a298f9639c5"
 	wantTablesClosureDigest = "a7effebf1241a72a85049647feb5aaea8c52b9d5a2c0a050ce99f98fdf801787"
 	wantTablesTextDigest    = "55389e17926717454edb8b4a74b130ca0a69238d9c3c92f7735382767baab14e"
 )
 
-// TestTablesTraceDigest pins the trace behind every image closure of the 130
-// table builds: head, entry, exit pc, line shift, pass length, every op
-// field, and every invalidation span. Every head is compiled through
-// the first-entry path machines take, and each published head's trace is
-// then rebuilt by a fresh builder, since closures keep no op stream; the
-// digest was pinned when BuildImage still compiled and kept every trace
-// eagerly, so it proves the lazily compiled traces byte-identical to the
-// eager ones.
-func TestTablesTraceDigest(t *testing.T) {
-	h := sha256.New()
-	var buf []byte
-	for _, prog := range sharedTables(t) {
-		machine.CompileImageHeads(prog.Image())
-		buf = machine.AppendImageTraces(buf[:0], prog.Image())
-		h.Write(buf)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantTablesTraceDigest {
-		t.Errorf("trace digest = %s, want %s", got, wantTablesTraceDigest)
-	}
-}
-
 // TestTablesClosureDigest pins every image closure of the 130 table builds,
 // published through the first-entry path: head, pass length, every
 // invalidation span, and every field of every item. The digest was pinned
-// when each compiled head kept both its trace and a closure threaded from
-// it with a parallel exit-prefix array, so it proves the closures that
-// recompute those prefixes on cold paths carry byte-identical item streams.
+// when the builder emitted an op stream that a second pass threaded into
+// items, so it proves the items the builder now emits directly
+// byte-identical to the threaded ones.
 func TestTablesClosureDigest(t *testing.T) {
 	if n := machine.RitemFieldCount(); n != 14 {
 		t.Fatalf("ritem has %d fields; the digest encodes 14", n)

@@ -2,20 +2,19 @@
 //
 // Step pays a switch on the generic instruction encoding and a full entry
 // check for every instruction. The compiled tier amortizes both. Its front
-// end, this file, turns a block head into a trace — an array of specialized
-// trace-ops (top) covering the straight-line run AND the
-// statically-predicted path beyond it, stitched across unconditional
-// branches, calls, and conditional branches predicted taken (backward) or
-// not-taken (forward). Common adjacent pairs are fused into one trace-op
-// (sethi+or constant synthesis, subcc+branch compare-and-branch, the address
-// chains minic emits), and operand-2 forms that are immediate-only at
-// compile time drop the register read entirely. Double-word accesses
-// (ldd/std), which nothing in the repository emits, are Step-only like ta:
-// a trace ends just before one. A trace whose last op branches back to its
-// own entry is a loop trace: one pass after another runs without returning
-// to the dispatcher. closure.go threads each trace at once into its item
-// stream (closProg), the only compiled form a machine or image retains; the
-// op stream is scratch.
+// end, this file, turns a block head into a trace and emits it as the item
+// stream of one closure (closProg, closure.go): specialized items covering
+// the straight-line run AND the statically-predicted path beyond it,
+// stitched across unconditional branches, calls, and conditional branches
+// predicted taken (backward) or not-taken (forward). Common adjacent pairs
+// are fused into one item (sethi+or constant synthesis, subcc+branch
+// compare-and-branch, the address chains minic emits), and operand-2 forms
+// that are immediate-only at compile time drop the register read entirely.
+// Double-word accesses (ldd/std), which nothing in the repository emits,
+// are Step-only like ta: a trace ends just before one. A trace whose last
+// item branches back to its own entry is a loop trace: one pass after
+// another runs without returning to the dispatcher. The closure is the only
+// compiled form a machine or image retains.
 //
 // The proof obligation: simulated instruction counts, cycles, cache
 // statistics, event counters, and fault points must be bit-identical to
@@ -26,8 +25,8 @@
 // One compilation rule covers every text: BuildImage and LoadText give each
 // block head a closure slot (buildUops, uop.slot), and the first time a
 // machine reaches a head — by dispatching to it or by linking to it from a
-// trace exit — it compiles the head's trace with static prediction, threads
-// it, and publishes the closure in the head's slot (Machine.compileHead).
+// trace exit — it compiles the head's closure with static prediction and
+// publishes it in the head's slot (Machine.compileHead).
 // On a shared image those slots are the Image's, so every attached machine
 // with the image's geometry and cost model shares the closure.
 //
@@ -38,10 +37,10 @@
 // µops and the closures published so far, slot for slot, so only the ones
 // covering the patch are dropped, and for this machine only (siblings keep
 // executing and first-entering the image's). A patch landing
-// while a closure is executing — only possible from a StoreHook or
-// LoadHook — is caught by the textGen generation check after the access,
-// and the closure exits cleanly after the hooked instruction so the
-// dispatcher re-enters against fresh state.
+// while a closure is executing — only possible from a StoreHook — is
+// caught by the textGen generation check after the store, and the closure
+// exits cleanly after the hooked store so the dispatcher re-enters
+// against fresh state.
 package machine
 
 import (
@@ -103,10 +102,11 @@ func (m *Machine) Engine() Engine { return m.engine }
 // minTraceInstrs rejects traces too short to amortize entering a closure.
 const minTraceInstrs = 3
 
-// topOp is a trace-op opcode. Plain ops mirror Step's semantics with
-// operand-2 unification; *I variants are immediate-only specializations
-// that skip the regs[s2r] read; the control ops encode the compile-time
-// branch prediction; tCmpBr*/tSet2 are fused two-instruction ops.
+// topOp is an item's kind (ritem.kind). Plain kinds mirror Step's
+// semantics with operand-2 unification; *I variants are immediate-only
+// specializations that skip the regs[s2r] read; the control kinds encode
+// the compile-time branch prediction; tCmpBr*/tSet2 are fused
+// two-instruction kinds.
 type topOp uint8
 
 const (
@@ -149,9 +149,9 @@ const (
 	tBALoop // unconditional back-edge to the trace entry
 	tCall   // stitched call: rd(%o7) = return address, taken cost, keep going
 
-	// Window and indirect-jump ops. save/restore are pure register-window
+	// Window and indirect-jump kinds. save/restore are pure register-window
 	// shuffles in this subset (no memory traffic), so they compile as
-	// interior ops; jmpl ends the trace with a computed exit that feeds
+	// interior items; jmpl ends the trace with a computed exit that feeds
 	// straight into trace linking, which is what lets a chain of closures
 	// go caller -> callee -> return without a dispatcher round-trip.
 	tSave
@@ -162,11 +162,12 @@ const (
 	tCmpBrT    // fused subcc+branch, predicted taken
 	tCmpBrLoop // fused subcc+branch back-edge to the trace entry
 
-	// tEnd terminates every trace's op array: it commits the completed pass
-	// and transfers to exitPC. A synthetic op (no instruction, no fetch), it
-	// lets a closure walk its items with a raw pointer instead of paying an
-	// index bound check per item — the walk provably stops at tEnd, and
-	// every other path out of a pass is an explicit goto.
+	// tEnd terminates every closure's item stream: it commits the completed
+	// pass and transfers to the trace's exit pc (its rx). A synthetic item
+	// (no instruction, no fetch), it lets a closure walk its items with a
+	// raw pointer instead of paying an index bound check per item — the
+	// walk provably stops at tEnd, and every other path out of a pass is an
+	// explicit goto.
 	tEnd
 
 	// Fused interior pairs (two instructions, one dispatch). These are the
@@ -174,8 +175,8 @@ const (
 	// load/scale/index address chains minic emits — measured on eqntott:
 	// ld+sll 10.8%, add+ld 10.5%, or+ld 8.8%, sll+add 11.2%, ld+subcc 4.8%,
 	// ld+or 3.3% of all adjacent pairs. The second slot's operands live in
-	// rd2/rs1b/s2rb/imm2; both halves execute in program order, so any
-	// dataflow between them (or none) is correct by construction.
+	// the item's rd2/rs1b/s2rb/imm2; both halves execute in program order,
+	// so any dataflow between them (or none) is correct by construction.
 	tLdSll  // ld then sll
 	tLdOr   // ld then or
 	tLdCmp  // ld then subcc
@@ -189,58 +190,10 @@ const (
 	tOrAdd  // or then add
 	tOrSub  // or then sub
 
-	// topOpEnd is one past the last real trace-op; closure.go's synthetic
-	// item kinds start here.
+	// topOpEnd is one past the last instruction kind; the synthetic
+	// counter item kind (cCount, closure.go) is topOpEnd.
 	topOpEnd
-
-	// topCount is or-ed into op when the instruction carries an event
-	// counter; the closure compiler turns it into a counter item ahead of
-	// the op. Fused ops are only formed when neither instruction is counted.
-	topCount topOp = 0x80
 )
-
-// top is one trace-op: a specialized instruction (or fused pair) plus the
-// bookkeeping needed for exact accounting.
-type top struct {
-	op   topOp
-	rd   uint8 // destination (source for stores); scratchReg absorbs %g0
-	rs1  uint8
-	s2r  uint8 // operand-2 register (%g0 slot for immediate forms)
-	cond uint8 // branch condition (condMask index) for control ops
-	rd2  uint8 // fused pairs: second instruction's destination
-	rs1b uint8 // fused pairs: second instruction's rs1
-	s2rb uint8 // fused pairs: second instruction's operand-2 register
-	// nl marks compile-time I-line boundaries under the trace's shift:
-	// bit0 — this op's (first) fetch is on a different line than the
-	// previous op's last fetch in pass order (always set on the first op);
-	// bit1 — a fused op's second fetch crosses a line from its first. A
-	// clear bit plus a live curILine proves the fetch hits without even
-	// computing the line number.
-	nl   uint8
-	ni   uint16 // simulated instructions retired before this op in one pass
-	cnt  uint16 // event counter index+1; 0 means none
-	imm  int32  // operand-2 immediate / synthesized constant
-	imm2 int32  // fused pairs: second instruction's operand-2 immediate
-	tgt  int32  // branch or call target (text index)
-	// iaddr is the fetch address of the op's (first) instruction; the text
-	// index is (iaddr-TextBase)/4, so side exits need no extra field.
-	iaddr uint32
-}
-
-// traceProg is one trace as the builder emits it: the compiled tier's
-// intermediate form. compileHead threads it into a closProg at once and
-// keeps only that; ops alias the builder's buffer until its next compile.
-type traceProg struct {
-	entry      int32  // head text index the trace is registered under
-	exitPC     int32  // pc installed when a pass runs off the tail
-	shift      uint32 // I-line shift the nl bits were computed under
-	passInstrs int64  // simulated instructions one full pass retires
-	ops        []top  // ends in tEnd
-	// spans are the sorted, disjoint [lo,hi) text-index ranges the trace
-	// consumed, at exact size: its closure keeps them, and PatchInstr
-	// invalidates any closure whose span covers the patched index.
-	spans [][2]int32
-}
 
 // syncTraceState (re)establishes the engine-dependent compiled state after
 // any event that changes what the dispatcher may execute: engine selection,
@@ -271,23 +224,23 @@ func (m *Machine) syncTraceState() {
 // machine's I-line geometry (their fetch batching) and cost model (their
 // static cycle sums).
 func (m *Machine) sharesTraces() bool {
-	return m.imgShared && m.img.traceShift == m.cache.LineShift() && m.costs == DefaultCosts
+	return m.img != nil && m.img.traceShift == m.cache.LineShift() && m.costs == DefaultCosts
 }
 
-// compileHead compiles the trace at head pc on its first entry, with the
-// machine's builder scratch and I-line shift, threads it for the machine's
-// cost model, and publishes the closure once in the head's slot: a caller
-// that loses the race on a shared image's slot adopts the winner's. A
-// declined head publishes the declined sentinel, so it is never retried.
-// Returns what the slot holds. Kept out of line so the dispatcher and the
-// trace-link paths gain only an untaken branch.
+// compileHead compiles the closure at head pc on its first entry, with the
+// machine's builder scratch, I-line shift and cost model, and publishes it
+// once in the head's slot: a caller that loses the race on a shared image's
+// slot adopts the winner's. A declined head publishes the declined
+// sentinel, so it is never retried. Returns what the slot holds. Kept out
+// of line so the dispatcher and the trace-link paths gain only an untaken
+// branch.
 //
 //go:noinline
 func (m *Machine) compileHead(pc int32) *closProg {
 	slot := &m.traces[m.uops[pc].slot]
-	cp := declined
-	if tr := m.tb.compile(m.text, m.uops, pc, m.cache.LineShift()); tr != nil {
-		cp = compileClosures(tr, &m.costs)
+	cp := m.tb.compile(m.text, m.uops, pc, m.cache.LineShift(), &m.costs)
+	if cp == nil {
+		cp = declined
 	}
 	if !slot.CompareAndSwap(nil, cp) {
 		return slot.Load()
@@ -310,7 +263,7 @@ func (m *Machine) invalidateTraces(idx int32) {
 	}
 }
 
-// topOf maps a straight-line sparc.Op to its generic trace-op. Zero (tNop)
+// topOf maps a straight-line sparc.Op to its generic item kind. Zero (tNop)
 // doubles as "no mapping" for ops the builder never looks up: terminators
 // and double words, which never appear in block interiors.
 var topOf = [64]topOp{
@@ -324,10 +277,10 @@ var topOf = [64]topOp{
 	sparc.Sethi: tSet,
 }
 
-// fusePair returns the fused trace-op for the adjacent interior pair (a, b),
-// or 0 when the pair has no fused form. Only the measured-hot address-chain
-// shapes are fused; the caller checks that neither instruction is counted
-// (fused ops carry no second counter slot).
+// fusePair returns the fused item kind for the adjacent interior pair
+// (a, b), or 0 when the pair has no fused form. Only the measured-hot
+// address-chain shapes are fused; the caller checks that neither
+// instruction is counted (a counter item counts one instruction).
 func fusePair(a, b *sparc.Instr) topOp {
 	switch a.Op {
 	case sparc.Ld:
@@ -372,17 +325,17 @@ func fusePair(a, b *sparc.Instr) topOp {
 }
 
 // fuseAt decides how many instructions starting at text[i] fuse into one
-// trace-op inside the straight-line window [i, stop), mirroring exactly what
+// item inside the straight-line window [i, stop), mirroring exactly what
 // the trace builder emits: (tNop, w) for a run of w >= 2 padding nops,
-// (op, 2) for a fused pair or sethi+or constant, (0, 1) when text[i]
-// compiles as a single op. lend is the index just past text[i]'s I-line
+// (kind, 2) for a fused pair or sethi+or constant, (0, 1) when text[i]
+// compiles as a single item. lend is the index just past text[i]'s I-line
 // (lineEnd), which bounds a nop run. The decision lives here — separate
 // from emission — so FusionPlan reports coverage with the compiler's own
 // rules and can never drift from them.
 func fuseAt(text []sparc.Instr, i, stop, lend int32) (topOp, int32) {
 	in := &text[i]
 	// A run of uncounted nops on one I-line — the alignment padding of
-	// Table 1's Nops columns — retires as one op: its later fetches are
+	// Table 1's Nops columns — retires as one item: its later fetches are
 	// guaranteed hits on the line its first fetch touched, and a nop does
 	// nothing else.
 	if in.Op == sparc.Nop && in.Count == 0 {
@@ -411,34 +364,26 @@ func fuseAt(text []sparc.Instr, i, stop, lend int32) (topOp, int32) {
 	return 0, 1
 }
 
-// isTraceTerminator reports whether op ends a straight-line interior run in
-// the trace builder's walk (traceBuilder.compile cases these individually;
-// FusionPlan uses it to bound the fusion window inside a dynamic run).
-func isTraceTerminator(op sparc.Op) bool {
-	switch op {
-	case sparc.Br, sparc.Call, sparc.Jmpl, sparc.Save, sparc.Restore,
-		sparc.Ldd, sparc.Std, sparc.Ta, sparc.Unimp:
-		return true
-	}
-	return false
-}
-
 // FusionPlan applies the trace builder's fusion rules to one dynamically
 // consecutive instruction run, whose first instruction sits at text index
 // start, and returns the width in instructions of each dispatch item the
 // compiled tier would retire for it under I-line shift shift: 1, 2, or a
-// padding-nop run's length. Interior fusion windows are bounded at
-// terminators and multiples of maxBlockLen exactly as the builder bounds
-// them at block ends, nop runs at I-line ends, and a conditional branch
-// fuses with an immediately preceding uncounted subcc (tCmpBr*). The
-// mrsbench -trace-stats report is built on this, so its coverage numbers
-// are the compiler's own.
+// padding-nop run's length. Interior fusion windows are bounded where the
+// block index ends a straight-line run (decodeUop) and at multiples of
+// maxBlockLen exactly as the builder bounds them at block ends, nop runs at
+// I-line ends, and a conditional branch fuses with an immediately preceding
+// uncounted subcc (tCmpBr*). The mrsbench -trace-stats report is built on
+// this, so its coverage numbers are the compiler's own.
 func FusionPlan(run []sparc.Instr, start int32, shift uint32) []int32 {
+	straight := func(i int32) bool {
+		_, ok := decodeUop(&run[i])
+		return ok
+	}
 	var widths []int32
 	n := int32(len(run))
 	for i := int32(0); i < n; {
 		in := &run[i]
-		if isTraceTerminator(in.Op) {
+		if !straight(i) {
 			if in.Op == sparc.Br && in.Count == 0 && len(widths) > 0 &&
 				widths[len(widths)-1] == 1 &&
 				run[i-1].Op == sparc.Subcc && run[i-1].Count == 0 {
@@ -450,7 +395,7 @@ func FusionPlan(run []sparc.Instr, start int32, shift uint32) []int32 {
 			continue
 		}
 		stop := i + 1
-		for stop < n && !isTraceTerminator(run[stop].Op) && (start+stop)%maxBlockLen != 0 {
+		for stop < n && straight(stop) && (start+stop)%maxBlockLen != 0 {
 			stop++
 		}
 		_, w := fuseAt(run, i, stop, lineEnd(start+i, shift)-start)
@@ -502,16 +447,15 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 // trace would cost traces × len(text); instead stamp[i] == gen marks text
 // index i consumed by the trace under construction, and bumping gen empties
 // the set in O(1). seen lists the consumed indices as [lo,hi) runs in visit
-// order, so a trace's spans cost its own length, not the text's; ops is the
-// op stream's buffer, which the finished trace borrows until the next
-// compile. Spans are copied out at exact size, since the closure that keeps
-// them lives as long as its image. Each machine keeps one builder for its
-// first-entry compiles (compileHead).
+// order, so a trace's spans cost its own length, not the text's; items is
+// the item stream under construction. The closure copies both out at exact
+// size, since it lives as long as its image. Each machine keeps one builder
+// for its first-entry compiles (compileHead).
 type traceBuilder struct {
 	stamp []uint32
 	gen   uint32
 	seen  [][2]int32
-	ops   []top
+	items []ritem
 }
 
 // reset empties the scratch for a trace over text of n instructions.
@@ -528,7 +472,7 @@ func (b *traceBuilder) reset(n int) {
 		b.gen = 1
 	}
 	b.seen = b.seen[:0]
-	b.ops = b.ops[:0]
+	b.items = b.items[:0]
 }
 
 // consume marks text index i as part of the trace under construction.
@@ -566,21 +510,41 @@ func (b *traceBuilder) spans() [][2]int32 {
 	return spans
 }
 
-// compile builds a superblock trace starting at the block head entry, or
-// returns nil when the result would be too trivial to pay for. The walk
-// consumes whole straight-line runs, fuses sethi+or and subcc+branch pairs,
-// and stitches across the predicted edge of each terminator — including
-// predicted-taken BACKWARD branches, the superblock tail-duplication case —
-// until it revisits a consumed index, reaches an unstitchable terminator
-// (jmpl/ta/unimp/ldd/std), or would pass the maxBlockLen instruction bound:
-// it ends before a run that does not fit, which starts at a head, so the
-// next closure links on there. A single patch thus never invalidates more
-// than a bounded neighborhood.
-// Operands come from the predecoded uops, which PatchInstr keeps coherent
-// with text. shift is the I-line shift the nl bits are computed under; a machine may
-// only execute traces whose shift matches its own cache geometry
-// (syncTraceState enforces this).
-func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, shift uint32) *traceProg {
+// add appends instruction item it, preceded by a counter item when cnt,
+// the instruction's event counter index+1, is nonzero. The counter item
+// fetches nothing, so the item after it keeps its own fetch code. Every
+// instruction item carries the all-ones condition mask condMask[0] until a
+// branch sets its own; run reads cm on branches only, but the closure
+// digest encodes it.
+func (b *traceBuilder) add(it ritem, cnt int32) {
+	if cnt != 0 {
+		b.items = append(b.items, ritem{kind: cCount, imm: cnt - 1})
+	}
+	it.cm = condMask[0]
+	b.items = append(b.items, it)
+}
+
+// compile builds the closure of the superblock trace starting at the block
+// head entry, or returns nil when the trace would be too trivial to pay
+// for. The walk consumes whole straight-line runs, fuses sethi+or and
+// subcc+branch pairs, and stitches across the predicted edge of each
+// terminator — including predicted-taken BACKWARD branches, the superblock
+// tail-duplication case — until it revisits a consumed index, reaches an
+// unstitchable terminator (jmpl/ta/unimp/ldd/std), or would pass the
+// maxBlockLen instruction bound: it ends before a run that does not fit,
+// which starts at a head, so the next closure links on there. A single
+// patch thus never invalidates more than a bounded neighborhood.
+//
+// Each item is emitted with its operands, a control item also with its
+// condition mask, the pass instructions retired through it and its link
+// target (see ritem); finish adds the fetch codes and batch sums. Operands
+// come from the predecoded uops, which PatchInstr keeps coherent with text.
+// The closure depends only on the text, the I-line shift shift and the cost
+// model c, never on the compiling machine, so a shared image can publish it
+// to every machine attached with the image's geometry and cost model; a
+// machine may only execute closures whose shift matches its own cache
+// geometry (syncTraceState enforces this).
+func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, shift uint32, c *Costs) *closProg {
 	if uint32(entry) >= uint32(len(uops)) {
 		return nil
 	}
@@ -599,7 +563,6 @@ func (b *traceBuilder) compile(text []sparc.Instr, uops []uop, entry int32, shif
 	}
 	b.reset(len(text))
 	var (
-		ops    = b.ops
 		ni     = 0
 		loop   = false
 		dyn    = false
@@ -624,70 +587,52 @@ scan:
 				break
 			}
 			stop := pc + int32(run)
-			i := pc
-			for i < stop {
-				in := &text[i]
-				b.consume(i)
-				if f, w := fuseAt(text, i, stop, lineEnd(i, shift)); w > 1 {
-					for k := int32(1); k < w; k++ {
-						b.consume(i + k)
-					}
-					t := top{op: f, ni: uint16(ni), iaddr: TextBase + uint32(i)*4}
-					switch f {
-					case tNop:
-						t.imm = w // the run's width (opWidth)
-					case tSet2:
-						// The synthesized constant lives in imm; the or's
-						// operands are implied (rd op= lo).
-						t.rd = uint8(in.Rd)
-						t.imm = in.Imm<<10 | text[i+1].Imm
-					default:
-						u1, u2 := &uops[i], &uops[i+1]
-						t.rd, t.rs1, t.s2r, t.imm = u1.rd, u1.rs1, u1.s2r, u1.s2i
-						t.rd2, t.rs1b, t.s2rb, t.imm2 = u2.rd, u2.rs1, u2.s2r, u2.s2i
-					}
-					ops = append(ops, t)
-					ni += int(w)
-					i += w
-					continue
-				}
+			for i := pc; i < stop; {
 				u := &uops[i]
-				t := top{
-					rd: u.rd, rs1: u.rs1, s2r: u.s2r, imm: u.s2i,
-					cnt:   uint16(u.cnt),
-					ni:    uint16(ni),
-					iaddr: TextBase + uint32(i)*4,
-				}
-				op := topOf[u.op]
-				// Immediate-only specializations for the hottest ops.
-				if u.s2r == uint8(sparc.G0) {
-					switch op {
-					case tLd:
-						op = tLdI
-					case tSt:
-						op = tStI
-					case tAdd:
-						op = tAddI
-					case tOr:
-						op = tOrI
-					case tSub:
-						op = tSubI
-					case tSll:
-						op = tSllI
-					case tSrl:
-						op = tSrlI
+				it := ritem{rd: u.rd, rs1: u.rs1, s2r: u.s2r, imm: u.s2i, fpc: i}
+				f, w := fuseAt(text, i, stop, lineEnd(i, shift))
+				switch {
+				case w == 1:
+					it.kind = topOf[u.op]
+					// Immediate-only specializations for the hottest kinds.
+					if u.s2r == uint8(sparc.G0) {
+						switch it.kind {
+						case tLd:
+							it.kind = tLdI
+						case tSt:
+							it.kind = tStI
+						case tAdd:
+							it.kind = tAddI
+						case tOr:
+							it.kind = tOrI
+						case tSub:
+							it.kind = tSubI
+						case tSll:
+							it.kind = tSllI
+						case tSrl:
+							it.kind = tSrlI
+						}
 					}
+					if it.kind == tNop {
+						it.imm = 0 // a lone nop, not a padding run (opWidth)
+					}
+				case f == tNop:
+					it = ritem{kind: tNop, imm: w, fpc: i} // the run's width (opWidth)
+				case f == tSet2:
+					// The synthesized constant lives in imm; the or's
+					// operands are implied (rd op= lo).
+					it = ritem{kind: tSet2, rd: uint8(text[i].Rd), imm: text[i].Imm<<10 | text[i+1].Imm, fpc: i}
+				default:
+					u2 := &uops[i+1]
+					it.kind = f
+					it.rd2, it.rs1b, it.s2rb, it.imm2 = u2.rd, u2.rs1, u2.s2r, u2.s2i
 				}
-				if op == tNop {
-					t.imm = 0 // a lone nop, not a padding run (opWidth)
+				for k := i; k < i+w; k++ {
+					b.consume(k)
 				}
-				t.op = op
-				if t.cnt != 0 {
-					t.op |= topCount
-				}
-				ops = append(ops, t)
-				ni++
-				i++
+				b.add(it, int32(u.cnt)) // fuseAt fuses uncounted instructions only
+				ni += int(w)
+				i += w
 			}
 			pc = stop
 			continue
@@ -696,113 +641,94 @@ scan:
 		// Terminator at pc, classified by its µop: one decodeUop leaves to
 		// Step ends the trace like ta/unimp.
 		term := &text[pc]
-		ta := TextBase + uint32(pc)*4
 		switch uops[pc].op {
 		case sparc.Br:
 			b.consume(pc)
-			cond := uint8(term.Cond & 15)
-			tgt := term.Target
-			// Fuse with an immediately preceding uncounted subcc.
-			fused := false
-			if n := len(ops); n > 0 && term.Count == 0 {
-				if p := &ops[n-1]; p.op == tSubcc && p.cnt == 0 && p.iaddr == ta-4 {
-					fused = true
+			at, tgt := pc, term.Target
+			// An immediately preceding uncounted subcc item fuses with the
+			// branch.
+			var sub *ritem
+			if n := len(b.items); n > 0 && term.Count == 0 {
+				if p := &b.items[n-1]; p.kind == tSubcc && p.fpc == at-1 && uops[at-1].cnt == 0 {
+					sub = p
 				}
 			}
-			// emit appends the branch (or rewrites the subcc into the fused
-			// form): opU for the plain op, opF for the fused one.
-			emit := func(opU, opF topOp) {
-				if fused {
-					p := &ops[len(ops)-1]
-					p.op = opF
-					p.cond = cond
-					p.tgt = tgt
-					return
-				}
-				t := top{op: opU, cond: cond, tgt: tgt,
-					cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
-				if t.cnt != 0 {
-					t.op |= topCount
-				}
-				ops = append(ops, t)
-			}
+			var plain, fused topOp
 			switch {
 			case term.Cond == sparc.BN:
 				// Never taken: tBr with cond BN never side-exits.
-				emit(tBr, tCmpBr)
-				ni++
+				plain, fused = tBr, tCmpBr
 				pc++
 			case tgt == entry && (term.Cond == sparc.BA ||
 				predictBranch(text, uops, pc, tgt)):
 				// Predicted-taken back-edge to the head: loop trace. (BA
 				// back-edges too: condMask[BA] is all-ones, so tBrLoop with
 				// cond BA never takes its side exit.)
-				if term.Cond == sparc.BA && !fused {
-					emit(tBALoop, 0)
-				} else {
-					emit(tBrLoop, tCmpBrLoop)
+				plain, fused = tBrLoop, tCmpBrLoop
+				if term.Cond == sparc.BA && sub == nil {
+					plain = tBALoop
 				}
-				ni++
 				loop = true
-				break scan
 			case term.Cond == sparc.BA:
-				// Unconditional stitch.
-				if fused {
-					emit(0, tCmpBrT) // cond BA: always continues
-				} else {
-					emit(tBA, 0)
-				}
-				ni++
+				// Unconditional stitch (fused: cond BA always continues).
+				plain, fused = tBA, tCmpBrT
 				pc = tgt
 			case predictBranch(text, uops, pc, tgt):
 				// Predicted taken: stitch to the target and keep compiling.
 				// Backward targets duplicate already-laid-out code into the
 				// trace tail (superblock tail duplication); the consumed-set
 				// check at the top of the walk bounds the duplication.
-				emit(tBrT, tCmpBrT)
-				ni++
+				plain, fused = tBrT, tCmpBrT
 				pc = tgt
 			default:
-				emit(tBr, tCmpBr)
-				ni++
+				plain, fused = tBr, tCmpBr
 				pc++
+			}
+			it := sub
+			if it != nil {
+				// The subcc item becomes the compare-and-branch, which
+				// retires the subcc's ni through its first instruction.
+				it.kind, it.imm2 = fused, int32(ni)<<16
+			} else {
+				b.add(ritem{kind: plain, imm2: int32(ni+1) << 16, fpc: at}, term.Count)
+				it = &b.items[len(b.items)-1]
+			}
+			it.cm = condMask[term.Cond&15]
+			switch it.kind {
+			case tBr, tCmpBr:
+				it.rx = uint32(tgt) // the taken edge exits
+			case tBrT, tBrLoop, tCmpBrT, tCmpBrLoop:
+				it.rx = uint32(at + 1) // the fall-through edge exits
+			}
+			ni++
+			if loop {
+				break scan
 			}
 
 		case sparc.Call:
 			b.consume(pc)
-			t := top{op: tCall, tgt: term.Target,
-				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
-			if t.cnt != 0 {
-				t.op |= topCount
-			}
-			ops = append(ops, t)
+			b.add(ritem{kind: tCall, rd: uint8(sparc.O7), imm: int32(TextBase) + pc<<2 + 4, fpc: pc}, term.Count)
 			ni++
 			pc = term.Target
 
 		case sparc.Save, sparc.Restore:
 			// Interior window shuffle: operand 2 unified like every other
-			// op, %g0 destinations discarded via the scratch register.
+			// kind, %g0 destinations discarded via the scratch register.
 			b.consume(pc)
-			t := top{rd: uint8(term.Rd), rs1: uint8(term.Rs1),
-				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
+			it := ritem{kind: tSave, rd: uint8(term.Rd), rs1: uint8(term.Rs1), fpc: pc}
+			if term.Op == sparc.Restore {
+				it.kind = tRestore
+			}
 			if term.UseImm {
-				t.s2r = uint8(sparc.G0)
-				t.imm = term.Imm
+				it.s2r = uint8(sparc.G0)
+				it.imm = term.Imm
 			} else {
-				t.s2r = uint8(term.Rs2)
+				it.s2r = uint8(term.Rs2)
 			}
 			if term.Rd == sparc.G0 {
-				t.rd = scratchReg
+				it.rd = scratchReg
 			}
-			if term.Op == sparc.Save {
-				t.op = tSave
-			} else {
-				t.op = tRestore
-			}
-			if t.cnt != 0 {
-				t.op |= topCount
-			}
-			ops = append(ops, t)
+			b.add(it, term.Count)
 			ni++
 			pc++
 
@@ -813,12 +739,8 @@ scan:
 			// fault with the exact semantics, including the rd write).
 			b.consume(pc)
 			ju := &uops[pc]
-			t := top{op: tJmpl, rd: ju.rd, rs1: ju.rs1, s2r: ju.s2r, imm: ju.s2i,
-				cnt: uint16(ju.cnt), ni: uint16(ni), iaddr: ta}
-			if t.cnt != 0 {
-				t.op |= topCount
-			}
-			ops = append(ops, t)
+			b.add(ritem{kind: tJmpl, rd: ju.rd, rs1: ju.rs1, s2r: ju.s2r, imm: ju.s2i,
+				imm2: int32(ni+1) << 16, fpc: pc}, int32(ju.cnt))
 			ni++
 			exitPC = pc
 			dyn = true
@@ -833,37 +755,26 @@ scan:
 		}
 	}
 	if !loop && !dyn && ni < minTraceInstrs {
-		b.ops = ops // keep the grown buffer for the next trace
 		return nil
 	}
-	// nl post-pass: mark the compile-time I-line boundaries (see top.nl).
-	// lastFetch is the previous op's last fetch address in pass order. A
-	// nop run's later fetches never leave its first fetch's line.
-	lastLine := ^uint32(0)
-	for k := range ops {
-		u := &ops[k]
-		line := u.iaddr >> shift
-		if k == 0 || line != lastLine {
-			u.nl = 1
-		}
-		lastLine = line
-		if topWidth(u.op) == 2 {
-			if line2 := (u.iaddr + 4) >> shift; line2 != lastLine {
-				u.nl |= 2
-				lastLine = line2
-			}
-		}
-	}
-	ops = append(ops, top{op: tEnd})
-	b.ops = ops // keep the grown buffer for the next trace
-	return &traceProg{
-		entry:      entry,
-		exitPC:     exitPC,
+	// The synthetic tail settles, commits the whole pass and links to
+	// exitPC.
+	b.items = append(b.items, ritem{kind: tEnd, imm2: int32(ni) << 16, rx: uint32(exitPC)})
+	cp := &closProg{
+		items:      make([]ritem, len(b.items)), // exact size: closures live as long as their image
+		spans:      b.spans(),
+		head:       entry,
 		shift:      shift,
 		passInstrs: int64(ni),
-		ops:        ops,
-		spans:      b.spans(),
+		taken:      c.TakenBranch,
+		mul:        c.Mul,
+		div:        c.Div,
+		spill:      c.WindowSpill,
+		memx:       c.MemExtra,
 	}
+	copy(cp.items, b.items)
+	cp.finish()
+	return cp
 }
 
 // badJumpFormat is the format of Step's fault text for a jmpl to dest
@@ -875,9 +786,9 @@ func badJumpFormat(dest uint32) string {
 	return "indirect jump outside text %#x"
 }
 
-// opWidth reports how many instructions (and ifetches, from iaddr on) a
-// trace-op or item of kind op with immediate imm retires: a padding-nop
-// run's width, which its imm carries, or topWidth.
+// opWidth reports how many instructions (and ifetches, from the item's own
+// on) an item of kind op with immediate imm retires: a padding-nop run's
+// width, which its imm carries, or topWidth.
 func opWidth(op topOp, imm int32) int32 {
 	if op == tNop && imm > 1 {
 		return imm
@@ -891,9 +802,8 @@ func lineEnd(i int32, shift uint32) int32 {
 	return i + int32(((ia>>shift+1)<<shift-ia)>>2)
 }
 
-// topWidth reports how many instructions (and ifetches, at iaddr and +4) a
-// fixed-shape trace-op retires: 1 or 2. Fused ops are never counted, so the
-// topCount flag need not be stripped.
+// topWidth reports how many instructions (and ifetches, at the item's own
+// address and +4) an item of a fixed-shape kind retires: 1 or 2.
 func topWidth(op topOp) int32 {
 	switch op {
 	case tSet2, tCmpBr, tCmpBrT, tCmpBrLoop,

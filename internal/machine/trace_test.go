@@ -61,7 +61,7 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 	if err := m1.PatchInstr(2, sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1)); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
-	if m1.imgShared {
+	if m1.img != nil {
 		t.Fatal("patching machine still shared")
 	}
 	if reflect.ValueOf(m1.traces).Pointer() == reflect.ValueOf(img.traces).Pointer() {
@@ -243,10 +243,9 @@ func closureCovers(m *Machine, idx int32) bool {
 
 // TestDoubleWordEndsTrace checks that ldd and std end a trace, so Step runs
 // them: a loop whose body holds an std and an ldd must match Step —
-// registers, counts, cache statistics and the LoadHook's address stream —
-// and the closures the run publishes must cover every loop index but those
-// two. The ldd's successor is a head, and its trace stitches the back-edge
-// through the loop head.
+// registers, counts and cache statistics — and the closures the run
+// publishes must cover every loop index but those two. The ldd's successor
+// is a head, and its trace stitches the back-edge through the loop head.
 func TestDoubleWordEndsTrace(t *testing.T) {
 	text := []sparc.Instr{
 		{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true},
@@ -261,29 +260,14 @@ func TestDoubleWordEndsTrace(t *testing.T) {
 		{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
 	}
 	const std, ldd, loopEnd = 4, 5, 8
-	type access struct {
-		addr uint32
-		size int32
-	}
-	var loads [2][]access
-	var ms [2]*Machine
-	for i := range ms {
-		m := New(cache.DefaultConfig, DefaultCosts)
-		m.LoadHook = func(addr uint32, size int32) int64 {
-			loads[i] = append(loads[i], access{addr, size})
-			return 0
-		}
-		m.LoadText(append([]sparc.Instr(nil), text...), 0)
-		ms[i] = m
-	}
-	errStep := stepAll(ms[0])
-	_, errRun := ms[1].Run()
-	diffStates(t, "double-word loop", ms[0], ms[1], errStep, errRun)
-	if len(loads[0]) != 64 || !reflect.DeepEqual(loads[0], loads[1]) {
-		t.Fatalf("LoadHook streams differ: step %v, closure %v", loads[0], loads[1])
-	}
+	a, b := New(cache.DefaultConfig, DefaultCosts), New(cache.DefaultConfig, DefaultCosts)
+	a.LoadText(append([]sparc.Instr(nil), text...), 0)
+	b.LoadText(append([]sparc.Instr(nil), text...), 0)
+	errStep := stepAll(a)
+	_, errRun := b.Run()
+	diffStates(t, "double-word loop", a, b, errStep, errRun)
 	for i := int32(1); i <= loopEnd; i++ {
-		if got, want := closureCovers(ms[1], i), i != std && i != ldd; got != want {
+		if got, want := closureCovers(b, i), i != std && i != ldd; got != want {
 			t.Errorf("loop index %d: covered by a closure %v, want %v", i, got, want)
 		}
 	}
